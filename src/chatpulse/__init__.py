@@ -40,7 +40,6 @@ from .ensemble import (
     EnsembleStats,
     UserRanking,
     WindowMetrics,
-    centrality_table,
     conversation_metrics,
     ensemble_stats,
     rank_users,

@@ -1,8 +1,7 @@
-"""Pure-Python kernels, the fallback when the compiled extension is unavailable.
+"""Hot-loop kernels: adjacent-pair counting and sorted-form Gini.
 
-Semantics (and floating-point summation order) must match
-``chatpulse._kernels._native`` exactly; the parity tests in
-tests/test_kernels.py hold both backends to that.
+tests/test_kernels.py checks both against the definitional oracles in
+tests/oracles.py.
 """
 
 from __future__ import annotations

@@ -19,9 +19,10 @@ import secrets
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from zoneinfo import ZoneInfo
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 from .errors import (
+    ChatpulseError,
     MappingConflictError,
     OrderingError,
     ParameterError,
@@ -170,7 +171,12 @@ def _parse_header_timestamp(
 
 
 def _resolve_zone(tz: str | ZoneInfo) -> ZoneInfo:
-    return tz if isinstance(tz, ZoneInfo) else ZoneInfo(tz)
+    if isinstance(tz, ZoneInfo):
+        return tz
+    try:
+        return ZoneInfo(tz)
+    except (ZoneInfoNotFoundError, ValueError) as exc:
+        raise ParameterError(f"unknown time zone {tz!r}") from exc
 
 
 def parse_transcript(
@@ -325,8 +331,7 @@ def write_mapping(mapping: dict[str, int], path: str | Path) -> None:
 
 
 def read_mapping(path: str | Path) -> dict[str, int]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(io.StringIO(read_utf8(Path(path), SchemaError))))
     if not rows or rows[0] != MAPPING_CSV_HEADER:
         raise SchemaError(f"{path}: expected header {','.join(MAPPING_CSV_HEADER)}")
     mapping: dict[str, int] = {}
@@ -393,6 +398,14 @@ def _row_from_jsonl(line: str, line_no: int, source: str) -> tuple[int, int]:
     return user, ts
 
 
+def read_utf8(path: Path, error: type[ChatpulseError]) -> str:
+    """Read a whole text file, raising ``error`` when it is not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+
+
 def infer_log_format(path: str | Path) -> str:
     return "jsonl" if str(path).endswith((".jsonl", ".ndjson")) else "csv"
 
@@ -406,7 +419,7 @@ def load_log(
     if fmt not in ("csv", "jsonl"):
         raise SchemaError(f"unknown log format {fmt!r}")
     name = path.stem if group_name is None else group_name
-    text = path.read_text(encoding="utf-8")
+    text = read_utf8(path, SchemaError)
     rows: list[tuple[int, int]] = []
     if fmt == "csv":
         parsed = list(csv.reader(io.StringIO(text)))

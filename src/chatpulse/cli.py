@@ -15,18 +15,20 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
 from pathlib import Path
 
-from . import __version__, _kernels
+from . import __version__
 from .chatlog import (
     anonymize,
     dump_log,
     load_log,
     parse_transcript,
     read_mapping,
+    read_utf8,
     utc_timestamp,
 )
 from .ensemble import (
@@ -35,14 +37,12 @@ from .ensemble import (
     STD_POPULATION,
     STD_SAMPLE,
     EngagementClass,
-    centrality_table,
     conversation_metrics,
     ensemble_stats,
     rank_users,
     zscore_classify,
     zscore_histogram,
 )
-from .engagement import node_centralities
 from .errors import (
     InsufficientDataError,
     NotAConversationError,
@@ -70,10 +70,16 @@ _RANKED_SCOPES = (
 )
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_artifact(path: Path, chunks) -> None:
+    """Stream text chunks (newlines included) to a temp file, then rename."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.writelines(chunks)
     os.replace(tmp, path)
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    _write_artifact(path, itertools.chain((header + "\n",), rows))
 
 
 def _sha256(path: Path) -> str:
@@ -90,12 +96,11 @@ def _write_manifest(
     doc = {
         "command": command,
         "version": __version__,
-        "kernel_backend": _kernels.BACKEND,
         "parameters": params,
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": sorted(outputs),
     }
-    _write_text(outdir / "manifest.json", json.dumps(doc, indent=2) + "\n")
+    _write_artifact(outdir / "manifest.json", (json.dumps(doc, indent=2), "\n"))
 
 
 def _outdir(args) -> Path:
@@ -136,74 +141,84 @@ def _window_spec(args) -> WindowSpec:
 # artifact emitters (shared between the step commands and `report`)
 
 def _emit_ensemble(outdir: Path, ens) -> list[str]:
-    _write_text(outdir / "ensemble.jsonl", dump_ensemble(ens))
+    _write_artifact(outdir / "ensemble.jsonl", (dump_ensemble(ens),))
     return ["ensemble.jsonl"]
 
 
-def _emit_metrics(outdir: Path, ens):
-    wms = conversation_metrics(ens)
-    mlines = ["window_start,window_index,n,total_weight,equality,intensity,ei"]
-    for w in wms:
-        m = w.metrics
-        mlines.append(
-            f"{w.window_start},{w.window_index},{m.n},{m.total_weight},"
-            f"{m.equality!r},{m.intensity!r},{m.ei!r}"
-        )
-    clines = ["window_start,user_id,strength,ei_centrality"]
-    for net, w in zip(ens.conversations, wms):
-        for ne in node_centralities(net, w.metrics):
-            clines.append(
-                f"{net.window_start},{ne.user},{ne.strength},{ne.ei_centrality!r}"
-            )
-    _write_text(outdir / "metrics.csv", "\n".join(mlines) + "\n")
-    _write_text(outdir / "centralities.csv", "\n".join(clines) + "\n")
-    return ["metrics.csv", "centralities.csv"], wms
+def _emit_metrics(outdir: Path, wms) -> list[str]:
+    _write_csv(
+        outdir / "metrics.csv",
+        "window_start,window_index,n,total_weight,equality,intensity,ei",
+        (
+            f"{w.window_start},{w.window_index},{w.metrics.n},"
+            f"{w.metrics.total_weight},{w.metrics.equality!r},"
+            f"{w.metrics.intensity!r},{w.metrics.ei!r}\n"
+            for w in wms
+        ),
+    )
+    _write_csv(
+        outdir / "centralities.csv",
+        "window_start,user_id,strength,ei_centrality",
+        (
+            f"{w.window_start},{ne.user},{ne.strength},{ne.ei_centrality!r}\n"
+            for w in wms
+            for ne in w.nodes
+        ),
+    )
+    return ["metrics.csv", "centralities.csv"]
 
 
 def _emit_classify(outdir: Path, wms, std: str, low: float, high: float):
     stats = ensemble_stats(wms, std=std)
     classified = zscore_classify(wms, stats, low=low, high=high)
-    lines = ["window_index,ei,z,label"]
-    for c in classified:
-        lines.append(f"{c.window_index},{c.ei!r},{c.z!r},{c.label.value}")
-    _write_text(outdir / "classified.csv", "\n".join(lines) + "\n")
+    _write_csv(
+        outdir / "classified.csv",
+        "window_index,ei,z,label",
+        (f"{c.window_index},{c.ei!r},{c.z!r},{c.label.value}\n" for c in classified),
+    )
     hist = zscore_histogram(classified)
-    _write_text(outdir / "histogram.json", json.dumps(hist) + "\n")
+    _write_artifact(outdir / "histogram.json", (json.dumps(hist), "\n"))
     return ["classified.csv", "histogram.json"], classified
 
 
-def _emit_rankings(outdir: Path, ens, classified, top_k: int, avg: str, table):
+def _emit_rankings(outdir: Path, wms, classified, top_k: int, avg: str):
     files = []
     for scope in _RANKED_SCOPES:
-        ranking = rank_users(ens, classified, scope, top_k, avg=avg, table=table)
-        lines = ["rank,user_id,mean_ei_centrality"]
-        for rank, (user, mean) in enumerate(ranking.entries, start=1):
-            lines.append(f"{rank},{user},{mean!r}")
+        ranking = rank_users(wms, classified, scope, top_k, avg=avg)
         name = f"ranking_{scope.value}.csv"
-        _write_text(outdir / name, "\n".join(lines) + "\n")
+        _write_csv(
+            outdir / name,
+            "rank,user_id,mean_ei_centrality",
+            (
+                f"{rank},{user},{mean!r}\n"
+                for rank, (user, mean) in enumerate(ranking.entries, start=1)
+            ),
+        )
         files.append(name)
     return files
 
 
-def _emit_series(outdir: Path, ens, users: list[int], table):
+def _emit_series(outdir: Path, wms, users: list[int]):
     files = []
     for user in users:
-        series = user_series(ens, user, table=table)
-        lines = ["window_start,ei_centrality"]
-        for start, value in series.points:
-            lines.append(f"{start},{value!r}")
+        series = user_series(wms, user)
         name = f"series_{user}.csv"
-        _write_text(outdir / name, "\n".join(lines) + "\n")
+        _write_csv(
+            outdir / name,
+            "window_start,ei_centrality",
+            (f"{start},{value!r}\n" for start, value in series.points),
+        )
         files.append(name)
     return files
 
 
-def _emit_compare(outdir: Path, ens, split: int, top_k: int | None, avg: str, table):
-    cmp = period_compare(ens, split, top_k=top_k, avg=avg, table=table)
-    lines = ["user_id,whole,p1,p2,diff"]
-    for r in cmp.rows:
-        lines.append(f"{r.user},{r.whole!r},{r.p1!r},{r.p2!r},{r.diff!r}")
-    _write_text(outdir / "period_compare.csv", "\n".join(lines) + "\n")
+def _emit_compare(outdir: Path, wms, split: int, top_k: int | None, avg: str):
+    cmp = period_compare(wms, split, top_k=top_k, avg=avg)
+    _write_csv(
+        outdir / "period_compare.csv",
+        "user_id,whole,p1,p2,diff",
+        (f"{r.user},{r.whole!r},{r.p1!r},{r.p2!r},{r.diff!r}\n" for r in cmp.rows),
+    )
     plot = {
         "split": cmp.split,
         "users": [r.user for r in cmp.rows],
@@ -212,7 +227,7 @@ def _emit_compare(outdir: Path, ens, split: int, top_k: int | None, avg: str, ta
         "p2": [r.p2 for r in cmp.rows],
         "diff": [r.diff for r in cmp.rows],
     }
-    _write_text(outdir / "period_compare_plot.json", json.dumps(plot) + "\n")
+    _write_artifact(outdir / "period_compare_plot.json", (json.dumps(plot), "\n"))
     return ["period_compare.csv", "period_compare_plot.json"]
 
 
@@ -222,9 +237,8 @@ def _emit_compare(outdir: Path, ens, split: int, top_k: int | None, avg: str, ta
 def _cmd_parse(args) -> int:
     outdir = _outdir(args)
     input_path = Path(args.input)
-    text = input_path.read_text(encoding="utf-8")
     parsed = parse_transcript(
-        text,
+        read_utf8(input_path, ParseError),
         tz=args.tz,
         profile=args.profile,
         group_name=args.group_name or input_path.stem,
@@ -241,11 +255,15 @@ def _cmd_parse(args) -> int:
     anon = anonymize(parsed, salt=salt, prior_mapping=prior)
 
     log_name = f"log.{args.format}"
-    _write_text(outdir / log_name, dump_log(anon.log, args.format))
-    mlines = ["hashed_sender,user_id"]
-    for digest, user_id in sorted(anon.mapping.items(), key=lambda kv: kv[1]):
-        mlines.append(f"{digest},{user_id}")
-    _write_text(outdir / "mapping.csv", "\n".join(mlines) + "\n")
+    _write_artifact(outdir / log_name, (dump_log(anon.log, args.format),))
+    _write_csv(
+        outdir / "mapping.csv",
+        "hashed_sender,user_id",
+        (
+            f"{digest},{user_id}\n"
+            for digest, user_id in sorted(anon.mapping.items(), key=lambda kv: kv[1])
+        ),
+    )
 
     params = {
         "input": str(args.input),
@@ -287,7 +305,7 @@ def _cmd_build(args) -> int:
 def _cmd_metrics(args) -> int:
     outdir = _outdir(args)
     ens = load_ensemble(args.input)
-    files, _ = _emit_metrics(outdir, ens)
+    files = _emit_metrics(outdir, conversation_metrics(ens))
     params = {"input": str(args.input), "out": str(args.out)}
     _write_manifest(outdir, "metrics", params, [Path(args.input)], files)
     return EXIT_OK
@@ -316,8 +334,7 @@ def _cmd_rank(args) -> int:
     wms = conversation_metrics(ens)
     stats = ensemble_stats(wms, std=_STD_MODES[args.std])
     classified = zscore_classify(wms, stats, low=low, high=high)
-    table = centrality_table(ens)
-    files = _emit_rankings(outdir, ens, classified, args.top_k, args.avg, table)
+    files = _emit_rankings(outdir, wms, classified, args.top_k, args.avg)
     params = {
         "input": str(args.input),
         "out": str(args.out),
@@ -333,8 +350,7 @@ def _cmd_rank(args) -> int:
 def _cmd_series(args) -> int:
     outdir = _outdir(args)
     ens = load_ensemble(args.input)
-    table = centrality_table(ens)
-    files = _emit_series(outdir, ens, args.user, table)
+    files = _emit_series(outdir, conversation_metrics(ens), args.user)
     params = {"input": str(args.input), "out": str(args.out), "user": args.user}
     _write_manifest(outdir, "series", params, [Path(args.input)], files)
     return EXIT_OK
@@ -344,8 +360,9 @@ def _cmd_compare(args) -> int:
     outdir = _outdir(args)
     ens = load_ensemble(args.input)
     split = _when(args.split)
-    table = centrality_table(ens)
-    files = _emit_compare(outdir, ens, split, args.top_k, args.avg, table)
+    files = _emit_compare(
+        outdir, conversation_metrics(ens), split, args.top_k, args.avg
+    )
     params = {
         "input": str(args.input),
         "out": str(args.out),
@@ -370,8 +387,8 @@ def _cmd_simulate(args) -> int:
     )
     result = generate(regime, WindowSpec(delta_t=args.interval * 60))
     log_name = f"log.{args.format}"
-    _write_text(outdir / log_name, dump_log(result.log, args.format))
-    _write_text(outdir / "ground_truth.jsonl", dump_ground_truth(result))
+    _write_artifact(outdir / log_name, (dump_log(result.log, args.format),))
+    _write_artifact(outdir / "ground_truth.jsonl", (dump_ground_truth(result),))
     params = {
         "out": str(args.out),
         "regime": args.regime,
@@ -397,16 +414,15 @@ def _cmd_report(args) -> int:
     low, high = _parse_thresholds(args.thresholds)
 
     files = _emit_ensemble(outdir, ens)
-    metric_files, wms = _emit_metrics(outdir, ens)
-    files += metric_files
+    wms = conversation_metrics(ens)
+    files += _emit_metrics(outdir, wms)
     classify_files, classified = _emit_classify(
         outdir, wms, _STD_MODES[args.std], low, high
     )
     files += classify_files
-    table = centrality_table(ens)
-    files += _emit_rankings(outdir, ens, classified, args.top_k, args.avg, table)
+    files += _emit_rankings(outdir, wms, classified, args.top_k, args.avg)
     if args.split is not None:
-        files += _emit_compare(outdir, ens, _when(args.split), None, args.avg, table)
+        files += _emit_compare(outdir, wms, _when(args.split), None, args.avg)
 
     params = _build_params(args) | {
         "thresholds": args.thresholds,

@@ -92,6 +92,6 @@ def node_centralities(
     """Per-node engagement, proportional to strength; averages to metrics.ei."""
     scale = metrics.n * metrics.ei / (2.0 * metrics.total_weight)
     return [
-        NodeEngagement(user=user, strength=s, ei_centrality=s * scale)
+        NodeEngagement(user, s, s * scale)
         for user, s in sorted(net.strengths().items())
     ]

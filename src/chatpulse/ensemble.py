@@ -6,7 +6,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .engagement import EngagementMetrics, engagement_index, node_centralities
+from .engagement import (
+    EngagementMetrics, NodeEngagement, engagement_index, node_centralities,
+)
 from .errors import DegenerateEnsembleError, InsufficientDataError, ParameterError
 from .netbuild import NetworkEnsemble
 
@@ -26,19 +28,28 @@ class EngagementClass(str, Enum):
 
 @dataclass(frozen=True, slots=True)
 class WindowMetrics:
-    """Engagement metrics joined with the window they belong to."""
+    """One scored conversation window: its metrics and per-user centralities.
+
+    ``nodes`` is in ascending user order, as node_centralities returns it.
+    """
 
     window_start: int
     window_index: int
     metrics: EngagementMetrics
+    nodes: tuple[NodeEngagement, ...] = ()
 
 
 def conversation_metrics(ensemble: NetworkEnsemble) -> list[WindowMetrics]:
-    """Metrics for every conversation network, in window order."""
-    return [
-        WindowMetrics(net.window_start, net.window_index, engagement_index(net))
-        for net in ensemble.conversations
-    ]
+    """Score every conversation network once, in window order.
+
+    The result feeds classification, rankings, series and period comparison.
+    """
+    scored = []
+    for net in ensemble.conversations:
+        metrics = engagement_index(net)
+        nodes = tuple(node_centralities(net, metrics))
+        scored.append(WindowMetrics(net.window_start, net.window_index, metrics, nodes))
+    return scored
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,15 +117,32 @@ def zscore_classify(
     return out
 
 
-def centrality_table(ensemble: NetworkEnsemble) -> dict[int, dict[int, float]]:
-    """window_index -> {user -> ei centrality}, conversation networks only."""
-    table: dict[int, dict[int, float]] = {}
-    for net in ensemble.conversations:
-        metrics = engagement_index(net)
-        table[net.window_index] = {
-            ne.user: ne.ei_centrality for ne in node_centralities(net, metrics)
-        }
-    return table
+def check_avg(avg: str) -> None:
+    if avg not in (AVG_ZERO, AVG_PRESENT):
+        raise ParameterError(f"avg must be 'zero' or 'present', got {avg!r}")
+
+
+def class_means(windows, avg: str) -> dict[int, float]:
+    """Mean ei centrality of each user who appears in ``windows``.
+
+    With avg='zero' the denominator is the number of windows, so a user's
+    absences count as 0; with avg='present' it is the user's appearances.
+    Sums run in window order. Callers add absent users as 0.0 where needed.
+    """
+    sums: dict[int, float] = {}
+    appearances: dict[int, int] = {}
+    for w in windows:
+        for ne in w.nodes:
+            sums[ne.user] = sums.get(ne.user, 0.0) + ne.ei_centrality
+            appearances[ne.user] = appearances.get(ne.user, 0) + 1
+    if avg == AVG_ZERO:
+        return {user: s / len(windows) for user, s in sums.items()}
+    return {user: s / appearances[user] for user, s in sums.items()}
+
+
+def population(windows) -> set[int]:
+    """Every user with an ei centrality in any of ``windows``."""
+    return {ne.user for w in windows for ne in w.nodes}
 
 
 @dataclass(frozen=True)
@@ -124,47 +152,35 @@ class UserRanking:
 
 
 def rank_users(
-    ensemble: NetworkEnsemble,
+    windows,
     classified,
     scope: EngagementClass,
     top_k: int,
     *,
     avg: str = AVG_ZERO,
-    table: dict[int, dict[int, float]] | None = None,
 ) -> UserRanking:
-    """Rank users by mean ei centrality over the networks of one class.
+    """Rank users by mean ei centrality over the scored windows of one class.
 
-    With avg='zero' (default) a user absent from a network contributes 0 and
-    the denominator is the class size, which rewards sustained participation;
-    avg='present' averages over appearances only.
+    With avg='zero' (default) every user of the whole ensemble is ranked, a
+    user absent from a window contributes 0 and the denominator is the class
+    size, which rewards sustained participation; avg='present' ranks only
+    the users of the class and averages over their appearances.
     """
     if top_k < 1:
         raise ParameterError(f"top_k must be >= 1, got {top_k}")
-    if avg not in (AVG_ZERO, AVG_PRESENT):
-        raise ParameterError(f"avg must be 'zero' or 'present', got {avg!r}")
-    if table is None:
-        table = centrality_table(ensemble)
+    check_avg(avg)
 
     if scope == EngagementClass.GLOBAL:
-        indices = list(table)
+        scoped = windows
     else:
-        indices = [c.window_index for c in classified if c.label == scope]
-    if not indices:
+        chosen = {c.window_index for c in classified if c.label == scope}
+        scoped = [w for w in windows if w.window_index in chosen]
+    if not scoped:
         return UserRanking(scope=scope, entries=())
 
-    sums: dict[int, float] = {}
-    appearances: dict[int, int] = {}
-    for idx in indices:
-        for user, c in table[idx].items():
-            sums[user] = sums.get(user, 0.0) + c
-            appearances[user] = appearances.get(user, 0) + 1
-
+    means = class_means(scoped, avg)
     if avg == AVG_ZERO:
-        population = {user for row in table.values() for user in row}
-        means = {user: sums.get(user, 0.0) / len(indices) for user in population}
-    else:
-        means = {user: sums[user] / appearances[user] for user in sums}
-
+        means = {user: means.get(user, 0.0) for user in population(windows)}
     ordered = sorted(means.items(), key=lambda kv: (-kv[1], kv[0]))
     return UserRanking(scope=scope, entries=tuple(ordered[:top_k]))
 

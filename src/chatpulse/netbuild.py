@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import _kernels
-from .chatlog import MessageEvent, MessageLog
+from .chatlog import MessageEvent, MessageLog, read_utf8
 from .errors import ParameterError, SchemaError
 
 ALIGN_WALL = "wall"
@@ -242,7 +242,7 @@ def load_ensemble(path: str | Path, *, group_name: str | None = None) -> Network
     """
     path = Path(path)
     networks: list[InteractionNetwork] = []
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(read_utf8(path, SchemaError).splitlines(), 1):
         if not line.strip():
             continue
         try:
@@ -257,7 +257,16 @@ def load_ensemble(path: str | Path, *, group_name: str | None = None) -> Network
                         f"{path}: line {line_no}: bad edge [{u},{v},{w}]"
                     )
                 edges[(u, v)] = w
+            if len(edges) != len(obj["edges"]):
+                raise SchemaError(f"{path}: line {line_no}: duplicate edge")
             endpoints = {u for pair in edges for u in pair}
+            # compare types: a bool or 1.0 would pass as the int 1 otherwise
+            values = (obj["w"], obj["i"], *obj["nodes"], *endpoints, *edges.values())
+            if not set(map(type, values)) <= {int}:
+                raise SchemaError(
+                    f"{path}: line {line_no}: window start, index, node IDs"
+                    " and weights must be integers"
+                )
             if endpoints != set(obj["nodes"]):
                 raise SchemaError(
                     f"{path}: line {line_no}: nodes do not match edge endpoints"

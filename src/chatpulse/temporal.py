@@ -1,6 +1,6 @@
 """Per-user engagement time series and period-over-period comparison.
 
-The comparison splits an ensemble at a boundary timestamp (the boundary
+The comparison splits scored windows at a boundary timestamp (the boundary
 window belongs to the second period), takes each user's mean ei centrality
 over the whole range and over each period, normalizes the three vectors by
 their own maxima, and reports diff = p2 - p1 per user. Normalizing by the
@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ensemble import AVG_PRESENT, AVG_ZERO, centrality_table
+from .ensemble import AVG_ZERO, check_avg, class_means, population
 from .errors import InsufficientDataError, ParameterError
-from .netbuild import NetworkEnsemble
 
 
 @dataclass(frozen=True)
@@ -23,19 +22,13 @@ class UserSeries:
     points: tuple[tuple[int, float], ...]  # (window_start, ei centrality)
 
 
-def user_series(
-    ensemble: NetworkEnsemble,
-    user: int,
-    *,
-    table: dict[int, dict[int, float]] | None = None,
-) -> UserSeries:
+def user_series(windows, user: int) -> UserSeries:
     """All (window_start, ei centrality) points for one user; gaps where absent."""
-    if table is None:
-        table = centrality_table(ensemble)
     points = tuple(
-        (net.window_start, table[net.window_index][user])
-        for net in ensemble.conversations
-        if user in table[net.window_index]
+        (w.window_start, ne.ei_centrality)
+        for w in windows
+        for ne in w.nodes
+        if ne.user == user
     )
     return UserSeries(user=user, points=points)
 
@@ -55,46 +48,35 @@ class PeriodComparison:
     rows: tuple[ComparisonRow, ...]  # descending by whole-period value
 
 
-def _mean_vector(table, indices, population, avg) -> dict[int, float]:
-    sums: dict[int, float] = {}
-    appearances: dict[int, int] = {}
-    for idx in indices:
-        for user, c in table[idx].items():
-            sums[user] = sums.get(user, 0.0) + c
-            appearances[user] = appearances.get(user, 0) + 1
-    if avg == AVG_ZERO:
-        return {u: sums.get(u, 0.0) / len(indices) for u in population}
-    return {u: sums.get(u, 0.0) / appearances.get(u, 1) for u in population}
-
-
 def period_means(
-    ensemble: NetworkEnsemble,
+    windows,
     split: int,
     *,
     avg: str = AVG_ZERO,
-    table: dict[int, dict[int, float]] | None = None,
 ) -> tuple[dict[int, float], dict[int, float], dict[int, float]]:
-    """Raw per-user mean ei centrality over (whole, p1, p2).
+    """Raw per-user mean ei centrality over (whole, p1, p2) of scored windows.
 
     Periods are half-open around the split: a window starting exactly at the
-    split belongs to p2. Raises when either period has no conversation.
+    split belongs to p2. Every user of ``windows`` is in all three vectors,
+    with 0.0 where absent. Raises when either period has no conversation.
     """
-    if avg not in (AVG_ZERO, AVG_PRESENT):
-        raise ParameterError(f"avg must be 'zero' or 'present', got {avg!r}")
-    if table is None:
-        table = centrality_table(ensemble)
-    p1_idx = [n.window_index for n in ensemble.conversations if n.window_start < split]
-    p2_idx = [n.window_index for n in ensemble.conversations if n.window_start >= split]
-    if not p1_idx or not p2_idx:
+    check_avg(avg)
+    p1_windows = [w for w in windows if w.window_start < split]
+    p2_windows = [w for w in windows if w.window_start >= split]
+    if not p1_windows or not p2_windows:
         raise InsufficientDataError(
             f"both periods need at least one conversation network "
-            f"(p1={len(p1_idx)}, p2={len(p2_idx)})"
+            f"(p1={len(p1_windows)}, p2={len(p2_windows)})"
         )
-    population = {user for row in table.values() for user in row}
-    whole = _mean_vector(table, p1_idx + p2_idx, population, avg)
-    p1 = _mean_vector(table, p1_idx, population, avg)
-    p2 = _mean_vector(table, p2_idx, population, avg)
-    return whole, p1, p2
+    users = population(windows)
+    return tuple(
+        {user: means.get(user, 0.0) for user in users}
+        for means in (
+            class_means(p1_windows + p2_windows, avg),
+            class_means(p1_windows, avg),
+            class_means(p2_windows, avg),
+        )
+    )
 
 
 def _normalized(vec: dict[int, float]) -> dict[int, float]:
@@ -105,12 +87,11 @@ def _normalized(vec: dict[int, float]) -> dict[int, float]:
 
 
 def period_compare(
-    ensemble: NetworkEnsemble,
+    windows,
     split: int,
     *,
     top_k: int | None = None,
     avg: str = AVG_ZERO,
-    table: dict[int, dict[int, float]] | None = None,
 ) -> PeriodComparison:
     """Max-normalized per-user engagement difference between two periods.
 
@@ -121,7 +102,7 @@ def period_compare(
     """
     if top_k is not None and top_k < 1:
         raise ParameterError(f"top_k must be >= 1, got {top_k}")
-    whole, p1, p2 = period_means(ensemble, split, avg=avg, table=table)
+    whole, p1, p2 = period_means(windows, split, avg=avg)
     users = [u for u, v in whole.items() if v > 0.0]
     whole_n = _normalized({u: whole[u] for u in users})
     p1_n = _normalized({u: p1[u] for u in users})

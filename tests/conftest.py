@@ -2,18 +2,7 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
-from chatpulse import MessageEvent, MessageLog, _kernels
-
-
-@pytest.fixture(params=_kernels.available_backends())
-def kernel_backend(request):
-    """Run a test once per available kernel backend, restoring the default."""
-    previous = _kernels.BACKEND
-    _kernels.use_backend(request.param)
-    yield request.param
-    _kernels.use_backend(previous)
+from chatpulse import MessageEvent, MessageLog
 
 
 def make_log(rows, group_name="test") -> MessageLog:

@@ -20,6 +20,7 @@ from chatpulse import (
     WindowMetrics,
     WindowSpec,
     build_ensemble,
+    conversation_metrics,
     engagement_index,
     ensemble_stats,
     gini,
@@ -174,7 +175,7 @@ def test_criterion_7_planted_dropout_detection():
     result = generate(regime)
     ens = build_ensemble(result.log, WindowSpec())
     split = result.truth[regime.split_window].window_start
-    cmp = period_compare(ens, split)
+    cmp = period_compare(conversation_metrics(ens), split)
 
     by_diff = sorted(cmp.rows, key=lambda r: (r.diff, r.user))
     worst5 = by_diff[:5]

@@ -6,6 +6,9 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from chatpulse import engagement
 from chatpulse.cli import (
     EXIT_INSUFFICIENT,
     EXIT_IO,
@@ -107,6 +110,31 @@ def test_schema_junk_exits_schema_code(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "schema"
 
 
+def test_unknown_time_zone_exits_usage_code(tmp_path, capsys):
+    export = tmp_path / "chat.txt"
+    export.write_text(TRANSCRIPT)
+    assert run("parse", export, "--out", tmp_path / "o", "--tz", "Not/AZone") == EXIT_USAGE
+    assert json.loads(capsys.readouterr().err)["error"] == "parameter"
+
+
+@pytest.mark.parametrize(
+    "argv, code, kind",
+    [
+        (["build", "BAD"], EXIT_SCHEMA, "schema"),  # log
+        (["metrics", "BAD"], EXIT_SCHEMA, "schema"),  # ensemble
+        (["parse", "BAD"], EXIT_PARSE, "parse"),  # transcript
+        (["parse", "CHAT", "--mapping-in", "BAD"], EXIT_SCHEMA, "schema"),
+    ],
+)
+def test_non_utf8_input_exits_with_its_code(tmp_path, capsys, argv, code, kind):
+    paths = {"BAD": tmp_path / "bad", "CHAT": tmp_path / "chat.txt"}
+    paths["BAD"].write_bytes(b"user_id,timestamp\n\xff\xfe,1\n")
+    paths["CHAT"].write_text(TRANSCRIPT)
+    assert run(*[paths.get(a, a) for a in argv], "--out", tmp_path / "o") == code
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == kind and "UTF-8" in err["detail"]
+
+
 def test_classify_single_network_is_insufficient(tmp_path, capsys):
     ens = tmp_path / "ensemble.jsonl"
     ens.write_text('{"w":0,"i":0,"nodes":[0,1],"edges":[[0,1,3]]}\n')
@@ -145,16 +173,61 @@ def test_report_on_round_robin_gives_equality_one_everywhere(tmp_path):
 
 def test_pipeline_composition_matches_report(tmp_path):
     log = simulate(tmp_path)
+    split = "2018-08-01T02:00"  # halfway through the 24 simulated windows
     stepwise = tmp_path / "stepwise"
     assert run("build", log, "--out", stepwise) == EXIT_OK
     ens = stepwise / "ensemble.jsonl"
     assert run("metrics", ens, "--out", stepwise) == EXIT_OK
     assert run("classify", ens, "--out", stepwise) == EXIT_OK
     assert run("rank", ens, "--out", stepwise) == EXIT_OK
+    assert run("compare", ens, "--out", stepwise, "--split", split) == EXIT_OK
+    assert run("series", ens, "--out", stepwise, "--user", 0, "--user", 3) == EXIT_OK
 
     allinone = tmp_path / "allinone"
-    assert run("report", log, "--out", allinone) == EXIT_OK
-    assert artifacts(stepwise) == artifacts(allinone)
+    assert run("report", log, "--out", allinone, "--split", split) == EXIT_OK
+    series = {name: data for name, data in artifacts(stepwise).items()
+              if name.startswith("series_")}
+    assert set(series) == {"series_0.csv", "series_3.csv"}
+    assert artifacts(stepwise, skip=("manifest.json", *series)) == artifacts(allinone)
+    assert "period_compare.csv" in artifacts(allinone)
+
+    # a series is its user's rows of centralities.csv
+    rows = [
+        line.split(",")
+        for line in (allinone / "centralities.csv").read_text().splitlines()[1:]
+    ]
+    for user in (0, 3):
+        expected = "".join(
+            f"{start},{value}\n" for start, uid, _, value in rows if uid == str(user)
+        )
+        assert series[f"series_{user}.csv"].decode() == (
+            "window_start,ei_centrality\n" + expected
+        )
+
+
+def test_report_scores_each_conversation_once(tmp_path, monkeypatch):
+    calls = {"engagement_index": 0, "node_centralities": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # count calls through every module that imported the scoring functions
+    for name in calls:
+        original = getattr(engagement, name)
+        wrapper = counted(name, original)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("chatpulse") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, wrapper)
+    log = simulate(tmp_path)
+    out = tmp_path / "report"
+    assert run("report", log, "--out", out, "--split", "2018-08-01T02:00") == EXIT_OK
+    conversations = len((out / "metrics.csv").read_text().splitlines()) - 1
+    assert conversations > 0
+    assert calls == {"engagement_index": conversations, "node_centralities": conversations}
 
 
 def test_rerun_is_byte_identical(tmp_path):

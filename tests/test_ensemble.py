@@ -17,7 +17,6 @@ from chatpulse import (
     WindowMetrics,
     WindowSpec,
     build_ensemble,
-    centrality_table,
     conversation_metrics,
     ensemble_stats,
     rank_users,
@@ -143,7 +142,7 @@ def test_absent_users_count_as_zero_in_class_means():
     ens = two_window_ensemble()
     windows = conversation_metrics(ens)
     classified = label_all(windows, EngagementClass.MEDIUM)
-    ranking = rank_users(ens, classified, EngagementClass.MEDIUM, top_k=10)
+    ranking = rank_users(windows, classified, EngagementClass.MEDIUM, top_k=10)
     means = dict(ranking.entries)
     assert set(means) == {0, 1, 2, 3}
     # every user appears in exactly one of the two windows
@@ -158,7 +157,7 @@ def test_present_mode_averages_over_appearances():
     windows = conversation_metrics(ens)
     classified = label_all(windows, EngagementClass.MEDIUM)
     ranking = rank_users(
-        ens, classified, EngagementClass.MEDIUM, top_k=10, avg="present"
+        windows, classified, EngagementClass.MEDIUM, top_k=10, avg="present"
     )
     means = dict(ranking.entries)
     assert means[0] == pytest.approx(windows[0].metrics.ei)
@@ -169,7 +168,7 @@ def test_ranking_order_descending_with_user_tiebreak():
     ens = two_window_ensemble()
     windows = conversation_metrics(ens)
     classified = label_all(windows, EngagementClass.MEDIUM)
-    ranking = rank_users(ens, classified, EngagementClass.GLOBAL, top_k=10)
+    ranking = rank_users(windows, classified, EngagementClass.GLOBAL, top_k=10)
     values = [v for _, v in ranking.entries]
     assert values == sorted(values, reverse=True)
     for (u1, v1), (u2, v2) in zip(ranking.entries, ranking.entries[1:]):
@@ -181,8 +180,8 @@ def test_ranking_stability_under_network_permutation():
     ens = two_window_ensemble()
     windows = conversation_metrics(ens)
     classified = label_all(windows, EngagementClass.MEDIUM)
-    fwd = rank_users(ens, classified, EngagementClass.GLOBAL, top_k=10)
-    rev = rank_users(ens, list(reversed(classified)), EngagementClass.GLOBAL, top_k=10)
+    fwd = rank_users(windows, classified, EngagementClass.GLOBAL, top_k=10)
+    rev = rank_users(windows, list(reversed(classified)), EngagementClass.GLOBAL, top_k=10)
     assert fwd == rev
 
 
@@ -194,11 +193,8 @@ def test_global_mean_is_classsize_weighted_combination():
     windows = conversation_metrics(ens)
     stats = ensemble_stats(windows)
     classified = zscore_classify(windows, stats)
-    table = centrality_table(ens)
     rankings = {
-        scope: dict(
-            rank_users(ens, classified, scope, top_k=10_000, table=table).entries
-        )
+        scope: dict(rank_users(windows, classified, scope, top_k=10_000).entries)
         for scope in EngagementClass
     }
     sizes = {
@@ -218,7 +214,7 @@ def test_empty_class_gives_empty_ranking():
     ens = two_window_ensemble()
     windows = conversation_metrics(ens)
     classified = label_all(windows, EngagementClass.MEDIUM)
-    ranking = rank_users(ens, classified, EngagementClass.LOW, top_k=5)
+    ranking = rank_users(windows, classified, EngagementClass.LOW, top_k=5)
     assert ranking.entries == ()
 
 
@@ -226,10 +222,10 @@ def test_top_k_truncates():
     ens = two_window_ensemble()
     windows = conversation_metrics(ens)
     classified = label_all(windows, EngagementClass.MEDIUM)
-    ranking = rank_users(ens, classified, EngagementClass.GLOBAL, top_k=2)
+    ranking = rank_users(windows, classified, EngagementClass.GLOBAL, top_k=2)
     assert len(ranking.entries) == 2
     with pytest.raises(ParameterError):
-        rank_users(ens, classified, EngagementClass.GLOBAL, top_k=0)
+        rank_users(windows, classified, EngagementClass.GLOBAL, top_k=0)
 
 
 def test_histogram_bins_and_clamping():

@@ -1,64 +1,25 @@
-"""Backend parity and oracle checks for the hot-loop kernels."""
+"""Oracle checks for the hot-loop kernels."""
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
 
 from chatpulse import _kernels
-from chatpulse._kernels import _pure
 
 from oracles import brute_pair_counts, gini_pairwise
-
-needs_native = pytest.mark.skipif(
-    "native" not in _kernels.available_backends(),
-    reason="compiled kernels not built",
-)
 
 
 def test_pure_pair_counts_matches_enumeration_oracle():
     rng = random.Random(11)
     for _ in range(300):
         seq = [rng.randrange(1, 9) for _ in range(rng.randrange(0, 80))]
-        assert _pure.pair_counts(seq) == brute_pair_counts(seq)
+        assert _kernels.pair_counts(seq) == brute_pair_counts(seq)
 
 
 def test_pure_gini_matches_pairwise_oracle():
     rng = random.Random(12)
     for _ in range(300):
         ws = [rng.randrange(1, 101) for _ in range(rng.randrange(1, 50))]
-        assert _pure.gini_sorted(ws) == pytest.approx(gini_pairwise(ws), abs=1e-12)
-
-
-@needs_native
-def test_native_matches_pure_on_random_inputs():
-    native = _kernels.backend_module("native")
-    rng = random.Random(13)
-    for _ in range(500):
-        seq = [rng.randrange(0, 12) for _ in range(rng.randrange(0, 120))]
-        assert native.pair_counts(seq) == _pure.pair_counts(seq)
-        ws = [rng.uniform(0.01, 100.0) for _ in range(rng.randrange(1, 64))]
-        a = native.gini_sorted(ws)
-        b = _pure.gini_sorted(ws)
-        assert math.isclose(a, b, rel_tol=0, abs_tol=1e-15)
-
-
-@needs_native
-def test_native_handles_empty_and_singleton():
-    native = _kernels.backend_module("native")
-    assert native.pair_counts([]) == {}
-    assert native.pair_counts([3]) == {}
-    assert native.gini_sorted([7.0]) == 0.0
-
-
-def test_use_backend_switches_and_restores(kernel_backend):
-    assert _kernels.BACKEND == kernel_backend
-    assert _kernels.pair_counts([1, 2, 1]) == {(1, 2): 2}
-    assert _kernels.gini_sorted([2, 2, 2]) == 0.0
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        _kernels.backend_module("gpu")
+        assert _kernels.gini_sorted(ws) == pytest.approx(gini_pairwise(ws), abs=1e-12)

@@ -112,7 +112,7 @@ def test_known_sequence_weights():
     assert brute_pair_counts([0, 1, 0, 1, 2, 0]) == net.edges
 
 
-def test_matches_brute_force_oracle_on_random_sequences(kernel_backend):
+def test_matches_brute_force_oracle_on_random_sequences():
     rng = random.Random(77)
     for _ in range(200):
         seq = [rng.randrange(rng.randrange(1, 10) + 1) for _ in range(rng.randrange(0, 120))]
@@ -220,6 +220,12 @@ def test_ensemble_round_trip_through_jsonl(tmp_path):
         '{"w":0,"i":0,"nodes":[0,1,5],"edges":[[0,1,2]]}',  # phantom node
         '{"w":0,"i":0,"edges":[[0,1,2]]}',  # missing nodes
         "not json",
+        '{"w":0,"i":0,"nodes":[0,1],"edges":[[0,1,2],[0,1,5]]}',  # duplicate edge
+        '{"w":0,"i":0,"nodes":[0,1],"edges":[[0,1,true]]}',  # bool weight
+        '{"w":0,"i":0,"nodes":[0,1],"edges":[[0,1,1.5]]}',  # float weight
+        '{"w":0,"i":0,"nodes":[false,1],"edges":[[false,1,2]]}',  # bool node ID
+        '{"w":0,"i":0,"nodes":[0,1.0],"edges":[[0,1,2]]}',  # float node ID
+        '{"w":0.5,"i":0,"nodes":[0,1],"edges":[[0,1,2]]}',  # float window start
     ],
 )
 def test_bad_ensemble_lines_rejected(tmp_path, line):

@@ -8,7 +8,7 @@ from chatpulse import (
     InsufficientDataError,
     WindowSpec,
     build_ensemble,
-    centrality_table,
+    conversation_metrics,
     engagement_drop_report,
     period_compare,
     period_means,
@@ -23,21 +23,21 @@ from oracles import centralities_direct
 def test_absent_user_has_empty_series():
     log = make_log([(0, 0), (1, 30)])
     ens = build_ensemble(log, WindowSpec(delta_t=600))
-    assert user_series(ens, 42).points == ()
+    assert user_series(conversation_metrics(ens), 42).points == ()
 
 
 def test_single_window_series_value():
     # one 2-node window with total weight 4 -> centrality 3 for both users
     log = make_log([(0, 0), (1, 60), (0, 120), (1, 180), (0, 240)])
     ens = build_ensemble(log, WindowSpec(delta_t=600))
-    series = user_series(ens, 0)
+    series = user_series(conversation_metrics(ens), 0)
     assert series.points == ((0, 3.0),)
 
 
 def test_series_skips_windows_where_user_is_absent():
     log = make_log([(0, 0), (1, 30), (2, 600), (3, 630), (0, 1200), (1, 1230)])
     ens = build_ensemble(log, WindowSpec(delta_t=600))
-    series = user_series(ens, 0)
+    series = user_series(conversation_metrics(ens), 0)
     assert [start for start, _ in series.points] == [0, 1200]
 
 
@@ -48,7 +48,7 @@ def mirrored_ensemble():
 
 
 def test_identical_periods_give_zero_diff():
-    cmp = period_compare(mirrored_ensemble(), split=1200)
+    cmp = period_compare(conversation_metrics(mirrored_ensemble()), split=1200)
     assert cmp.rows
     for row in cmp.rows:
         assert row.diff == pytest.approx(0.0, abs=1e-12)
@@ -58,7 +58,7 @@ def test_period_means_weighted_identity():
     result = generate(Regime(kind="uniform-random", users=10, rate=8, windows=30, seed=3))
     ens = build_ensemble(result.log, WindowSpec())
     split = ens.networks[12].window_start
-    whole, p1, p2 = period_means(ens, split)
+    whole, p1, p2 = period_means(conversation_metrics(ens), split)
     k1 = sum(1 for n in ens.conversations if n.window_start < split)
     k2 = sum(1 for n in ens.conversations if n.window_start >= split)
     for user in whole:
@@ -70,7 +70,7 @@ def test_normalized_vectors_peak_at_one():
     result = generate(Regime(kind="uniform-random", users=8, rate=6, windows=24, seed=9))
     ens = build_ensemble(result.log, WindowSpec())
     split = ens.networks[10].window_start
-    cmp = period_compare(ens, split)
+    cmp = period_compare(conversation_metrics(ens), split)
     for vec in (
         [r.whole for r in cmp.rows],
         [r.p1 for r in cmp.rows],
@@ -84,7 +84,9 @@ def test_normalized_vectors_peak_at_one():
 def test_rows_sorted_by_whole_then_user_without_duplicates():
     result = generate(Regime(kind="uniform-random", users=9, rate=7, windows=20, seed=1))
     ens = build_ensemble(result.log, WindowSpec())
-    cmp = period_compare(ens, ens.networks[10].window_start)
+    cmp = period_compare(
+        conversation_metrics(ens), ens.networks[10].window_start
+    )
     users = [r.user for r in cmp.rows]
     assert len(users) == len(set(users))
     keys = [(-r.whole, r.user) for r in cmp.rows]
@@ -96,12 +98,13 @@ def test_time_shift_invariance():
     log = result.log
     ens = build_ensemble(log, WindowSpec())
     split = ens.networks[8].window_start
-    base = period_compare(ens, split)
+    base = period_compare(conversation_metrics(ens), split)
 
     offset = 7 * 86400
     shifted_log = make_log([(e.user, e.timestamp + offset) for e in log.events])
     shifted = period_compare(
-        build_ensemble(shifted_log, WindowSpec()), split + offset
+        conversation_metrics(build_ensemble(shifted_log, WindowSpec())),
+        split + offset,
     )
     assert [(r.user, r.diff) for r in base.rows] == [
         (r.user, pytest.approx(r2.diff, abs=1e-12))
@@ -112,15 +115,15 @@ def test_time_shift_invariance():
 def test_split_outside_span_is_insufficient_data():
     ens = mirrored_ensemble()
     with pytest.raises(InsufficientDataError):
-        period_compare(ens, split=10_000_000)
+        period_compare(conversation_metrics(ens), split=10_000_000)
     with pytest.raises(InsufficientDataError):
-        period_compare(ens, split=-10)
+        period_compare(conversation_metrics(ens), split=-10)
 
 
 def test_boundary_window_belongs_to_second_period():
     ens = mirrored_ensemble()
     split = 1200  # exactly a window start
-    _, p1, p2 = period_means(ens, split)
+    _, p1, p2 = period_means(conversation_metrics(ens), split)
     k1 = sum(1 for n in ens.conversations if n.window_start < split)
     k2 = sum(1 for n in ens.conversations if n.window_start >= split)
     assert (k1, k2) == (2, 2)
@@ -139,7 +142,7 @@ def test_dropouts_are_most_negative_and_match_direct_recomputation():
     result = generate(regime)
     ens = build_ensemble(result.log, WindowSpec())
     split = ens.networks[0].window_start + 8 * 600
-    cmp = period_compare(ens, split)
+    cmp = period_compare(conversation_metrics(ens), split)
 
     worst = sorted(cmp.rows, key=lambda r: r.diff)[: regime.dropouts]
     assert {r.user for r in worst} == set(result.dropout_users)
@@ -172,7 +175,7 @@ def test_dropouts_are_most_negative_and_match_direct_recomputation():
 
 def test_drop_report_bounds_and_ordering():
     ens = mirrored_ensemble()
-    cmp = period_compare(ens, split=1200)
+    cmp = period_compare(conversation_metrics(ens), split=1200)
     assert engagement_drop_report(cmp, -1.5) == []
     everyone = engagement_drop_report(cmp, 1.0)
     assert {r.user for r in everyone} == {r.user for r in cmp.rows}
@@ -183,13 +186,7 @@ def test_drop_report_bounds_and_ordering():
 def test_top_k_limits_rows():
     result = generate(Regime(kind="uniform-random", users=10, rate=8, windows=20, seed=2))
     ens = build_ensemble(result.log, WindowSpec())
-    cmp = period_compare(ens, ens.networks[10].window_start, top_k=3)
+    split = ens.networks[10].window_start
+    cmp = period_compare(conversation_metrics(ens), split, top_k=3)
     assert len(cmp.rows) == 3
 
-
-def test_table_reuse_matches_fresh_computation():
-    result = generate(Regime(kind="uniform-random", users=7, rate=6, windows=14, seed=8))
-    ens = build_ensemble(result.log, WindowSpec())
-    split = ens.networks[7].window_start
-    table = centrality_table(ens)
-    assert period_compare(ens, split, table=table) == period_compare(ens, split)
