@@ -18,12 +18,11 @@ from .chatlog import (
     PROFILES,
     anonymize,
     dump_log,
+    dump_mapping,
     load_log,
     parse_export,
     parse_transcript,
     read_mapping,
-    write_log,
-    write_mapping,
 )
 from .engagement import (
     EngagementMetrics,
@@ -68,9 +67,8 @@ from .netbuild import (
     load_ensemble,
     network_from_senders,
     slice_windows,
-    write_ensemble,
 )
-from .synth import Regime, SynthResult, WindowTruth, generate, write_ground_truth
+from .synth import Regime, SynthResult, WindowTruth, dump_ground_truth, generate
 from .temporal import (
     ComparisonRow,
     PeriodComparison,

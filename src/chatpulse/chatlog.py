@@ -159,14 +159,26 @@ def _clean_line(line: str) -> str:
 
 
 def _parse_header_timestamp(
-    token: str, profile: ExportProfile, zone: ZoneInfo, line_no: int
+    token: str, profile: ExportProfile, zone: ZoneInfo, line_no: int,
+    earliest: int | None,
 ) -> int:
+    """Epoch seconds of a header timestamp read in ``zone``.
+
+    A local time repeated by a DST fall-back reads as its first occurrence
+    unless that falls before ``earliest``; then it reads as the second
+    (``fold=1``). A local time skipped by a spring-forward gap keeps the
+    ``fold=0`` reading, the offset in force before the gap.
+    """
     for fmt in profile.timestamp_formats:
         try:
-            local = datetime.strptime(token, fmt)
+            local = datetime.strptime(token, fmt).replace(tzinfo=zone)
         except ValueError:
             continue
-        return int(local.replace(tzinfo=zone).timestamp())
+        ts = int(local.timestamp())
+        if earliest is not None and ts < earliest:
+            # fold=1 is later only for a repeated time, earlier in a gap
+            ts = max(ts, int(local.replace(fold=1).timestamp()))
+        return ts
     raise ParseError(f"unparseable timestamp {token!r}", line_no)
 
 
@@ -195,8 +207,11 @@ def parse_transcript(
     recent message (dropped). A non-header line before the first message is a
     parse error, as is a timestamp that moves backward by more than ``slack``
     seconds (minute-precision exports legitimately produce same-minute ties,
-    broken by file order).
+    broken by file order). In the hour a DST fall-back repeats, a time that
+    would move backward that far reads as the hour's second occurrence.
     """
+    if slack < 0:
+        raise ParameterError(f"slack must be >= 0 seconds, got {slack}")
     if profile not in PROFILES:
         raise ParameterError(
             f"unknown export profile {profile!r}; available: {sorted(PROFILES)}"
@@ -227,8 +242,9 @@ def parse_transcript(
             # change, encryption banner). No human sender, no event.
             continue
         sender = rest[:sep].strip()
-        ts = _parse_header_timestamp(match.group("ts"), prof, zone, line_no)
-        if prev_ts is not None and ts < prev_ts - slack:
+        earliest = None if prev_ts is None else prev_ts - slack
+        ts = _parse_header_timestamp(match.group("ts"), prof, zone, line_no, earliest)
+        if earliest is not None and ts < earliest:
             raise OrderingError(
                 f"timestamp moves backward by {prev_ts - ts}s (slack={slack}s)",
                 line_no,
@@ -320,14 +336,13 @@ def anonymize(
     return AnonymizedLog(log=log, mapping=mapping, salt=salt)
 
 
-def write_mapping(mapping: dict[str, int], path: str | Path) -> None:
-    """Persist a keyed-hash mapping table as CSV, ordered by user ID."""
+def dump_mapping(mapping: dict[str, int]) -> str:
+    """Serialize a keyed-hash mapping table as CSV, ordered by user ID."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(MAPPING_CSV_HEADER)
-    for digest, user_id in sorted(mapping.items(), key=lambda kv: kv[1]):
-        writer.writerow([digest, user_id])
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    writer.writerows(sorted(mapping.items(), key=lambda kv: kv[1]))
+    return buf.getvalue()
 
 
 def read_mapping(path: str | Path) -> dict[str, int]:
@@ -446,12 +461,6 @@ def dump_log(log: MessageLog, fmt: str = "csv") -> str:
     if fmt == "jsonl":
         return "".join(f'{{"u":{e.user},"t":{e.timestamp}}}\n' for e in log.events)
     raise SchemaError(f"unknown log format {fmt!r}")
-
-
-def write_log(log: MessageLog, path: str | Path, fmt: str | None = None) -> None:
-    path = Path(path)
-    fmt = fmt or infer_log_format(path)
-    path.write_text(dump_log(log, fmt), encoding="utf-8")
 
 
 def utc_timestamp(text: str) -> int:

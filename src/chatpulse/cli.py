@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -25,6 +26,7 @@ from . import __version__
 from .chatlog import (
     anonymize,
     dump_log,
+    dump_mapping,
     load_log,
     parse_transcript,
     read_mapping,
@@ -37,6 +39,7 @@ from .ensemble import (
     STD_POPULATION,
     STD_SAMPLE,
     EngagementClass,
+    WindowMetrics,
     conversation_metrics,
     ensemble_stats,
     rank_users,
@@ -50,7 +53,13 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .netbuild import WindowSpec, build_ensemble, dump_ensemble, load_ensemble
+from .netbuild import (
+    NetworkEnsemble,
+    WindowSpec,
+    build_ensemble,
+    dump_ensemble,
+    load_ensemble,
+)
 from .synth import Regime, dump_ground_truth, generate
 from .temporal import period_compare, user_series
 
@@ -90,11 +99,24 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(
-    outdir: Path, command: str, params: dict, inputs: list[Path], outputs: list[str]
-) -> None:
+# flags whose parser dest differs from the name the manifest records
+_RECORDED_AS = {"from_when": "from", "to_when": "to"}
+
+
+def _write_manifest(outdir: Path, args, outputs: list[str]) -> None:
+    """Record the command, every flag under its long name, inputs and outputs."""
+    params = {
+        _RECORDED_AS.get(key, key): value
+        for key, value in vars(args).items()
+        if key not in ("command", "handler")
+    }
+    inputs = [
+        Path(p)
+        for p in (getattr(args, "input", None), getattr(args, "mapping_in", None))
+        if p
+    ]
     doc = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "parameters": params,
         "inputs": {str(p): _sha256(p) for p in inputs},
@@ -103,18 +125,14 @@ def _write_manifest(
     _write_artifact(outdir / "manifest.json", (json.dumps(doc, indent=2), "\n"))
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _parse_thresholds(text: str) -> tuple[float, float]:
     try:
         lo_raw, hi_raw = text.split(",")
         lo, hi = float(lo_raw), float(hi_raw)
     except ValueError as exc:
         raise ParameterError(f"--thresholds wants 'lo,hi', got {text!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ParameterError(f"--thresholds wants finite numbers, got {text!r}")
     if lo >= hi:
         raise ParameterError(f"--thresholds wants lo < hi, got {text!r}")
     return lo, hi
@@ -129,12 +147,19 @@ def _when(text: str | None) -> int | None:
         raise ParameterError(f"bad ISO date/datetime {text!r}") from exc
 
 
-def _window_spec(args) -> WindowSpec:
-    return WindowSpec(
+def _build(args) -> NetworkEnsemble:
+    log = load_log(args.input, group_name=args.group_name)
+    spec = WindowSpec(
         delta_t=args.interval * 60,
         alignment=args.align,
         time_range=(_when(args.from_when), _when(args.to_when)),
     )
+    return build_ensemble(log, spec)
+
+
+def _scored(args, ens: NetworkEnsemble | None = None) -> list[WindowMetrics]:
+    """Score every conversation once; the step commands read ``args.input``."""
+    return conversation_metrics(load_ensemble(args.input) if ens is None else ens)
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +258,11 @@ def _emit_compare(outdir: Path, wms, split: int, top_k: int | None, avg: str):
 
 # ---------------------------------------------------------------------------
 # commands
+#
+# Each handler writes its artifacts into ``outdir`` and returns their names;
+# ``main`` records the manifest from the parsed flags once the handler returns.
 
-def _cmd_parse(args) -> int:
-    outdir = _outdir(args)
+def _cmd_parse(args, outdir: Path) -> list[str]:
     input_path = Path(args.input)
     parsed = parse_transcript(
         read_utf8(input_path, ParseError),
@@ -253,129 +280,47 @@ def _cmd_parse(args) -> int:
     else:
         salt = None
     anon = anonymize(parsed, salt=salt, prior_mapping=prior)
+    args.salt = anon.salt.hex()  # the manifest records the salt actually used
 
     log_name = f"log.{args.format}"
     _write_artifact(outdir / log_name, (dump_log(anon.log, args.format),))
-    _write_csv(
-        outdir / "mapping.csv",
-        "hashed_sender,user_id",
-        (
-            f"{digest},{user_id}\n"
-            for digest, user_id in sorted(anon.mapping.items(), key=lambda kv: kv[1])
-        ),
-    )
-
-    params = {
-        "input": str(args.input),
-        "out": str(args.out),
-        "profile": args.profile,
-        "tz": args.tz,
-        "group_name": args.group_name,
-        "slack": args.slack,
-        "format": args.format,
-        "salt": anon.salt.hex(),
-        "mapping_in": args.mapping_in,
-    }
-    inputs = [input_path] + ([Path(args.mapping_in)] if args.mapping_in else [])
-    _write_manifest(outdir, "parse", params, inputs, [log_name, "mapping.csv"])
-    return EXIT_OK
+    _write_artifact(outdir / "mapping.csv", (dump_mapping(anon.mapping),))
+    return [log_name, "mapping.csv"]
 
 
-def _build_params(args) -> dict:
-    return {
-        "input": str(args.input),
-        "out": str(args.out),
-        "interval": args.interval,
-        "align": args.align,
-        "from": args.from_when,
-        "to": args.to_when,
-        "group_name": args.group_name,
-    }
+def _cmd_build(args, outdir: Path) -> list[str]:
+    return _emit_ensemble(outdir, _build(args))
 
 
-def _cmd_build(args) -> int:
-    outdir = _outdir(args)
-    log = load_log(args.input, group_name=args.group_name)
-    ens = build_ensemble(log, _window_spec(args))
-    files = _emit_ensemble(outdir, ens)
-    _write_manifest(outdir, "build", _build_params(args), [Path(args.input)], files)
-    return EXIT_OK
+def _cmd_metrics(args, outdir: Path) -> list[str]:
+    return _emit_metrics(outdir, _scored(args))
 
 
-def _cmd_metrics(args) -> int:
-    outdir = _outdir(args)
-    ens = load_ensemble(args.input)
-    files = _emit_metrics(outdir, conversation_metrics(ens))
-    params = {"input": str(args.input), "out": str(args.out)}
-    _write_manifest(outdir, "metrics", params, [Path(args.input)], files)
-    return EXIT_OK
-
-
-def _cmd_classify(args) -> int:
-    outdir = _outdir(args)
-    ens = load_ensemble(args.input)
+def _cmd_classify(args, outdir: Path) -> list[str]:
+    wms = _scored(args)
     low, high = _parse_thresholds(args.thresholds)
-    wms = conversation_metrics(ens)
     files, _ = _emit_classify(outdir, wms, _STD_MODES[args.std], low, high)
-    params = {
-        "input": str(args.input),
-        "out": str(args.out),
-        "thresholds": args.thresholds,
-        "std": args.std,
-    }
-    _write_manifest(outdir, "classify", params, [Path(args.input)], files)
-    return EXIT_OK
+    return files
 
 
-def _cmd_rank(args) -> int:
-    outdir = _outdir(args)
-    ens = load_ensemble(args.input)
+def _cmd_rank(args, outdir: Path) -> list[str]:
+    wms = _scored(args)
     low, high = _parse_thresholds(args.thresholds)
-    wms = conversation_metrics(ens)
     stats = ensemble_stats(wms, std=_STD_MODES[args.std])
     classified = zscore_classify(wms, stats, low=low, high=high)
-    files = _emit_rankings(outdir, wms, classified, args.top_k, args.avg)
-    params = {
-        "input": str(args.input),
-        "out": str(args.out),
-        "top_k": args.top_k,
-        "avg": args.avg,
-        "thresholds": args.thresholds,
-        "std": args.std,
-    }
-    _write_manifest(outdir, "rank", params, [Path(args.input)], files)
-    return EXIT_OK
+    return _emit_rankings(outdir, wms, classified, args.top_k, args.avg)
 
 
-def _cmd_series(args) -> int:
-    outdir = _outdir(args)
-    ens = load_ensemble(args.input)
-    files = _emit_series(outdir, conversation_metrics(ens), args.user)
-    params = {"input": str(args.input), "out": str(args.out), "user": args.user}
-    _write_manifest(outdir, "series", params, [Path(args.input)], files)
-    return EXIT_OK
+def _cmd_series(args, outdir: Path) -> list[str]:
+    return _emit_series(outdir, _scored(args), args.user)
 
 
-def _cmd_compare(args) -> int:
-    outdir = _outdir(args)
-    ens = load_ensemble(args.input)
-    split = _when(args.split)
-    files = _emit_compare(
-        outdir, conversation_metrics(ens), split, args.top_k, args.avg
-    )
-    params = {
-        "input": str(args.input),
-        "out": str(args.out),
-        "split": args.split,
-        "top_k": args.top_k,
-        "avg": args.avg,
-    }
-    _write_manifest(outdir, "compare", params, [Path(args.input)], files)
-    return EXIT_OK
+def _cmd_compare(args, outdir: Path) -> list[str]:
+    wms = _scored(args)
+    return _emit_compare(outdir, wms, _when(args.split), args.top_k, args.avg)
 
 
-def _cmd_simulate(args) -> int:
-    outdir = _outdir(args)
+def _cmd_simulate(args, outdir: Path) -> list[str]:
     regime = Regime(
         kind=args.regime,
         users=args.users,
@@ -389,32 +334,15 @@ def _cmd_simulate(args) -> int:
     log_name = f"log.{args.format}"
     _write_artifact(outdir / log_name, (dump_log(result.log, args.format),))
     _write_artifact(outdir / "ground_truth.jsonl", (dump_ground_truth(result),))
-    params = {
-        "out": str(args.out),
-        "regime": args.regime,
-        "users": args.users,
-        "rate": args.rate,
-        "windows": args.windows,
-        "seed": args.seed,
-        "dropouts": args.dropouts,
-        "split_window": args.split_window,
-        "interval": args.interval,
-        "format": args.format,
-    }
-    _write_manifest(
-        outdir, "simulate", params, [], [log_name, "ground_truth.jsonl"]
-    )
-    return EXIT_OK
+    return [log_name, "ground_truth.jsonl"]
 
 
-def _cmd_report(args) -> int:
-    outdir = _outdir(args)
-    log = load_log(args.input, group_name=args.group_name)
-    ens = build_ensemble(log, _window_spec(args))
+def _cmd_report(args, outdir: Path) -> list[str]:
+    ens = _build(args)
     low, high = _parse_thresholds(args.thresholds)
 
     files = _emit_ensemble(outdir, ens)
-    wms = conversation_metrics(ens)
+    wms = _scored(args, ens)
     files += _emit_metrics(outdir, wms)
     classify_files, classified = _emit_classify(
         outdir, wms, _STD_MODES[args.std], low, high
@@ -423,16 +351,7 @@ def _cmd_report(args) -> int:
     files += _emit_rankings(outdir, wms, classified, args.top_k, args.avg)
     if args.split is not None:
         files += _emit_compare(outdir, wms, _when(args.split), None, args.avg)
-
-    params = _build_params(args) | {
-        "thresholds": args.thresholds,
-        "std": args.std,
-        "avg": args.avg,
-        "top_k": args.top_k,
-        "split": args.split,
-    }
-    _write_manifest(outdir, "report", params, [Path(args.input)], files)
-    return EXIT_OK
+    return files
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # the manifest records each command's flags in the order they are added
 
     sp = sub.add_parser("parse", help="parse a transcript export into an anonymized log")
     sp.add_argument("input", help="transcript text export")
@@ -507,10 +427,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("rank", help="user rankings per engagement class")
     sp.add_argument("input", help="ensemble.jsonl")
     _add_out(sp)
-    _add_class_flags(sp)
     sp.add_argument("--top-k", type=int, default=10)
     sp.add_argument("--avg", choices=[AVG_ZERO, AVG_PRESENT], default=AVG_ZERO,
                     help="absent users count as zero, or average over appearances")
+    _add_class_flags(sp)
     sp.set_defaults(handler=_cmd_rank)
 
     sp = sub.add_parser("series", help="per-user engagement time series")
@@ -549,8 +469,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_out(sp)
     _add_window_flags(sp)
     _add_class_flags(sp)
-    sp.add_argument("--top-k", type=int, default=10)
     sp.add_argument("--avg", choices=[AVG_ZERO, AVG_PRESENT], default=AVG_ZERO)
+    sp.add_argument("--top-k", type=int, default=10)
     sp.add_argument("--split", default=None, metavar="ISO",
                     help="also emit period comparison artifacts")
     sp.set_defaults(handler=_cmd_report)
@@ -566,7 +486,10 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        outdir = Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
+        _write_manifest(outdir, args, args.handler(args, outdir))
+        return EXIT_OK
     except ParseError as exc:  # includes OrderingError
         return _fail("parse", exc, EXIT_PARSE)
     except SchemaError as exc:  # includes MappingConflictError

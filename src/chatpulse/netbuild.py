@@ -167,30 +167,40 @@ def build_network(
 
 @dataclass(frozen=True)
 class NetworkEnsemble:
-    """Ordered sequence of per-window networks for one group."""
+    """Ordered sequence of per-window networks for one group.
 
-    spec: WindowSpec | None
+    Window starts strictly increase, and the first two windows fix the window
+    length ``(w1 - w0) / (i1 - i0)``, which must be a positive integer; every
+    window then satisfies ``w - w0 == (i - i0) * length``. Built and loaded
+    ensembles are checked alike.
+    """
+
     group_name: str
     networks: tuple[InteractionNetwork, ...]
 
     def __post_init__(self) -> None:
-        prev: InteractionNetwork | None = None
-        for net in self.networks:
-            if prev is not None:
-                if net.window_start <= prev.window_start:
-                    raise SchemaError(
-                        f"window starts not strictly increasing at {net.window_start}"
-                    )
-                if self.spec is not None:
-                    expect = prev.window_index + (
-                        net.window_start - prev.window_start
-                    ) // self.spec.delta_t
-                    if net.window_index != expect:
-                        raise SchemaError(
-                            f"window index {net.window_index} inconsistent with "
-                            f"start {net.window_start} (expected {expect})"
-                        )
-            prev = net
+        nets = self.networks
+        for prev, net in zip(nets, nets[1:]):
+            if net.window_start <= prev.window_start:
+                raise SchemaError(
+                    f"window starts not strictly increasing at {net.window_start}"
+                )
+        if len(nets) < 2:
+            return
+        w0, i0 = nets[0].window_start, nets[0].window_index
+        span, steps = nets[1].window_start - w0, nets[1].window_index - i0
+        if steps <= 0 or span % steps:
+            raise SchemaError(
+                f"window indices {i0}, {nets[1].window_index} at starts {w0},"
+                f" {nets[1].window_start} give no whole window length"
+            )
+        length = span // steps
+        for net in nets[2:]:
+            if net.window_start - w0 != (net.window_index - i0) * length:
+                raise SchemaError(
+                    f"window index {net.window_index} inconsistent with start "
+                    f"{net.window_start} (window length {length}s)"
+                )
 
     @property
     def conversations(self) -> tuple[InteractionNetwork, ...]:
@@ -209,7 +219,6 @@ def build_ensemble(
         for w in slice_windows(log, spec)
     )
     return NetworkEnsemble(
-        spec=spec,
         group_name=log.group_name if group_name is None else group_name,
         networks=networks,
     )
@@ -229,16 +238,12 @@ def dump_ensemble(ensemble: NetworkEnsemble) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def write_ensemble(ensemble: NetworkEnsemble, path: str | Path) -> None:
-    Path(path).write_text(dump_ensemble(ensemble), encoding="utf-8")
-
-
 def load_ensemble(path: str | Path, *, group_name: str | None = None) -> NetworkEnsemble:
     """Read an ensemble JSONL file.
 
-    The line schema carries no window spec or message counts, so the loaded
-    ensemble has spec=None and message_count=None per network; every metric
-    downstream works from nodes and edges alone.
+    The line schema carries no message counts, so every loaded network has
+    message_count=None; every metric downstream works from nodes and edges
+    alone.
     """
     path = Path(path)
     networks: list[InteractionNetwork] = []
@@ -282,7 +287,6 @@ def load_ensemble(path: str | Path, *, group_name: str | None = None) -> Network
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"{path}: line {line_no}: malformed network") from exc
     return NetworkEnsemble(
-        spec=None,
         group_name=path.stem if group_name is None else group_name,
         networks=tuple(networks),
     )

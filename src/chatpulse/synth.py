@@ -16,7 +16,6 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from pathlib import Path
 
 from .chatlog import MessageEvent, MessageLog
 from .errors import ParameterError
@@ -210,6 +209,3 @@ def dump_ground_truth(result: SynthResult) -> str:
         lines.append(json.dumps(obj, separators=(",", ":")))
     return "".join(line + "\n" for line in lines)
 
-
-def write_ground_truth(result: SynthResult, path: str | Path) -> None:
-    Path(path).write_text(dump_ground_truth(result), encoding="utf-8")

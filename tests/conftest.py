@@ -2,7 +2,15 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import settings
+
 from chatpulse import MessageEvent, MessageLog
+
+# Fixed example sequence and no example database: reruns see the same cases.
+settings.register_profile(
+    "derandomized", derandomize=True, database=None, max_examples=60, deadline=None
+)
+settings.load_profile("derandomized")
 
 
 def make_log(rows, group_name="test") -> MessageLog:

@@ -21,6 +21,7 @@ from chatpulse import (
     WindowSpec,
     build_ensemble,
     conversation_metrics,
+    dump_log,
     engagement_index,
     ensemble_stats,
     gini,
@@ -30,7 +31,6 @@ from chatpulse import (
     network_from_senders,
     node_centralities,
     period_compare,
-    write_log,
     zscore_classify,
 )
 from chatpulse.chatlog import MessageEvent, MessageLog
@@ -251,7 +251,7 @@ def test_criterion_9_report_performance(tmp_path):
     ]
     log = MessageLog.from_events(events, group_name="scale")
     log_path = tmp_path / "scale.csv"
-    write_log(log, log_path)
+    log_path.write_text(dump_log(log))
 
     out = tmp_path / "report"
     started = time.perf_counter()

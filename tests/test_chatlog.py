@@ -12,16 +12,16 @@ from chatpulse import (
     MessageEvent,
     MessageLog,
     OrderingError,
+    ParameterError,
     ParseError,
     SchemaError,
     anonymize,
     dump_log,
+    dump_mapping,
     load_log,
     parse_export,
     parse_transcript,
     read_mapping,
-    write_log,
-    write_mapping,
 )
 from chatpulse.chatlog import utc_timestamp
 
@@ -102,6 +102,32 @@ def test_backward_timestamp_rejected_and_slack_tolerates():
     )
 
 
+def test_negative_slack_rejected():
+    with pytest.raises(ParameterError):
+        parse_export("3/7/18, 23:31 - Alice: a", slack=-5)
+
+
+def test_dst_fall_back_hour_reads_second_occurrence_when_needed():
+    # Sao Paulo left DST at 2019-02-17 00:00, repeating 23:00-23:59 of the 16th
+    text = (
+        "16/2/19, 23:50 - Alice: hi\n"
+        "16/2/19, 23:10 - Bob: yo\n"
+        "17/2/19, 00:05 - Alice: ok"
+    )
+    log = parse_export(text, tz="America/Sao_Paulo")
+    assert [e.timestamp for e in log.events] == [1550368200, 1550369400, 1550372700]
+    # a regression within --slack is jitter: clamped, not moved an hour ahead
+    jitter = "16/2/19, 23:50 - Alice: hi\n16/2/19, 23:49 - Bob: yo"
+    log = parse_export(jitter, tz="America/Sao_Paulo", slack=120)
+    assert [e.timestamp for e in log.events] == [1550368200, 1550368200]
+
+
+def test_dst_spring_forward_gap_keeps_offset_before_the_gap():
+    # Sao Paulo skipped 2018-11-04 00:00-00:59; 00:30 reads at UTC-3
+    log = parse_export("4/11/18, 00:30 - Alice: hi", tz="America/Sao_Paulo")
+    assert log.events[0].timestamp == 1541302200
+
+
 def test_same_minute_ties_are_fine_and_ordered_by_file():
     text = "3/7/18, 23:31 - Alice: a\n3/7/18, 23:31 - Bob: b"
     log = parse_export(text)
@@ -176,7 +202,7 @@ def test_prior_mapping_preserved_and_extended(tmp_path):
     short = parse_transcript("\n".join(FIXTURE.splitlines()[:10]))  # senders 0..4
     first = anonymize(short, salt=salt)
     path = tmp_path / "mapping.csv"
-    write_mapping(first.mapping, path)
+    path.write_text(dump_mapping(first.mapping))
 
     longer_text = FIXTURE + "\n3/7/18, 11:00 - Newcomer: hi"
     second = anonymize(
@@ -204,7 +230,7 @@ def test_inconsistent_prior_mapping_conflicts(prior):
 def test_mapping_file_round_trip(tmp_path):
     anon = anonymize(parse_transcript(FIXTURE), salt=b"roundtrip")
     path = tmp_path / "mapping.csv"
-    write_mapping(anon.mapping, path)
+    path.write_text(dump_mapping(anon.mapping))
     assert read_mapping(path) == anon.mapping
     header = path.read_text().splitlines()[0]
     assert header == "hashed_sender,user_id"
@@ -237,7 +263,7 @@ def test_round_trip_is_byte_identical(tmp_path):
             path.write_text("".join(f'{{"u":{u},"t":{t}}}\n' for u, t in events))
         original = path.read_bytes()
         out = tmp_path / f"copy.{fmt}"
-        write_log(load_log(path), out, fmt)
+        out.write_text(dump_log(load_log(path), fmt))
         assert out.read_bytes() == original
 
 

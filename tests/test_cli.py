@@ -79,6 +79,92 @@ def test_parse_writes_log_and_mapping(tmp_path):
     assert str(export) in manifest["inputs"]
 
 
+ENS_DEFAULTS = {"input": "ENS", "out": "OUT"}
+
+
+@pytest.mark.parametrize(
+    "argv, parameters",
+    [
+        (
+            ["parse", "CHAT", "--salt", "ab" * 16, "--tz", "America/Sao_Paulo",
+             "--group-name", "g", "--slack", 60, "--format", "jsonl",
+             "--mapping-in", "MAP"],
+            {"input": "CHAT", "out": "OUT", "profile": "whatsapp-en-dash",
+             "tz": "America/Sao_Paulo", "group_name": "g", "slack": 60,
+             "format": "jsonl", "salt": "ab" * 16, "mapping_in": "MAP"},
+        ),
+        (
+            ["build", "LOG", "--interval", 5, "--align", "first",
+             "--from", "2018-08-01", "--to", "2018-08-02"],
+            {"input": "LOG", "out": "OUT", "interval": 5, "align": "first",
+             "from": "2018-08-01", "to": "2018-08-02", "group_name": None},
+        ),
+        (["metrics", "ENS"], ENS_DEFAULTS),
+        (
+            ["classify", "ENS", "--thresholds=-0.5,0.5", "--std", "sample"],
+            ENS_DEFAULTS | {"thresholds": "-0.5,0.5", "std": "sample"},
+        ),
+        (
+            ["rank", "ENS", "--top-k", 3, "--avg", "present"],
+            ENS_DEFAULTS
+            | {"top_k": 3, "avg": "present", "thresholds": "-1,1", "std": "pop"},
+        ),
+        (
+            ["series", "ENS", "--user", 0, "--user", 3],
+            ENS_DEFAULTS | {"user": [0, 3]},
+        ),
+        (
+            ["compare", "ENS", "--split", "2018-08-01T02:00"],
+            ENS_DEFAULTS | {"split": "2018-08-01T02:00", "top_k": None, "avg": "zero"},
+        ),
+        (
+            ["simulate", "--regime", "broadcaster", "--users", 5, "--rate", 6,
+             "--windows", 4],
+            {"out": "OUT", "regime": "broadcaster", "users": 5, "rate": 6,
+             "windows": 4, "seed": 0, "dropouts": 0, "split_window": None,
+             "interval": 10, "format": "csv"},
+        ),
+        (
+            ["report", "LOG", "--split", "2018-08-01T02:00", "--group-name", "g"],
+            {"input": "LOG", "out": "OUT", "interval": 10, "align": "wall",
+             "from": None, "to": None, "group_name": "g", "thresholds": "-1,1",
+             "std": "pop", "avg": "zero", "top_k": 10, "split": "2018-08-01T02:00"},
+        ),
+    ],
+)
+def test_manifest_records_every_flag(tmp_path, argv, parameters):
+    log = simulate(tmp_path)
+    assert run("build", log, "--out", tmp_path / "built") == EXIT_OK
+    chat = tmp_path / "chat.txt"
+    chat.write_text(TRANSCRIPT)
+    assert run("parse", chat, "--out", tmp_path / "first") == EXIT_OK
+    paths = {
+        "CHAT": str(chat),
+        "LOG": str(log),
+        "ENS": str(tmp_path / "built" / "ensemble.jsonl"),
+        "MAP": str(tmp_path / "first" / "mapping.csv"),
+        "OUT": str(tmp_path / "out"),
+    }
+    assert run(*[paths.get(a, a) for a in argv], "--out", paths["OUT"]) == EXIT_OK
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    expected = {key: paths.get(value, value) if isinstance(value, str) else value
+                for key, value in parameters.items()}
+    assert manifest["command"] == argv[0]
+    assert list(manifest["parameters"].items()) == list(expected.items())
+    inputs = [expected[k] for k in ("input", "mapping_in") if expected.get(k)]
+    assert list(manifest["inputs"]) == inputs
+
+
+def test_parse_records_the_generated_salt(tmp_path):
+    export = tmp_path / "chat.txt"
+    export.write_text(TRANSCRIPT)
+    assert run("parse", export, "--out", tmp_path / "a") == EXIT_OK
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    salt = manifest["parameters"]["salt"]
+    assert run("parse", export, "--out", tmp_path / "b", "--salt", salt) == EXIT_OK
+    assert artifacts(tmp_path / "a") == artifacts(tmp_path / "b")
+
+
 def test_parse_same_salt_is_reproducible(tmp_path):
     export = tmp_path / "chat.txt"
     export.write_text(TRANSCRIPT)
@@ -142,18 +228,23 @@ def test_classify_single_network_is_insufficient(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "insufficient-data"
 
 
-def test_bad_thresholds_exit_usage(tmp_path):
+def test_bad_thresholds_exit_usage(tmp_path, capsys):
     log = simulate(tmp_path)
     out = tmp_path / "r"
     assert run("build", log, "--out", out) == EXIT_OK
-    assert (
-        run("classify", out / "ensemble.jsonl", "--out", out, "--thresholds", "5")
-        == EXIT_USAGE
-    )
-    assert (
-        run("classify", out / "ensemble.jsonl", "--out", out, "--thresholds", "1,-1")
-        == EXIT_USAGE
-    )
+    for thresholds in ("5", "1,-1", "nan,1", "-inf,inf"):
+        assert run(
+            "classify", out / "ensemble.jsonl", "--out", out,
+            f"--thresholds={thresholds}",
+        ) == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err)["error"] == "parameter"
+
+
+def test_negative_slack_exits_usage(tmp_path, capsys):
+    export = tmp_path / "chat.txt"
+    export.write_text(TRANSCRIPT)
+    assert run("parse", export, "--out", tmp_path / "o", "--slack", -5) == EXIT_USAGE
+    assert json.loads(capsys.readouterr().err)["error"] == "parameter"
 
 
 def test_report_on_round_robin_gives_equality_one_everywhere(tmp_path):

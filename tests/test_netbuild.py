@@ -226,6 +226,8 @@ def test_ensemble_round_trip_through_jsonl(tmp_path):
         '{"w":0,"i":0,"nodes":[false,1],"edges":[[false,1,2]]}',  # bool node ID
         '{"w":0,"i":0,"nodes":[0,1.0],"edges":[[0,1,2]]}',  # float node ID
         '{"w":0.5,"i":0,"nodes":[0,1],"edges":[[0,1,2]]}',  # float window start
+        '{"w":0,"i":0,"nodes":[0,1],"edges":[[0,1,1]]}\n'
+        '{"w":600,"i":7,"nodes":[0,1],"edges":[[0,1,1]]}',  # length 600/7
     ],
 )
 def test_bad_ensemble_lines_rejected(tmp_path, line):
