@@ -14,10 +14,12 @@ import hmac
 import io
 import json
 import logging
+import operator
 import re
 import secrets
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import accumulate
 from pathlib import Path
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
@@ -50,39 +52,66 @@ class MessageEvent:
 
 @dataclass(frozen=True)
 class MessageLog:
-    """Chronologically ordered metadata log for one group conversation."""
+    """Chronologically ordered metadata log for one group conversation.
+
+    The log is two integer columns; row ``i`` is message ``i``, so a
+    message's ``seq`` is its row position. User IDs are non-negative and
+    timestamps never decrease.
+    """
 
     group_name: str
-    events: tuple[MessageEvent, ...]
-    user_count: int
-    span: tuple[int, int] | None
+    users: tuple[int, ...]
+    timestamps: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        users, stamps = self.users, self.timestamps
+        if len(users) != len(stamps):
+            raise ValueError(
+                f"{len(users)} user IDs but {len(stamps)} timestamps"
+            )
+        if users and min(users) < 0:
+            raise ValueError(f"negative user ID {min(users)}")
+        if any(map(operator.gt, stamps, stamps[1:])):
+            seq = next(
+                i for i in range(1, len(stamps)) if stamps[i] < stamps[i - 1]
+            )
+            raise ValueError(
+                f"timestamps decrease at seq={seq} "
+                f"({stamps[seq]} < {stamps[seq - 1]})"
+            )
 
     @classmethod
     def from_events(cls, events, group_name: str = "") -> "MessageLog":
+        """Log of events whose ``seq`` strictly increases; seq becomes position."""
         events = tuple(events)
-        prev: MessageEvent | None = None
-        for e in events:
-            if e.user < 0:
-                raise ValueError(f"negative user ID {e.user}")
-            if prev is not None:
-                if e.seq <= prev.seq:
-                    raise ValueError(f"seq not strictly increasing at seq={e.seq}")
-                if e.timestamp < prev.timestamp:
-                    raise ValueError(
-                        f"timestamps decrease at seq={e.seq} "
-                        f"({e.timestamp} < {prev.timestamp})"
-                    )
-            prev = e
-        span = (events[0].timestamp, events[-1].timestamp) if events else None
+        for prev, e in zip(events, events[1:]):
+            if e.seq <= prev.seq:
+                raise ValueError(f"seq not strictly increasing at seq={e.seq}")
         return cls(
-            group_name=group_name,
-            events=events,
-            user_count=len({e.user for e in events}),
-            span=span,
+            group_name,
+            tuple(e.user for e in events),
+            tuple(e.timestamp for e in events),
         )
 
+    @property
+    def events(self) -> tuple[MessageEvent, ...]:
+        """The rows as MessageEvent objects, ``seq`` their position."""
+        return tuple(
+            MessageEvent(u, t, i)
+            for i, (u, t) in enumerate(zip(self.users, self.timestamps))
+        )
+
+    @property
+    def user_count(self) -> int:
+        return len(set(self.users))
+
+    @property
+    def span(self) -> tuple[int, int] | None:
+        stamps = self.timestamps
+        return (stamps[0], stamps[-1]) if stamps else None
+
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.users)
 
 
 @dataclass(frozen=True)
@@ -219,7 +248,8 @@ def parse_transcript(
     prof = PROFILES[profile]
     zone = _resolve_zone(tz)
 
-    events: list[MessageEvent] = []
+    users: list[int] = []
+    stamps: list[int] = []
     senders: list[str] = []
     ids: dict[str, int] = {}
     seen_any = False
@@ -253,18 +283,13 @@ def parse_transcript(
         if sender not in ids:
             ids[sender] = len(senders)
             senders.append(sender)
-        events.append(MessageEvent(user=ids[sender], timestamp=ts, seq=len(events)))
+        users.append(ids[sender])
+        stamps.append(ts)
 
     # Within-slack regressions are clamped so the log stays non-decreasing.
     if slack > 0:
-        fixed: list[MessageEvent] = []
-        high = None
-        for e in events:
-            high = e.timestamp if high is None else max(high, e.timestamp)
-            fixed.append(MessageEvent(e.user, high, e.seq))
-        events = fixed
-
-    log = MessageLog.from_events(events, group_name=group_name)
+        stamps = accumulate(stamps, max)
+    log = MessageLog(group_name, tuple(users), tuple(stamps))
     return ParsedTranscript(log=log, senders=tuple(senders))
 
 
@@ -328,12 +353,13 @@ def anonymize(
         next_id += 1
 
     relabel = [mapping[digests[s]] for s in parsed.senders]
-    events = tuple(
-        MessageEvent(user=relabel[e.user], timestamp=e.timestamp, seq=e.seq)
-        for e in parsed.log.events
+    log = parsed.log
+    users = tuple(map(relabel.__getitem__, log.users))
+    return AnonymizedLog(
+        log=MessageLog(log.group_name, users, log.timestamps),
+        mapping=mapping,
+        salt=salt,
     )
-    log = MessageLog.from_events(events, group_name=parsed.log.group_name)
-    return AnonymizedLog(log=log, mapping=mapping, salt=salt)
 
 
 def dump_mapping(mapping: dict[str, int]) -> str:
@@ -362,38 +388,6 @@ def read_mapping(path: str | Path) -> dict[str, int]:
             raise MappingConflictError(f"{path}: duplicate hashed sender {digest!r}")
         mapping[digest] = user_id
     return mapping
-
-
-def _events_from_rows(
-    rows: list[tuple[int, int]], source: str, group_name: str
-) -> MessageLog:
-    if any(t2 < t1 for (_, t1), (_, t2) in zip(rows, rows[1:])):
-        logger.warning("%s: rows out of order; re-sorting by (timestamp, row)", source)
-        order = sorted(range(len(rows)), key=lambda i: (rows[i][1], i))
-        rows = [rows[i] for i in order]
-    events = (
-        MessageEvent(user=u, timestamp=t, seq=i) for i, (u, t) in enumerate(rows)
-    )
-    return MessageLog.from_events(events, group_name=group_name)
-
-
-def _row_from_csv(row: list[str], line_no: int, source: str) -> tuple[int, int]:
-    if len(row) != 2:
-        raise SchemaError(f"{source}: line {line_no}: expected 2 columns, got {len(row)}")
-    raw_user, raw_ts = row
-    try:
-        user = int(raw_user)
-    except ValueError as exc:
-        raise SchemaError(f"{source}: line {line_no}: bad user ID {raw_user!r}") from exc
-    try:
-        ts = int(raw_ts)
-    except ValueError as exc:
-        raise SchemaError(
-            f"{source}: line {line_no}: unparsable timestamp {raw_ts!r}"
-        ) from exc
-    if user < 0:
-        raise SchemaError(f"{source}: line {line_no}: negative user ID {user}")
-    return user, ts
 
 
 def _row_from_jsonl(line: str, line_no: int, source: str) -> tuple[int, int]:
@@ -434,32 +428,59 @@ def load_log(
     if fmt not in ("csv", "jsonl"):
         raise SchemaError(f"unknown log format {fmt!r}")
     name = path.stem if group_name is None else group_name
+    source = str(path)
     text = read_utf8(path, SchemaError)
-    rows: list[tuple[int, int]] = []
+    users: list[int] = []
+    stamps: list[int] = []
+    add_user, add_stamp = users.append, stamps.append
     if fmt == "csv":
-        parsed = list(csv.reader(io.StringIO(text)))
-        if not parsed or parsed[0] != LOG_CSV_HEADER:
-            raise SchemaError(f"{path}: missing header {','.join(LOG_CSV_HEADER)}")
-        for line_no, row in enumerate(parsed[1:], start=2):
-            rows.append(_row_from_csv(row, line_no, str(path)))
+        reader = csv.reader(io.StringIO(text))
+        if next(reader, None) != LOG_CSV_HEADER:
+            raise SchemaError(f"{source}: missing header {','.join(LOG_CSV_HEADER)}")
+        # line numbers count CSV records, as csv.reader yields them
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != 2:
+                raise SchemaError(
+                    f"{source}: line {line_no}: expected 2 columns, got {len(row)}"
+                )
+            raw_user, raw_ts = row
+            try:
+                user = int(raw_user)
+            except ValueError as exc:
+                raise SchemaError(
+                    f"{source}: line {line_no}: bad user ID {raw_user!r}"
+                ) from exc
+            try:
+                add_stamp(int(raw_ts))
+            except ValueError as exc:
+                raise SchemaError(
+                    f"{source}: line {line_no}: unparsable timestamp {raw_ts!r}"
+                ) from exc
+            if user < 0:
+                raise SchemaError(f"{source}: line {line_no}: negative user ID {user}")
+            add_user(user)
     else:
         for line_no, line in enumerate(text.splitlines(), start=1):
             if line.strip():
-                rows.append(_row_from_jsonl(line, line_no, str(path)))
-    return _events_from_rows(rows, str(path), name)
+                user, ts = _row_from_jsonl(line, line_no, source)
+                add_user(user)
+                add_stamp(ts)
+    if any(map(operator.gt, stamps, stamps[1:])):
+        logger.warning("%s: rows out of order; re-sorting by (timestamp, row)", source)
+        order = sorted(range(len(stamps)), key=stamps.__getitem__)  # stable
+        users = [users[i] for i in order]
+        stamps = [stamps[i] for i in order]
+    return MessageLog(name, tuple(users), tuple(stamps))
 
 
 def dump_log(log: MessageLog, fmt: str = "csv") -> str:
     """Serialize a log to its canonical textual form."""
+    pairs = zip(log.users, log.timestamps)
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(LOG_CSV_HEADER)
-        for e in log.events:
-            writer.writerow([e.user, e.timestamp])
-        return buf.getvalue()
+        header = ",".join(LOG_CSV_HEADER) + "\n"
+        return header + "".join([f"{u},{t}\n" for u, t in pairs])
     if fmt == "jsonl":
-        return "".join(f'{{"u":{e.user},"t":{e.timestamp}}}\n' for e in log.events)
+        return "".join([f'{{"u":{u},"t":{t}}}\n' for u, t in pairs])
     raise SchemaError(f"unknown log format {fmt!r}")
 
 

@@ -103,23 +103,24 @@ def _sha256(path: Path) -> str:
 _RECORDED_AS = {"from_when": "from", "to_when": "to"}
 
 
-def _write_manifest(outdir: Path, args, outputs: list[str]) -> None:
+def _input_digests(args) -> dict[str, str]:
+    """SHA-256 of each input file, read before the command may overwrite it."""
+    paths = (getattr(args, "input", None), getattr(args, "mapping_in", None))
+    return {str(p): _sha256(Path(p)) for p in paths if p}
+
+
+def _write_manifest(outdir: Path, args, inputs: dict, outputs: list[str]) -> None:
     """Record the command, every flag under its long name, inputs and outputs."""
     params = {
         _RECORDED_AS.get(key, key): value
         for key, value in vars(args).items()
         if key not in ("command", "handler")
     }
-    inputs = [
-        Path(p)
-        for p in (getattr(args, "input", None), getattr(args, "mapping_in", None))
-        if p
-    ]
     doc = {
         "command": args.command,
         "version": __version__,
         "parameters": params,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": inputs,
         "outputs": sorted(outputs),
     }
     _write_artifact(outdir / "manifest.json", (json.dumps(doc, indent=2), "\n"))
@@ -488,7 +489,8 @@ def main(argv=None) -> int:
     try:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        _write_manifest(outdir, args, args.handler(args, outdir))
+        inputs = _input_digests(args)
+        _write_manifest(outdir, args, inputs, args.handler(args, outdir))
         return EXIT_OK
     except ParseError as exc:  # includes OrderingError
         return _fail("parse", exc, EXIT_PARSE)

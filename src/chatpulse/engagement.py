@@ -22,7 +22,9 @@ from .errors import NotAConversationError
 from .netbuild import InteractionNetwork
 
 
-@dataclass(frozen=True, slots=True)
+# Score rows are built once per conversation and user, then only read: plain
+# slots classes, cheaper to build than frozen ones.
+@dataclass(slots=True)
 class EngagementMetrics:
     n: int
     total_weight: int
@@ -32,7 +34,7 @@ class EngagementMetrics:
     ei: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class NodeEngagement:
     user: int
     strength: int
@@ -72,18 +74,12 @@ def intensity(net: InteractionNetwork) -> float:
 def engagement_index(net: InteractionNetwork) -> EngagementMetrics:
     """All scalar engagement metrics for one conversation network."""
     _require_conversation(net)
-    g = gini(net.edges.values())
+    weights = net.edges.values()
+    g = gini(weights)
     eq = 1.0 - g
-    total = net.total_weight
-    inten = math.log2(net.n * total)
-    return EngagementMetrics(
-        n=net.n,
-        total_weight=total,
-        gini=g,
-        equality=eq,
-        intensity=inten,
-        ei=eq * inten,
-    )
+    n, total = len(net.nodes), sum(weights)
+    inten = math.log2(n * total)
+    return EngagementMetrics(n, total, g, eq, inten, eq * inten)
 
 
 def node_centralities(
@@ -93,5 +89,5 @@ def node_centralities(
     scale = metrics.n * metrics.ei / (2.0 * metrics.total_weight)
     return [
         NodeEngagement(user, s, s * scale)
-        for user, s in sorted(net.strengths().items())
+        for user, s in net.strengths().items()
     ]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,7 +27,7 @@ class EngagementClass(str, Enum):
     GLOBAL = "GLOBAL"  # ranking scope only, never a network label
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class WindowMetrics:
     """One scored conversation window: its metrics and per-user centralities.
 
@@ -77,7 +78,7 @@ def ensemble_stats(
     return EnsembleStats(mean_ei=mean, std_ei=math.sqrt(var), count=k)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ClassifiedNetwork:
     window_index: int
     ei: float
@@ -129,14 +130,13 @@ def class_means(windows, avg: str) -> dict[int, float]:
     absences count as 0; with avg='present' it is the user's appearances.
     Sums run in window order. Callers add absent users as 0.0 where needed.
     """
-    sums: dict[int, float] = {}
-    appearances: dict[int, int] = {}
+    sums: defaultdict[int, float] = defaultdict(float)
     for w in windows:
         for ne in w.nodes:
-            sums[ne.user] = sums.get(ne.user, 0.0) + ne.ei_centrality
-            appearances[ne.user] = appearances.get(ne.user, 0) + 1
+            sums[ne.user] += ne.ei_centrality
     if avg == AVG_ZERO:
         return {user: s / len(windows) for user, s in sums.items()}
+    appearances = Counter(ne.user for w in windows for ne in w.nodes)
     return {user: s / appearances[user] for user, s in sums.items()}
 
 

@@ -9,11 +9,14 @@ edges and is not a conversation. Transitions never span window boundaries.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 from . import _kernels
-from .chatlog import MessageEvent, MessageLog, read_utf8
+from .chatlog import MessageLog, read_utf8
 from .errors import ParameterError, SchemaError
 
 ALIGN_WALL = "wall"
@@ -41,61 +44,46 @@ class WindowSpec:
             raise ParameterError(f"empty time range [{lo}, {hi})")
 
 
-@dataclass(frozen=True)
-class WindowSlice:
+class WindowSlice(NamedTuple):
+    """One nonempty window: its start, index and rows ``lo:hi`` of the log."""
+
     start: int
     index: int
-    events: tuple[MessageEvent, ...]
+    lo: int
+    hi: int
 
 
 def slice_windows(log: MessageLog, spec: WindowSpec) -> list[WindowSlice]:
-    """Assign every in-range event to the window floor((t - origin) / delta_t).
+    """Cut the in-range rows into windows floor((t - origin) / delta_t).
 
     Empty windows are omitted, but indices stay gap-aware: index arithmetic is
     anchored to the origin, not to the previous nonempty window.
     """
+    stamps = log.timestamps
     lo, hi = spec.time_range
-    events = [
-        e
-        for e in log.events
-        if (lo is None or e.timestamp >= lo) and (hi is None or e.timestamp < hi)
-    ]
-    if not events:
+    first = 0 if lo is None else bisect_left(stamps, lo)
+    end = len(stamps) if hi is None else bisect_left(stamps, hi)
+    if first >= end:
         return []
+    delta = spec.delta_t
     if spec.alignment == ALIGN_WALL:
-        anchor = lo if lo is not None else events[0].timestamp
-        origin = (anchor // spec.delta_t) * spec.delta_t
+        anchor = lo if lo is not None else stamps[first]
+        origin = (anchor // delta) * delta
     else:
-        origin = events[0].timestamp
+        origin = stamps[first]
 
     slices: list[WindowSlice] = []
-    current_index: int | None = None
-    bucket: list[MessageEvent] = []
-    for e in events:
-        idx = (e.timestamp - origin) // spec.delta_t
-        if idx != current_index:
-            if bucket:
-                slices.append(
-                    WindowSlice(
-                        start=origin + current_index * spec.delta_t,
-                        index=current_index,
-                        events=tuple(bucket),
-                    )
-                )
-            current_index = idx
-            bucket = []
-        bucket.append(e)
-    slices.append(
-        WindowSlice(
-            start=origin + current_index * spec.delta_t,
-            index=current_index,
-            events=tuple(bucket),
-        )
-    )
+    row = first
+    while row < end:
+        index = (stamps[row] - origin) // delta
+        start = origin + index * delta
+        stop = bisect_left(stamps, start + delta, row + 1, end)
+        slices.append(WindowSlice(start, index, row, stop))
+        row = stop
     return slices
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InteractionNetwork:
     """One window's weighted undirected simple graph of sender transitions.
 
@@ -128,8 +116,8 @@ class InteractionNetwork:
         return self.edges.get(key, 0)
 
     def strengths(self) -> dict[int, int]:
-        """Weighted degree per interacting node."""
-        acc = {u: 0 for u in self.nodes}
+        """Weighted degree per interacting node, in ascending user order."""
+        acc = dict.fromkeys(sorted(self.nodes), 0)
         for (u, v), w in self.edges.items():
             acc[u] += w
             acc[v] += w
@@ -141,9 +129,9 @@ def network_from_senders(
     message_count: int | None = None,
 ) -> InteractionNetwork:
     """Build a window network from an ordered sequence of sender IDs."""
-    senders = list(senders)
+    senders = tuple(senders)  # no copy for build_ensemble's column slices
     edges = _kernels.pair_counts(senders)
-    nodes = frozenset(u for pair in edges for u in pair)
+    nodes = frozenset(chain.from_iterable(edges))
     return InteractionNetwork(
         window_start=window_start,
         window_index=window_index,
@@ -214,8 +202,11 @@ def build_ensemble(
     log: MessageLog, spec: WindowSpec, *, group_name: str | None = None
 ) -> NetworkEnsemble:
     """One network per nonempty window; deterministic for a fixed log + spec."""
+    users = log.users
     networks = tuple(
-        build_network(w.events, window_start=w.start, window_index=w.index)
+        network_from_senders(
+            users[w.lo:w.hi], window_start=w.start, window_index=w.index
+        )
         for w in slice_windows(log, spec)
     )
     return NetworkEnsemble(
@@ -225,17 +216,19 @@ def build_ensemble(
 
 
 def dump_ensemble(ensemble: NetworkEnsemble) -> str:
-    """Serialize as JSONL, one network per line, edges in (u < v) order."""
+    """Serialize as JSONL, one network per line, edges in (u < v) order.
+
+    Every value is an int, so each line is written as compact JSON directly.
+    """
     lines = []
     for net in ensemble.networks:
-        obj = {
-            "w": net.window_start,
-            "i": net.window_index,
-            "nodes": sorted(net.nodes),
-            "edges": [[u, v, w] for (u, v), w in sorted(net.edges.items())],
-        }
-        lines.append(json.dumps(obj, separators=(",", ":")))
-    return "".join(line + "\n" for line in lines)
+        nodes = ",".join(map(str, sorted(net.nodes)))
+        edges = ",".join([f"[{u},{v},{w}]" for (u, v), w in sorted(net.edges.items())])
+        lines.append(
+            f'{{"w":{net.window_start},"i":{net.window_index},'
+            f'"nodes":[{nodes}],"edges":[{edges}]}}\n'
+        )
+    return "".join(lines)
 
 
 def load_ensemble(path: str | Path, *, group_name: str | None = None) -> NetworkEnsemble:

@@ -278,31 +278,65 @@ def test_out_of_order_rows_resorted_with_warning(tmp_path, caplog):
     assert [e.seq for e in log.events] == [0, 1, 2]
 
 
-@pytest.mark.parametrize(
-    "body",
-    [
-        "wrong,header\n0,100\n",
-        "user_id,timestamp\n0\n",
-        "user_id,timestamp\n0,notanumber\n",
-        "user_id,timestamp\n-1,100\n",
-    ],
-)
+# body -> the SchemaError text after "<path>: "; line numbers count CSV records
+BAD_CSV = {
+    "wrong,header\n0,100\n": "missing header user_id,timestamp",
+    "user_id,timestamp\n0\n": "line 2: expected 2 columns, got 1",
+    "user_id,timestamp\n0,notanumber\n": "line 2: unparsable timestamp 'notanumber'",
+    "user_id,timestamp\n-1,100\n": "line 2: negative user ID -1",
+    "": "missing header user_id,timestamp",
+    "user_id,timestamp\n0,100\n\n1,200\n": "line 3: expected 2 columns, got 0",
+    "user_id,timestamp\n0,100\n1,200\n\n": "line 4: expected 2 columns, got 0",
+    "user_id,timestamp\n0,100\n1,200,3\n": "line 3: expected 2 columns, got 3",
+    "user_id,timestamp\n1.5,100\n": "line 2: bad user ID '1.5'",
+    "user_id,timestamp\n0,1.5\n": "line 2: unparsable timestamp '1.5'",
+    "user_id,timestamp\ntrue,100\n": "line 2: bad user ID 'true'",
+    "user_id,timestamp\n0,true\n": "line 2: unparsable timestamp 'true'",
+    'user_id,timestamp\n"1\n",100\n-2,5\n': "line 3: negative user ID -2",
+}
+
+
+@pytest.mark.parametrize("body", list(BAD_CSV))
 def test_bad_csv_rejected(tmp_path, body):
     path = tmp_path / "log.csv"
     path.write_text(body)
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError) as err:
         load_log(path)
+    assert str(err.value) == f"{path}: {BAD_CSV[body]}"
 
 
 @pytest.mark.parametrize(
-    "line",
-    ['{"u":0}', '{"t":5}', '{"u":"x","t":5}', '{"u":-1,"t":5}', "not json"],
+    "body", ['user_id,timestamp\n"1","2"\n', "user_id,timestamp\n1, 2\n"]
 )
+def test_quoted_and_spaced_csv_values_accepted(tmp_path, body):
+    path = tmp_path / "log.csv"
+    path.write_text(body)
+    log = load_log(path)
+    assert [(e.user, e.timestamp) for e in log.events] == [(1, 2)]
+
+
+BAD_JSONL = {
+    '{"u":0}': "line 1: expected keys 'u' and 't'",
+    '{"t":5}': "line 1: expected keys 'u' and 't'",
+    '{"u":"x","t":5}': "line 1: bad user ID 'x'",
+    '{"u":-1,"t":5}': "line 1: negative user ID -1",
+    "not json": "line 1: invalid JSON",
+    '{"u":1.5,"t":5}': "line 1: bad user ID 1.5",
+    '{"u":true,"t":5}': "line 1: bad user ID True",
+    '{"u":0,"t":1.5}': "line 1: unparsable timestamp 1.5",
+    '{"u":0,"t":true}': "line 1: unparsable timestamp True",
+    "[1,2]": "line 1: expected keys 'u' and 't'",
+    '{"u":0,"t":5}\n\n{"u":-3,"t":6}': "line 3: negative user ID -3",
+}
+
+
+@pytest.mark.parametrize("line", list(BAD_JSONL))
 def test_bad_jsonl_rejected(tmp_path, line):
     path = tmp_path / "log.jsonl"
     path.write_text(line + "\n")
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError) as err:
         load_log(path)
+    assert str(err.value) == f"{path}: {BAD_JSONL[line]}"
 
 
 def test_persisted_log_has_exactly_two_data_columns():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -163,6 +164,17 @@ def test_parse_records_the_generated_salt(tmp_path):
     salt = manifest["parameters"]["salt"]
     assert run("parse", export, "--out", tmp_path / "b", "--salt", salt) == EXIT_OK
     assert artifacts(tmp_path / "a") == artifacts(tmp_path / "b")
+
+
+def test_manifest_records_the_input_as_read(tmp_path):
+    # the parsed log overwrites the transcript it was parsed from
+    export = tmp_path / "log.csv"
+    export.write_text(TRANSCRIPT)
+    digest = hashlib.sha256(export.read_bytes()).hexdigest()
+    assert run("parse", export, "--out", tmp_path, "--salt", "ab") == EXIT_OK
+    assert export.read_text().startswith("user_id,timestamp\n")
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["inputs"] == {str(export): digest}
 
 
 def test_parse_same_salt_is_reproducible(tmp_path):

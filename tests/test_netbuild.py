@@ -36,9 +36,9 @@ def test_events_in_same_ten_minute_bin():
 def test_bin_boundary_splits_windows():
     log = make_log([(0, T2330 + 9 * 60), (1, T2330 + 11 * 60)])  # 23:39, 23:41
     slices = slice_windows(log, WindowSpec(delta_t=600))
-    assert [(s.start, len(s.events)) for s in slices] == [
-        (T2330, 1),
-        (T2330 + 600, 1),
+    assert [(s.start, s.lo, s.hi) for s in slices] == [
+        (T2330, 0, 1),
+        (T2330 + 600, 1, 2),
     ]
 
 
@@ -46,9 +46,13 @@ def test_bin_counts_match_direct_histogram():
     log = random_log(seed=3, users=8, count=900, horizon=3 * 86400, start=T2330)
     delta = 600
     slices = slice_windows(log, WindowSpec(delta_t=delta))
-    origin = (log.events[0].timestamp // delta) * delta
-    expected = Counter((e.timestamp - origin) // delta for e in log.events)
-    assert {s.index: len(s.events) for s in slices} == dict(expected)
+    origin = (log.timestamps[0] // delta) * delta
+    expected = Counter((t - origin) // delta for t in log.timestamps)
+    assert {s.index: s.hi - s.lo for s in slices} == dict(expected)
+    assert [(s.lo, s.hi) for s in slices] == list(
+        zip([0] + [s.hi for s in slices[:-1]], [s.hi for s in slices])
+    )
+    assert slices[-1].hi == len(log)
 
 
 def test_empty_range_is_empty_result_not_error():
@@ -75,8 +79,8 @@ def test_first_message_alignment_anchors_to_first_event():
 def test_range_filter_is_half_open():
     log = make_log([(0, 100), (1, 200), (0, 300)])
     spec = WindowSpec(delta_t=600, time_range=(100, 300))
-    events = [e for s in slice_windows(log, spec) for e in s.events]
-    assert [e.timestamp for e in events] == [100, 200]
+    rows = [row for s in slice_windows(log, spec) for row in range(s.lo, s.hi)]
+    assert [log.timestamps[row] for row in rows] == [100, 200]
 
 
 def test_invalid_specs_rejected():

@@ -109,13 +109,19 @@ def test_ensemble_round_trip(rows):
     assert dump_ensemble(loaded) == text
 
 
-def metrics_rows(rows, start, tmp: Path) -> list[list[str]]:
-    log = tmp / f"log-{start}.csv"
+def scored_csvs(rows, tmp: Path, name: str, start=BASE) -> tuple[str, str]:
+    """metrics.csv and centralities.csv of `build` then `metrics` on the log."""
+    log = tmp / f"{name}.csv"
     log.write_text(dump_log(log_of(rows, start)))
-    out = tmp / f"out-{start}"
+    out = tmp / name
     assert main(["build", str(log), "--out", str(out)]) == EXIT_OK
     assert main(["metrics", str(out / "ensemble.jsonl"), "--out", str(out)]) == EXIT_OK
-    return [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()]
+    return (out / "metrics.csv").read_text(), (out / "centralities.csv").read_text()
+
+
+def metrics_rows(rows, start, tmp: Path) -> list[list[str]]:
+    metrics, _ = scored_csvs(rows, tmp, f"log-{start}", start)
+    return [line.split(",") for line in metrics.splitlines()]
 
 
 @given(messages, st.integers(-1000, 1000).filter(bool))
@@ -127,3 +133,24 @@ def test_shift_by_whole_windows_changes_only_window_start(rows, windows):
     for old, new in zip(before[1:], after[1:]):
         assert int(new[0]) - int(old[0]) == windows * DELTA_T
         assert new[1:] == old[1:]
+
+
+def centralities_by_window(text: str, relabel=lambda user: user) -> dict:
+    windows: dict[str, set] = {}
+    for line in text.splitlines()[1:]:
+        start, user, strength, value = line.split(",")
+        windows.setdefault(start, set()).add((relabel(int(user)), strength, value))
+    return windows
+
+
+@given(messages, st.permutations(range(6)))
+def test_relabeling_users_changes_only_the_user_ids(rows, perm):
+    relabeled = [(perm[user], gap) for user, gap in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        metrics, central = scored_csvs(rows, Path(tmp), "original")
+        metrics_p, central_p = scored_csvs(relabeled, Path(tmp), "relabeled")
+    assert metrics_p == metrics
+    back = {new: old for old, new in enumerate(perm)}
+    assert centralities_by_window(central_p, back.__getitem__) == (
+        centralities_by_window(central)
+    )
