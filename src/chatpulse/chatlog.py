@@ -371,8 +371,17 @@ def dump_mapping(mapping: dict[str, int]) -> str:
     return buf.getvalue()
 
 
+def _csv_error(source, reader, exc: csv.Error) -> SchemaError:
+    """A csv module failure, such as an oversized field, as a schema error."""
+    return SchemaError(f"{source}: line {reader.line_num}: {exc}")
+
+
 def read_mapping(path: str | Path) -> dict[str, int]:
-    rows = list(csv.reader(io.StringIO(read_utf8(Path(path), SchemaError))))
+    reader = csv.reader(io.StringIO(read_utf8(Path(path), SchemaError)))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise _csv_error(path, reader, exc) from exc
     if not rows or rows[0] != MAPPING_CSV_HEADER:
         raise SchemaError(f"{path}: expected header {','.join(MAPPING_CSV_HEADER)}")
     mapping: dict[str, int] = {}
@@ -435,30 +444,37 @@ def load_log(
     add_user, add_stamp = users.append, stamps.append
     if fmt == "csv":
         reader = csv.reader(io.StringIO(text))
-        if next(reader, None) != LOG_CSV_HEADER:
-            raise SchemaError(f"{source}: missing header {','.join(LOG_CSV_HEADER)}")
-        # line numbers count CSV records, as csv.reader yields them
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 2:
+        try:
+            if next(reader, None) != LOG_CSV_HEADER:
                 raise SchemaError(
-                    f"{source}: line {line_no}: expected 2 columns, got {len(row)}"
+                    f"{source}: missing header {','.join(LOG_CSV_HEADER)}"
                 )
-            raw_user, raw_ts = row
-            try:
-                user = int(raw_user)
-            except ValueError as exc:
-                raise SchemaError(
-                    f"{source}: line {line_no}: bad user ID {raw_user!r}"
-                ) from exc
-            try:
-                add_stamp(int(raw_ts))
-            except ValueError as exc:
-                raise SchemaError(
-                    f"{source}: line {line_no}: unparsable timestamp {raw_ts!r}"
-                ) from exc
-            if user < 0:
-                raise SchemaError(f"{source}: line {line_no}: negative user ID {user}")
-            add_user(user)
+            # line numbers count CSV records, as csv.reader yields them
+            for line_no, row in enumerate(reader, start=2):
+                if len(row) != 2:
+                    raise SchemaError(
+                        f"{source}: line {line_no}: expected 2 columns, got {len(row)}"
+                    )
+                raw_user, raw_ts = row
+                try:
+                    user = int(raw_user)
+                except ValueError as exc:
+                    raise SchemaError(
+                        f"{source}: line {line_no}: bad user ID {raw_user!r}"
+                    ) from exc
+                try:
+                    add_stamp(int(raw_ts))
+                except ValueError as exc:
+                    raise SchemaError(
+                        f"{source}: line {line_no}: unparsable timestamp {raw_ts!r}"
+                    ) from exc
+                if user < 0:
+                    raise SchemaError(
+                        f"{source}: line {line_no}: negative user ID {user}"
+                    )
+                add_user(user)
+        except csv.Error as exc:
+            raise _csv_error(source, reader, exc) from exc
     else:
         for line_no, line in enumerate(text.splitlines(), start=1):
             if line.strip():

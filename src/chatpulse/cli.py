@@ -14,6 +14,7 @@ single-line JSON diagnostic to stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import itertools
 import json
@@ -38,7 +39,6 @@ from .ensemble import (
     AVG_ZERO,
     STD_POPULATION,
     STD_SAMPLE,
-    EngagementClass,
     WindowMetrics,
     conversation_metrics,
     ensemble_stats,
@@ -71,12 +71,6 @@ EXIT_INSUFFICIENT = 5
 EXIT_IO = 6
 
 _STD_MODES = {"pop": STD_POPULATION, "sample": STD_SAMPLE}
-_RANKED_SCOPES = (
-    EngagementClass.GLOBAL,
-    EngagementClass.HIGH,
-    EngagementClass.MEDIUM,
-    EngagementClass.LOW,
-)
 
 
 def _write_artifact(path: Path, chunks) -> None:
@@ -209,8 +203,7 @@ def _emit_classify(outdir: Path, wms, std: str, low: float, high: float):
 
 def _emit_rankings(outdir: Path, wms, classified, top_k: int, avg: str):
     files = []
-    for scope in _RANKED_SCOPES:
-        ranking = rank_users(wms, classified, scope, top_k, avg=avg)
+    for scope, ranking in rank_users(wms, classified, top_k, avg=avg).items():
         name = f"ranking_{scope.value}.csv"
         _write_csv(
             outdir / name,
@@ -486,6 +479,11 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # A command allocates many long-lived objects and no reference cycles, so
+    # the cyclic collector would only traverse them again and again; it stays
+    # paused while the command runs and is restored as the caller had it.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -502,6 +500,9 @@ def main(argv=None) -> int:
         return _fail("parameter", exc, EXIT_USAGE)
     except OSError as exc:
         return _fail("io", exc, EXIT_IO)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -123,26 +123,50 @@ def check_avg(avg: str) -> None:
         raise ParameterError(f"avg must be 'zero' or 'present', got {avg!r}")
 
 
-def class_means(windows, avg: str) -> dict[int, float]:
-    """Mean ei centrality of each user who appears in ``windows``.
+def scope_means(windows, scopes, avg: str) -> dict:
+    """Mean ei centrality of each user over every window and over each scope.
 
-    With avg='zero' the denominator is the number of windows, so a user's
-    absences count as 0; with avg='present' it is the user's appearances.
-    Sums run in window order. Callers add absent users as 0.0 where needed.
+    ``scopes`` gives each window's scope key, in the order of ``windows``;
+    the key GLOBAL covers every window. One pass in window order sums each
+    user's centrality into GLOBAL and into its window's scope, so every mean
+    adds in window order. With avg='zero' the denominator is the scope's
+    window count and every user of ``windows`` has a mean in every scope,
+    0.0 where absent; with avg='present' it is the user's appearances in the
+    scope and only those users are listed. A scope no window has is absent.
     """
-    sums: defaultdict[int, float] = defaultdict(float)
-    for w in windows:
+    check_avg(avg)
+    present = avg == AVG_PRESENT
+    whole: defaultdict[int, float] = defaultdict(float)
+    sums: dict = {}  # scope -> user -> summed centrality
+    seen: dict = {}  # scope -> user -> appearances, counted for avg='present'
+    sizes: dict = {}  # scope -> windows
+    for w, scope in zip(windows, scopes):
+        if scope not in sums:
+            sums[scope], seen[scope] = defaultdict(float), defaultdict(int)
+            sizes[scope] = 0
+        part, part_seen = sums[scope], seen[scope]
+        sizes[scope] += 1
         for ne in w.nodes:
-            sums[ne.user] += ne.ei_centrality
-    if avg == AVG_ZERO:
-        return {user: s / len(windows) for user, s in sums.items()}
-    appearances = Counter(ne.user for w in windows for ne in w.nodes)
-    return {user: s / appearances[user] for user, s in sums.items()}
-
-
-def population(windows) -> set[int]:
-    """Every user with an ei centrality in any of ``windows``."""
-    return {ne.user for w in windows for ne in w.nodes}
+            user, value = ne.user, ne.ei_centrality
+            whole[user] += value
+            part[user] += value
+            if present:
+                part_seen[user] += 1
+    GLOBAL = EngagementClass.GLOBAL
+    sums[GLOBAL], sizes[GLOBAL] = whole, len(windows)
+    if not present:
+        return {
+            scope: {user: acc.get(user, 0.0) / sizes[scope] for user in whole}
+            for scope, acc in sums.items()
+        }
+    # appearances are integers, so the scopes' counts add up exactly
+    seen[GLOBAL] = {
+        user: sum(counts.get(user, 0) for counts in seen.values()) for user in whole
+    }
+    return {
+        scope: {user: s / seen[scope][user] for user, s in acc.items()}
+        for scope, acc in sums.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -154,35 +178,29 @@ class UserRanking:
 def rank_users(
     windows,
     classified,
-    scope: EngagementClass,
     top_k: int,
     *,
     avg: str = AVG_ZERO,
-) -> UserRanking:
-    """Rank users by mean ei centrality over the scored windows of one class.
+) -> dict[EngagementClass, UserRanking]:
+    """Rank users by mean ei centrality, globally and within each class.
 
-    With avg='zero' (default) every user of the whole ensemble is ranked, a
-    user absent from a window contributes 0 and the denominator is the class
+    Returns one ranking per EngagementClass, GLOBAL included. With
+    avg='zero' (default) every user of the whole ensemble is ranked, a user
+    absent from a window contributes 0 and the denominator is the class
     size, which rewards sustained participation; avg='present' ranks only
-    the users of the class and averages over their appearances.
+    the users of the class and averages over their appearances. A class
+    without windows gets an empty ranking.
     """
     if top_k < 1:
         raise ParameterError(f"top_k must be >= 1, got {top_k}")
-    check_avg(avg)
-
-    if scope == EngagementClass.GLOBAL:
-        scoped = windows
-    else:
-        chosen = {c.window_index for c in classified if c.label == scope}
-        scoped = [w for w in windows if w.window_index in chosen]
-    if not scoped:
-        return UserRanking(scope=scope, entries=())
-
-    means = class_means(scoped, avg)
-    if avg == AVG_ZERO:
-        means = {user: means.get(user, 0.0) for user in population(windows)}
-    ordered = sorted(means.items(), key=lambda kv: (-kv[1], kv[0]))
-    return UserRanking(scope=scope, entries=tuple(ordered[:top_k]))
+    label = {c.window_index: c.label for c in classified}
+    means = scope_means(windows, [label.get(w.window_index) for w in windows], avg)
+    rankings = {}
+    for scope in EngagementClass:
+        scoped = means.get(scope, {})
+        ordered = sorted(scoped.items(), key=lambda kv: (-kv[1], kv[0]))
+        rankings[scope] = UserRanking(scope=scope, entries=tuple(ordered[:top_k]))
+    return rankings
 
 
 HIST_LO = -3.0

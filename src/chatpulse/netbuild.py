@@ -83,7 +83,9 @@ def slice_windows(log: MessageLog, spec: WindowSpec) -> list[WindowSlice]:
     return slices
 
 
-@dataclass(frozen=True, slots=True)
+# Built once per window, then only read: a plain slots class, cheaper to build
+# than a frozen one.
+@dataclass(slots=True)
 class InteractionNetwork:
     """One window's weighted undirected simple graph of sender transitions.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ensemble import AVG_ZERO, check_avg, class_means, population
+from .ensemble import AVG_ZERO, EngagementClass, check_avg, scope_means
 from .errors import InsufficientDataError, ParameterError
 
 
@@ -61,22 +61,19 @@ def period_means(
     with 0.0 where absent. Raises when either period has no conversation.
     """
     check_avg(avg)
-    p1_windows = [w for w in windows if w.window_start < split]
-    p2_windows = [w for w in windows if w.window_start >= split]
-    if not p1_windows or not p2_windows:
+    periods = ["p2" if w.window_start >= split else "p1" for w in windows]
+    if "p1" not in periods or "p2" not in periods:
         raise InsufficientDataError(
             f"both periods need at least one conversation network "
-            f"(p1={len(p1_windows)}, p2={len(p2_windows)})"
+            f"(p1={periods.count('p1')}, p2={periods.count('p2')})"
         )
-    users = population(windows)
-    return tuple(
-        {user: means.get(user, 0.0) for user in users}
-        for means in (
-            class_means(p1_windows + p2_windows, avg),
-            class_means(p1_windows, avg),
-            class_means(p2_windows, avg),
-        )
+    means = scope_means(windows, periods, avg)
+    whole = means[EngagementClass.GLOBAL]
+    p1, p2 = (
+        {user: means[period].get(user, 0.0) for user in whole}
+        for period in ("p1", "p2")
     )
+    return whole, p1, p2
 
 
 def _normalized(vec: dict[int, float]) -> dict[int, float]:

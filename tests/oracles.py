@@ -62,3 +62,23 @@ def random_conversation_edges(rng, max_n: int = 50) -> dict[tuple[int, int], int
     count = rng.randrange(1, min(len(pairs), 3 * n) + 1)
     chosen = rng.sample(pairs, count)
     return {pair: rng.randrange(1, 21) for pair in chosen}
+
+
+def scope_means_direct(scoped, avg: str, population=()) -> dict[int, float]:
+    """Mean ei centrality per user over the windows of one scope, by definition.
+
+    Sums each user's centralities in window order, then divides by the
+    number of windows (avg='zero') or by the user's appearances
+    (avg='present'). With 'zero', every user of ``population`` who is absent
+    from the scope gets 0.0.
+    """
+    sums: dict[int, float] = {}
+    appearances: dict[int, int] = {}
+    for w in scoped:
+        for ne in w.nodes:
+            sums[ne.user] = sums.get(ne.user, 0.0) + ne.ei_centrality
+            appearances[ne.user] = appearances.get(ne.user, 0) + 1
+    if avg == "present":
+        return {user: s / appearances[user] for user, s in sums.items()}
+    means = {user: s / len(scoped) for user, s in sums.items()}
+    return dict.fromkeys(population, 0.0) | means

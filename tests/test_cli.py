@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import subprocess
@@ -233,6 +234,33 @@ def test_non_utf8_input_exits_with_its_code(tmp_path, capsys, argv, code, kind):
     assert err["error"] == kind and "UTF-8" in err["detail"]
 
 
+# csv.reader refuses fields longer than csv.field_size_limit() (131072)
+HUGE_FIELD = "1" * 140_000
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["build", "BAD"], f"user_id,timestamp\n0,100\n{HUGE_FIELD},200\n"),
+        (
+            ["parse", "CHAT", "--mapping-in", "BAD"],
+            f"hashed_sender,user_id\nab,0\n{HUGE_FIELD},1\n",
+        ),
+    ],
+    ids=["log", "mapping"],
+)
+def test_oversized_csv_field_exits_schema_code(tmp_path, capsys, argv, bad):
+    paths = {"BAD": tmp_path / "bad.csv", "CHAT": tmp_path / "chat.txt"}
+    paths["BAD"].write_text(bad)
+    paths["CHAT"].write_text(TRANSCRIPT)
+    assert run(*[paths.get(a, a) for a in argv], "--out", tmp_path / "o") == EXIT_SCHEMA
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "schema"
+    assert err["detail"].startswith(f"{paths['BAD']}: line 3: field larger than")
+
+
 def test_classify_single_network_is_insufficient(tmp_path, capsys):
     ens = tmp_path / "ensemble.jsonl"
     ens.write_text('{"w":0,"i":0,"nodes":[0,1],"edges":[[0,1,3]]}\n')
@@ -331,6 +359,65 @@ def test_report_scores_each_conversation_once(tmp_path, monkeypatch):
     conversations = len((out / "metrics.csv").read_text().splitlines()) - 1
     assert conversations > 0
     assert calls == {"engagement_index": conversations, "node_centralities": conversations}
+
+
+def failing_runs(tmp_path) -> dict[int, list]:
+    """One command per failure exit code, each failing inside its handler."""
+    log = simulate(tmp_path)
+    bad_log = tmp_path / "bad.csv"
+    bad_log.write_text("wrong,header\n1,2\n")
+    chat = tmp_path / "bad.txt"
+    chat.write_text("utter nonsense")
+    single = tmp_path / "single.jsonl"
+    single.write_text('{"w":0,"i":0,"nodes":[0,1],"edges":[[0,1,3]]}\n')
+    out = ["--out", tmp_path / "o"]
+    return {
+        EXIT_USAGE: ["report", log, *out, "--thresholds=1,-1"],
+        EXIT_PARSE: ["parse", chat, *out],
+        EXIT_SCHEMA: ["build", bad_log, *out],
+        EXIT_INSUFFICIENT: ["classify", single, *out],
+        EXIT_IO: ["build", tmp_path / "missing.csv", *out],
+    }
+
+
+def test_main_leaves_the_collector_enabled(tmp_path):
+    assert gc.isenabled()
+    assert run("report", simulate(tmp_path), "--out", tmp_path / "report") == EXIT_OK
+    assert gc.isenabled()
+    for code, argv in failing_runs(tmp_path).items():
+        assert run(*argv) == code
+        assert gc.isenabled(), argv[0]
+
+
+def test_main_leaves_a_paused_collector_paused(tmp_path):
+    log = simulate(tmp_path)
+    gc.disable()
+    try:
+        assert run("report", log, "--out", tmp_path / "report") == EXIT_OK
+        assert not gc.isenabled()
+        assert run("build", tmp_path / "missing.csv", "--out", tmp_path / "o") == EXIT_IO
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_report_garbage_does_not_grow_with_the_log(tmp_path):
+    # the collector is paused while a command runs, so a reference cycle made
+    # per window would pile up; what a report leaves must not scale with it
+    small = simulate(tmp_path / "small", windows=24)
+    large = simulate(tmp_path / "large", windows=240)
+    unreachable = []
+    gc.disable()  # no automatic collection between the run and the count
+    try:
+        for log in (small, small, large):  # the first run warms caches up
+            gc.collect()
+            assert run(
+                "report", log, "--out", tmp_path / "report", "--split", "2018-08-01T02:00"
+            ) == EXIT_OK
+            unreachable.append(gc.collect())
+    finally:
+        gc.enable()
+    assert unreachable[1] == unreachable[2]
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -142,7 +142,7 @@ def test_absent_users_count_as_zero_in_class_means():
     ens = two_window_ensemble()
     windows = conversation_metrics(ens)
     classified = label_all(windows, EngagementClass.MEDIUM)
-    ranking = rank_users(windows, classified, EngagementClass.MEDIUM, top_k=10)
+    ranking = rank_users(windows, classified, top_k=10)[EngagementClass.MEDIUM]
     means = dict(ranking.entries)
     assert set(means) == {0, 1, 2, 3}
     # every user appears in exactly one of the two windows
@@ -156,9 +156,9 @@ def test_present_mode_averages_over_appearances():
     ens = two_window_ensemble()
     windows = conversation_metrics(ens)
     classified = label_all(windows, EngagementClass.MEDIUM)
-    ranking = rank_users(
-        windows, classified, EngagementClass.MEDIUM, top_k=10, avg="present"
-    )
+    ranking = rank_users(windows, classified, top_k=10, avg="present")[
+        EngagementClass.MEDIUM
+    ]
     means = dict(ranking.entries)
     assert means[0] == pytest.approx(windows[0].metrics.ei)
     assert means[2] == pytest.approx(windows[1].metrics.ei)
@@ -168,7 +168,7 @@ def test_ranking_order_descending_with_user_tiebreak():
     ens = two_window_ensemble()
     windows = conversation_metrics(ens)
     classified = label_all(windows, EngagementClass.MEDIUM)
-    ranking = rank_users(windows, classified, EngagementClass.GLOBAL, top_k=10)
+    ranking = rank_users(windows, classified, top_k=10)[EngagementClass.GLOBAL]
     values = [v for _, v in ranking.entries]
     assert values == sorted(values, reverse=True)
     for (u1, v1), (u2, v2) in zip(ranking.entries, ranking.entries[1:]):
@@ -180,8 +180,8 @@ def test_ranking_stability_under_network_permutation():
     ens = two_window_ensemble()
     windows = conversation_metrics(ens)
     classified = label_all(windows, EngagementClass.MEDIUM)
-    fwd = rank_users(windows, classified, EngagementClass.GLOBAL, top_k=10)
-    rev = rank_users(windows, list(reversed(classified)), EngagementClass.GLOBAL, top_k=10)
+    fwd = rank_users(windows, classified, top_k=10)
+    rev = rank_users(windows, list(reversed(classified)), top_k=10)
     assert fwd == rev
 
 
@@ -194,8 +194,8 @@ def test_global_mean_is_classsize_weighted_combination():
     stats = ensemble_stats(windows)
     classified = zscore_classify(windows, stats)
     rankings = {
-        scope: dict(rank_users(windows, classified, scope, top_k=10_000).entries)
-        for scope in EngagementClass
+        scope: dict(ranking.entries)
+        for scope, ranking in rank_users(windows, classified, top_k=10_000).items()
     }
     sizes = {
         scope: sum(1 for c in classified if c.label == scope)
@@ -214,7 +214,7 @@ def test_empty_class_gives_empty_ranking():
     ens = two_window_ensemble()
     windows = conversation_metrics(ens)
     classified = label_all(windows, EngagementClass.MEDIUM)
-    ranking = rank_users(windows, classified, EngagementClass.LOW, top_k=5)
+    ranking = rank_users(windows, classified, top_k=5)[EngagementClass.LOW]
     assert ranking.entries == ()
 
 
@@ -222,10 +222,10 @@ def test_top_k_truncates():
     ens = two_window_ensemble()
     windows = conversation_metrics(ens)
     classified = label_all(windows, EngagementClass.MEDIUM)
-    ranking = rank_users(windows, classified, EngagementClass.GLOBAL, top_k=2)
+    ranking = rank_users(windows, classified, top_k=2)[EngagementClass.GLOBAL]
     assert len(ranking.entries) == 2
     with pytest.raises(ParameterError):
-        rank_users(windows, classified, EngagementClass.GLOBAL, top_k=0)
+        rank_users(windows, classified, top_k=0)
 
 
 def test_histogram_bins_and_clamping():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tempfile
+from datetime import datetime, timezone
 from pathlib import Path
 
 from hypothesis import assume, given
@@ -21,11 +22,14 @@ from chatpulse import (
     ensemble_stats,
     load_ensemble,
     load_log,
+    period_means,
+    rank_users,
     zscore_classify,
 )
 from chatpulse.cli import EXIT_OK, main
 
 from conftest import make_log
+from oracles import scope_means_direct
 
 DELTA_T = 600
 BASE = 1_533_081_600  # 2018-08-01T00:00Z
@@ -154,3 +158,78 @@ def test_relabeling_users_changes_only_the_user_ids(rows, perm):
     assert centralities_by_window(central_p, back.__getitem__) == (
         centralities_by_window(central)
     )
+
+
+def descending(means: dict[int, float]) -> tuple[tuple[int, float], ...]:
+    return tuple(sorted(means.items(), key=lambda kv: (-kv[1], kv[0])))
+
+
+# (-50, 1) leaves LOW empty: no z-score of at most 120 windows reaches -50
+@given(
+    chats(DELTA_T // 2, min_size=10),
+    st.sampled_from([(-1.0, 1.0), (-0.5, 0.5), (-50.0, 1.0)]),
+    st.sampled_from(["zero", "present"]),
+    st.data(),
+)
+def test_rankings_and_period_means_match_the_definition(rows, thresholds, avg, data):
+    wms = scored(rows)
+    low, high = thresholds
+    try:
+        classified = zscore_classify(wms, ensemble_stats(wms), low=low, high=high)
+    except (InsufficientDataError, DegenerateEnsembleError):
+        assume(False)
+    population = {ne.user for w in wms for ne in w.nodes}
+    label = {c.window_index: c.label for c in classified}
+
+    rankings = rank_users(wms, classified, top_k=len(population), avg=avg)
+    assert set(rankings) == set(EngagementClass)
+    for scope, ranking in rankings.items():
+        scoped = [
+            w for w in wms
+            if scope is EngagementClass.GLOBAL or label[w.window_index] is scope
+        ]
+        expected = descending(scope_means_direct(scoped, avg, population)) if scoped else ()
+        assert ranking.scope is scope
+        assert ranking.entries == expected
+    if low == -50.0:
+        assert rankings[EngagementClass.LOW].entries == ()
+
+    split = wms[data.draw(st.integers(1, len(wms) - 1))].window_start
+    periods = (
+        wms,
+        [w for w in wms if w.window_start < split],
+        [w for w in wms if w.window_start >= split],
+    )
+    for vector, scoped in zip(period_means(wms, split, avg=avg), periods):
+        assert vector == dict.fromkeys(population, 0.0) | scope_means_direct(
+            scoped, avg, population
+        )
+
+
+def iso(ts: int) -> str:
+    return datetime.fromtimestamp(ts, timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
+
+
+@given(chats(DELTA_T // 2, min_size=10), st.sampled_from(["zero", "present"]), st.data())
+def test_stepwise_rank_and_compare_match_report(rows, avg, data):
+    wms = scored(rows)
+    assume(len(wms) >= 2)
+    split = iso(wms[data.draw(st.integers(1, len(wms) - 1))].window_start)
+    with tempfile.TemporaryDirectory() as tmp:
+        log, report, steps = Path(tmp) / "log.csv", Path(tmp) / "report", Path(tmp) / "steps"
+        log.write_text(dump_log(log_of(rows)))
+        code = main(
+            ["report", str(log), "--out", str(report), "--split", split, "--avg", avg]
+        )
+        assume(code == EXIT_OK)  # say, every window has the same ei
+        ens = str(steps / "ensemble.jsonl")
+        assert main(["build", str(log), "--out", str(steps)]) == EXIT_OK
+        assert main(["rank", ens, "--out", str(steps), "--avg", avg]) == EXIT_OK
+        assert main(
+            ["compare", ens, "--out", str(steps), "--split", split, "--avg", avg]
+        ) == EXIT_OK
+        written = {
+            p.name: p.read_bytes() for p in steps.iterdir() if p.name != "manifest.json"
+        }
+        assert len(written) == 7  # ensemble, four rankings, two comparison files
+        assert {name: (report / name).read_bytes() for name in written} == written
