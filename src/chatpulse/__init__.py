@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .chatlog import (
     AnonymizedLog,
-    MessageEvent,
     MessageLog,
     ParsedTranscript,
     PROFILES,
@@ -28,9 +27,7 @@ from .engagement import (
     EngagementMetrics,
     NodeEngagement,
     engagement_index,
-    equality,
     gini,
-    intensity,
     node_centralities,
 )
 from .ensemble import (
@@ -62,7 +59,6 @@ from .netbuild import (
     WindowSlice,
     WindowSpec,
     build_ensemble,
-    build_network,
     dump_ensemble,
     load_ensemble,
     network_from_senders,

@@ -41,15 +41,6 @@ LOG_CSV_HEADER = ["user_id", "timestamp"]
 MAPPING_CSV_HEADER = ["hashed_sender", "user_id"]
 
 
-@dataclass(frozen=True, slots=True)
-class MessageEvent:
-    """One sent message: anonymized sender, epoch seconds UTC, file order."""
-
-    user: int
-    timestamp: int
-    seq: int
-
-
 @dataclass(frozen=True)
 class MessageLog:
     """Chronologically ordered metadata log for one group conversation.
@@ -79,36 +70,6 @@ class MessageLog:
                 f"timestamps decrease at seq={seq} "
                 f"({stamps[seq]} < {stamps[seq - 1]})"
             )
-
-    @classmethod
-    def from_events(cls, events, group_name: str = "") -> "MessageLog":
-        """Log of events whose ``seq`` strictly increases; seq becomes position."""
-        events = tuple(events)
-        for prev, e in zip(events, events[1:]):
-            if e.seq <= prev.seq:
-                raise ValueError(f"seq not strictly increasing at seq={e.seq}")
-        return cls(
-            group_name,
-            tuple(e.user for e in events),
-            tuple(e.timestamp for e in events),
-        )
-
-    @property
-    def events(self) -> tuple[MessageEvent, ...]:
-        """The rows as MessageEvent objects, ``seq`` their position."""
-        return tuple(
-            MessageEvent(u, t, i)
-            for i, (u, t) in enumerate(zip(self.users, self.timestamps))
-        )
-
-    @property
-    def user_count(self) -> int:
-        return len(set(self.users))
-
-    @property
-    def span(self) -> tuple[int, int] | None:
-        stamps = self.timestamps
-        return (stamps[0], stamps[-1]) if stamps else None
 
     def __len__(self) -> int:
         return len(self.users)

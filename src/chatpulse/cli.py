@@ -14,6 +14,7 @@ single-line JSON diagnostic to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import hashlib
 import itertools
@@ -374,6 +375,9 @@ def _add_class_flags(sp) -> None:
                     help="standard deviation mode (default pop)")
 
 
+# Built once per process: the tree is a few hundred objects in reference
+# cycles, which a paused collector would otherwise leave behind on every call.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chatpulse",

@@ -51,29 +51,13 @@ def gini(values) -> float:
     return _kernels.gini_sorted(values)
 
 
-def _require_conversation(net: InteractionNetwork) -> None:
+def engagement_index(net: InteractionNetwork) -> EngagementMetrics:
+    """All scalar engagement metrics for one conversation network."""
     if not net.is_conversation:
         raise NotAConversationError(
             f"window {net.window_index} has {net.n} interacting participants;"
             " metrics need at least two"
         )
-
-
-def equality(net: InteractionNetwork) -> float:
-    """1 - gini over the edge-weight multiset; 1 means perfectly even."""
-    _require_conversation(net)
-    return 1.0 - gini(net.edges.values())
-
-
-def intensity(net: InteractionNetwork) -> float:
-    """log2(participants x total edge weight); 1 for a single exchanged pair."""
-    _require_conversation(net)
-    return math.log2(net.n * net.total_weight)
-
-
-def engagement_index(net: InteractionNetwork) -> EngagementMetrics:
-    """All scalar engagement metrics for one conversation network."""
-    _require_conversation(net)
     weights = net.edges.values()
     g = gini(weights)
     eq = 1.0 - g

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
@@ -89,17 +89,15 @@ def slice_windows(log: MessageLog, spec: WindowSpec) -> list[WindowSlice]:
 class InteractionNetwork:
     """One window's weighted undirected simple graph of sender transitions.
 
-    ``nodes`` holds interacting participants only; senders who spoke but never
-    adjacent to a different sender are kept in ``isolated`` for diagnostics
-    and excluded from the participant count.
+    ``nodes`` holds interacting participants only: a sender who spoke but
+    never next to a different sender is not a node and does not count as a
+    participant.
     """
 
     window_start: int
     window_index: int
     nodes: frozenset[int]
     edges: dict[tuple[int, int], int]
-    isolated: frozenset[int] = field(default_factory=frozenset)
-    message_count: int | None = None
 
     @property
     def n(self) -> int:
@@ -127,31 +125,15 @@ class InteractionNetwork:
 
 
 def network_from_senders(
-    senders, *, window_start: int = 0, window_index: int = 0,
-    message_count: int | None = None,
+    senders, *, window_start: int = 0, window_index: int = 0
 ) -> InteractionNetwork:
     """Build a window network from an ordered sequence of sender IDs."""
-    senders = tuple(senders)  # no copy for build_ensemble's column slices
     edges = _kernels.pair_counts(senders)
-    nodes = frozenset(chain.from_iterable(edges))
     return InteractionNetwork(
         window_start=window_start,
         window_index=window_index,
-        nodes=nodes,
+        nodes=frozenset(chain.from_iterable(edges)),
         edges=edges,
-        isolated=frozenset(senders) - nodes,
-        message_count=len(senders) if message_count is None else message_count,
-    )
-
-
-def build_network(
-    events, *, window_start: int = 0, window_index: int = 0
-) -> InteractionNetwork:
-    """Build the interaction network of one window's chronological events."""
-    return network_from_senders(
-        (e.user for e in events),
-        window_start=window_start,
-        window_index=window_index,
     )
 
 
@@ -236,9 +218,8 @@ def dump_ensemble(ensemble: NetworkEnsemble) -> str:
 def load_ensemble(path: str | Path, *, group_name: str | None = None) -> NetworkEnsemble:
     """Read an ensemble JSONL file.
 
-    The line schema carries no message counts, so every loaded network has
-    message_count=None; every metric downstream works from nodes and edges
-    alone.
+    A line holds a window's start, index, nodes and edges; every metric
+    downstream works from nodes and edges alone.
     """
     path = Path(path)
     networks: list[InteractionNetwork] = []

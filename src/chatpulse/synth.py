@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .chatlog import MessageEvent, MessageLog
+from .chatlog import MessageLog
 from .errors import ParameterError
 from .netbuild import WindowSpec
 
@@ -166,19 +166,15 @@ def generate(regime: Regime, spec: WindowSpec | None = None) -> SynthResult:
     origin = ((DEFAULT_START + delta - 1) // delta) * delta
     rng = random.Random(regime.seed)
 
-    events: list[MessageEvent] = []
+    users: list[int] = []
+    stamps: list[int] = []
     truth: list[WindowTruth] = []
     for window in range(regime.windows):
         start = origin + window * delta
         senders = _window_senders(regime, window, rng)
-        for i, user in enumerate(senders):
-            events.append(
-                MessageEvent(
-                    user=user,
-                    timestamp=start + (i * delta) // (len(senders) + 1),
-                    seq=len(events),
-                )
-            )
+        gaps = len(senders) + 1
+        users += senders
+        stamps += [start + (i * delta) // gaps for i in range(len(senders))]
         edges = _adjacent_pair_counts(senders)
         nodes = tuple(sorted({u for pair in edges for u in pair}))
         truth.append(
@@ -191,7 +187,7 @@ def generate(regime: Regime, spec: WindowSpec | None = None) -> SynthResult:
             )
         )
 
-    log = MessageLog.from_events(events, group_name=f"synth-{regime.kind}")
+    log = MessageLog(f"synth-{regime.kind}", tuple(users), tuple(stamps))
     return SynthResult(regime=regime, log=log, truth=tuple(truth))
 
 

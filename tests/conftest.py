@@ -4,7 +4,7 @@ import random
 
 from hypothesis import settings
 
-from chatpulse import MessageEvent, MessageLog
+from chatpulse import MessageLog
 
 # Fixed example sequence and no example database: reruns see the same cases.
 settings.register_profile(
@@ -15,10 +15,10 @@ settings.load_profile("derandomized")
 
 def make_log(rows, group_name="test") -> MessageLog:
     """Build a log from (user, timestamp) pairs in order."""
-    events = [
-        MessageEvent(user=u, timestamp=t, seq=i) for i, (u, t) in enumerate(rows)
-    ]
-    return MessageLog.from_events(events, group_name=group_name)
+    rows = list(rows)
+    return MessageLog(
+        group_name, tuple(u for u, _ in rows), tuple(t for _, t in rows)
+    )
 
 
 def random_log(seed=0, users=6, count=400, horizon=6 * 3600, start=0) -> MessageLog:

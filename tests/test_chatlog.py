@@ -9,7 +9,6 @@ import pytest
 
 from chatpulse import (
     MappingConflictError,
-    MessageEvent,
     MessageLog,
     OrderingError,
     ParameterError,
@@ -29,15 +28,14 @@ from chatpulse.chatlog import utc_timestamp
 def test_two_lines_same_sender():
     text = "3/7/18, 23:31 - Alice: hello\n3/7/18, 23:32 - Alice: again"
     log = parse_export(text)
-    assert len(log.events) == 2
-    assert log.user_count == 1
-    assert [e.user for e in log.events] == [0, 0]
+    assert len(log) == 2
+    assert log.users == (0, 0)
 
 
 def test_continuation_collapses_into_one_event():
     text = "3/7/18, 23:31 - Alice: first line\nsecond line without header"
     log = parse_export(text)
-    assert len(log.events) == 1
+    assert len(log) == 1
 
 
 def test_first_appearance_ids_follow_message_order():
@@ -49,7 +47,7 @@ def test_first_appearance_ids_follow_message_order():
     )
     parsed = parse_transcript(text)
     assert parsed.senders == ("A", "D", "C")
-    assert [e.user for e in parsed.log.events] == [0, 1, 0, 2]
+    assert parsed.log.users == (0, 1, 0, 2)
 
 
 def test_system_lines_produce_no_events():
@@ -61,13 +59,13 @@ def test_system_lines_produce_no_events():
         "3/7/18, 23:33 - Bob: hello"
     )
     log = parse_export(text)
-    assert len(log.events) == 2
-    assert log.user_count == 2
+    assert len(log) == 2
+    assert set(log.users) == {0, 1}
 
 
 def test_media_placeholder_counts_as_message():
     text = "3/7/18, 23:31 - Alice: <Media omitted>\n3/7/18, 23:32 - Bob: ok"
-    assert len(parse_export(text).events) == 2
+    assert len(parse_export(text)) == 2
 
 
 def test_event_count_equals_message_start_lines():
@@ -76,7 +74,7 @@ def test_event_count_equals_message_start_lines():
         lines.append(f"3/7/18, 10:{i:02d} - User{i % 7}: msg {i}")
         if i % 5 == 0:
             lines.append("a continuation line")
-    assert len(parse_export("\n".join(lines)).events) == 50
+    assert len(parse_export("\n".join(lines))) == 50
 
 
 def test_malformed_first_line_is_parse_error_with_line_number():
@@ -97,8 +95,8 @@ def test_backward_timestamp_rejected_and_slack_tolerates():
     with pytest.raises(OrderingError):
         parse_export(text)
     log = parse_export(text, slack=180)
-    assert [e.timestamp for e in log.events] == sorted(
-        e.timestamp for e in log.events
+    assert list(log.timestamps) == sorted(
+        log.timestamps
     )
 
 
@@ -115,49 +113,49 @@ def test_dst_fall_back_hour_reads_second_occurrence_when_needed():
         "17/2/19, 00:05 - Alice: ok"
     )
     log = parse_export(text, tz="America/Sao_Paulo")
-    assert [e.timestamp for e in log.events] == [1550368200, 1550369400, 1550372700]
+    assert log.timestamps == (1550368200, 1550369400, 1550372700)
     # a regression within --slack is jitter: clamped, not moved an hour ahead
     jitter = "16/2/19, 23:50 - Alice: hi\n16/2/19, 23:49 - Bob: yo"
     log = parse_export(jitter, tz="America/Sao_Paulo", slack=120)
-    assert [e.timestamp for e in log.events] == [1550368200, 1550368200]
+    assert log.timestamps == (1550368200, 1550368200)
 
 
 def test_dst_spring_forward_gap_keeps_offset_before_the_gap():
     # Sao Paulo skipped 2018-11-04 00:00-00:59; 00:30 reads at UTC-3
     log = parse_export("4/11/18, 00:30 - Alice: hi", tz="America/Sao_Paulo")
-    assert log.events[0].timestamp == 1541302200
+    assert log.timestamps[0] == 1541302200
 
 
 def test_same_minute_ties_are_fine_and_ordered_by_file():
     text = "3/7/18, 23:31 - Alice: a\n3/7/18, 23:31 - Bob: b"
     log = parse_export(text)
-    assert log.events[0].user == 0 and log.events[1].user == 1
-    assert log.events[0].timestamp == log.events[1].timestamp
+    assert log.users == (0, 1)
+    assert log.timestamps[0] == log.timestamps[1]
 
 
 def test_timezone_shifts_epoch():
     text = "3/7/18, 12:00 - Alice: hi"
-    utc = parse_export(text).events[0].timestamp
-    sp = parse_export(text, tz="America/Sao_Paulo").events[0].timestamp
+    utc = parse_export(text).timestamps[0]
+    sp = parse_export(text, tz="America/Sao_Paulo").timestamps[0]
     assert sp - utc == 3 * 3600  # Sao Paulo is UTC-3 in July
 
 
 def test_bracket_and_us_profiles():
     log = parse_export("[3/7/18, 23:31:10] Alice: hi", profile="whatsapp-bracket")
-    assert len(log.events) == 1
+    assert len(log) == 1
     log = parse_export("7/3/18, 11:31 PM - Alice: hi", profile="whatsapp-us-dash")
-    assert len(log.events) == 1
-    assert log.events[0].timestamp == utc_timestamp("2018-07-03T23:31:00Z")
+    assert len(log) == 1
+    assert log.timestamps[0] == utc_timestamp("2018-07-03T23:31:00Z")
 
 
 def test_en_dash_separator_accepted():
     log = parse_export("3/7/18, 23:31 – Alice: hi")
-    assert len(log.events) == 1
+    assert len(log) == 1
 
 
 def test_empty_transcript_gives_empty_log():
     log = parse_export("")
-    assert len(log.events) == 0 and log.span is None and log.user_count == 0
+    assert len(log) == 0 and log.users == () and log.timestamps == ()
 
 
 # --- anonymization -----------------------------------------------------------
@@ -172,7 +170,7 @@ def test_anonymize_deterministic_under_fixed_salt():
     a = anonymize(parsed, salt=b"\x01" * 16)
     b = anonymize(parsed, salt=b"\x01" * 16)
     assert a.mapping == b.mapping
-    assert a.log.events == b.log.events
+    assert a.log == b.log
 
 
 def test_anonymize_different_salts_permute_same_id_set():
@@ -180,14 +178,14 @@ def test_anonymize_different_salts_permute_same_id_set():
     a = anonymize(parsed, salt=b"\x01" * 16)
     b = anonymize(parsed, salt=b"\x02" * 16)
     assert sorted(a.mapping.values()) == sorted(b.mapping.values()) == list(range(5))
-    assert {e.user for e in a.log.events} == {e.user for e in b.log.events}
+    assert set(a.log.users) == set(b.log.users)
 
 
 def test_anonymize_628_senders_get_dense_ids():
     text = "\n".join(f"3/7/18, 10:00 - Person {i}: x" for i in range(628))
     anon = anonymize(parse_transcript(text), salt=b"s" * 8)
     assert sorted(anon.mapping.values()) == list(range(628))
-    assert anon.log.user_count == 628
+    assert len(set(anon.log.users)) == 628
 
 
 def test_anonymize_generates_salt_when_missing():
@@ -245,10 +243,8 @@ def test_load_log_csv_and_jsonl_equivalence(tmp_path):
     jsonl_path.write_text('{"u":0,"t":100}\n{"u":1,"t":160}\n{"u":0,"t":220}\n')
     a = load_log(csv_path)
     b = load_log(jsonl_path)
-    assert len(a.events) == 3
-    assert a.events == b.events
-    assert a.user_count == b.user_count == 2
-    assert a.span == (100, 220)
+    assert a.users == b.users == (0, 1, 0)
+    assert a.timestamps == b.timestamps == (100, 160, 220)
 
 
 def test_round_trip_is_byte_identical(tmp_path):
@@ -273,9 +269,8 @@ def test_out_of_order_rows_resorted_with_warning(tmp_path, caplog):
     with caplog.at_level(logging.WARNING):
         log = load_log(path)
     assert "re-sorting" in caplog.text
-    assert [e.timestamp for e in log.events] == [100, 200, 300]
-    assert [e.user for e in log.events] == [1, 2, 0]
-    assert [e.seq for e in log.events] == [0, 1, 2]
+    assert log.timestamps == (100, 200, 300)
+    assert log.users == (1, 2, 0)
 
 
 # body -> the SchemaError text after "<path>: "; line numbers count CSV records
@@ -312,7 +307,7 @@ def test_quoted_and_spaced_csv_values_accepted(tmp_path, body):
     path = tmp_path / "log.csv"
     path.write_text(body)
     log = load_log(path)
-    assert [(e.user, e.timestamp) for e in log.events] == [(1, 2)]
+    assert (log.users, log.timestamps) == ((1,), (2,))
 
 
 BAD_JSONL = {
@@ -349,13 +344,10 @@ def test_persisted_log_has_exactly_two_data_columns():
 
 
 def test_message_log_invariants_enforced():
-    with pytest.raises(ValueError):
-        MessageLog.from_events(
-            [MessageEvent(0, 100, 0), MessageEvent(0, 50, 1)]
-        )
-    with pytest.raises(ValueError):
-        MessageLog.from_events(
-            [MessageEvent(0, 100, 1), MessageEvent(0, 200, 1)]
-        )
-    with pytest.raises(ValueError):
-        MessageLog.from_events([MessageEvent(-2, 100, 0)])
+    with pytest.raises(ValueError, match="timestamps decrease at seq=2"):
+        MessageLog("g", (0, 1, 0), (100, 100, 50))
+    with pytest.raises(ValueError, match="negative user ID -2"):
+        MessageLog("g", (0, -2), (100, 200))
+    with pytest.raises(ValueError, match="2 user IDs but 3 timestamps"):
+        MessageLog("g", (0, 1), (100, 200, 300))
+    assert len(MessageLog("g", (0, 1, 0), (100, 100, 200))) == 3

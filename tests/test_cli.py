@@ -420,6 +420,26 @@ def test_report_garbage_does_not_grow_with_the_log(tmp_path):
     assert unreachable[1] == unreachable[2]
 
 
+def test_second_main_call_leaves_no_argparse_garbage(tmp_path):
+    # the parser is built once per process; a rebuilt one would be a few
+    # hundred argparse objects in reference cycles left for the caller
+    log = simulate(tmp_path)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # keep what the collector finds, to look at
+    try:
+        gc.garbage.clear()
+        assert run("report", log, "--out", tmp_path / "report") == EXIT_OK
+        gc.collect()
+        from_argparse = [
+            o for o in gc.garbage
+            if "argparse" in (type(o).__module__, getattr(o, "__module__", None))
+        ]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert from_argparse == []
+
+
 def test_rerun_is_byte_identical(tmp_path):
     log = simulate(tmp_path)
     out = tmp_path / "report"

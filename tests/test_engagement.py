@@ -11,9 +11,7 @@ from chatpulse import (
     InteractionNetwork,
     NotAConversationError,
     engagement_index,
-    equality,
     gini,
-    intensity,
     network_from_senders,
     node_centralities,
 )
@@ -61,19 +59,19 @@ def test_gini_matches_pairwise_oracle_on_random_multisets():
 
 
 def test_equality_of_toy_networks():
-    assert equality(TOY_A) == pytest.approx(1.0)
-    assert equality(TOY_C) == pytest.approx(0.83, abs=0.01)
-    assert equality(TOY_D) == 1.0  # single edge: one-value Gini is 0
+    assert engagement_index(TOY_A).equality == pytest.approx(1.0)
+    assert engagement_index(TOY_C).equality == pytest.approx(0.83, abs=0.01)
+    assert engagement_index(TOY_D).equality == 1.0  # single edge: one-value Gini is 0
 
 
 def test_intensity_base_case_is_exactly_one():
-    assert intensity(network_from_senders([0, 1])) == 1.0
+    assert engagement_index(network_from_senders([0, 1])).intensity == 1.0
 
 
 def test_intensity_of_toy_networks():
-    assert intensity(TOY_A) == pytest.approx(5.0)
-    assert intensity(TOY_B) == pytest.approx(math.log2(18))
-    assert intensity(TOY_D) == pytest.approx(3.0)
+    assert engagement_index(TOY_A).intensity == pytest.approx(5.0)
+    assert engagement_index(TOY_B).intensity == pytest.approx(math.log2(18))
+    assert engagement_index(TOY_D).intensity == pytest.approx(3.0)
 
 
 def test_engagement_index_of_toy_networks():
@@ -92,10 +90,8 @@ def test_metric_identities_hold_exactly():
 
 
 def test_non_conversation_has_no_metrics():
-    lonely = network_from_senders([0, 0])
-    for op in (equality, intensity, engagement_index):
-        with pytest.raises(NotAConversationError):
-            op(lonely)
+    with pytest.raises(NotAConversationError):
+        engagement_index(network_from_senders([0, 0]))
 
 
 # --- node centralities --------------------------------------------------------

@@ -6,6 +6,9 @@ planted-dropout log in JSONL, and a seeded random CSV log with ties and
 out-of-order rows, cut with --from/--to and ranked with --avg present. The
 digests were taken before the columnar log and the one-pass window builder
 went in; a change that moves any of them changes an artifact.
+
+``simulate`` is pinned on its own for each of the five regimes, in both log
+formats, so a rewrite of the generator cannot shift the logs it writes.
 """
 
 from __future__ import annotations
@@ -98,6 +101,67 @@ INPUTS = {
     },
 }
 
+# regime -> its simulate flags and the SHA-256 of each file it writes; the
+# ground truth is the same in both log formats
+SIMULATE = {
+    "round-robin": (
+        ["--users", "4", "--rate", "9", "--windows", "12"],
+        {
+            "ground_truth.jsonl":
+                "122a374edc771989e826b04a7e217ed73a8ad08b7efcd5cc1fdb879fa5e251cc",
+            "log.csv":
+                "1bdceef71b6d5f79c83280b5dea335cd1f9121ff5f8a365eeceab2dd0a084324",
+            "log.jsonl":
+                "8dbe117bb0afc709d266b11e1591fe8abd4ae20a38efde8056c04917039b9c5b",
+        },
+    ),
+    "broadcaster": (
+        ["--users", "5", "--rate", "6", "--windows", "12"],
+        {
+            "ground_truth.jsonl":
+                "4d6ecbe6d515e1697d6c774ee2e008b3139f938d3ddcfc6753398d4f7fdc827c",
+            "log.csv":
+                "3dea49d85a7a96d41d8e1f3e9e827830240da02eeb934b01f3ffe8d8853d456d",
+            "log.jsonl":
+                "9fac3cb3e7cff4814d8c7b2c268f16b0855815b1f03ec503abd4bf013cca9957",
+        },
+    ),
+    "dominant-pair": (
+        ["--users", "5", "--rate", "8", "--windows", "12"],
+        {
+            "ground_truth.jsonl":
+                "4331907c1d1f7cc4b90ef4b7b8d81575620409aba1a501b4fc5b0a92a9ab2c51",
+            "log.csv":
+                "2bcdab0b22b5e018203fd50b472df93dc67b3c6cc34e8bc093b915b81d2ede08",
+            "log.jsonl":
+                "781c42eb1da3c576b7e4236bcc46c41fafa5554a97f22120eceb168feabbb32f",
+        },
+    ),
+    "uniform-random": (
+        ["--users", "7", "--rate", "10", "--windows", "20", "--seed", "5"],
+        {
+            "ground_truth.jsonl":
+                "0eeeb8ad195e52b8b7b2a01fe29b43b35916cf013e7d100435a8df8e0c7ecd77",
+            "log.csv":
+                "006262651c0a1d30b77d49c7644560396d22e2ba99521da6f962259c9496fe87",
+            "log.jsonl":
+                "a09c96ab77d936b16f7d77922281a9a75e4cdcbabe19edffae5109ccd1404d4a",
+        },
+    ),
+    "planted-dropout": (
+        ["--users", "6", "--rate", "10", "--windows", "20", "--seed", "9",
+         "--dropouts", "2", "--split-window", "10", "--interval", "7"],
+        {
+            "ground_truth.jsonl":
+                "53b3dca2919e8e4d954fd7cc1302f9d56920f7db131530450b1dfd611adbf0cc",
+            "log.csv":
+                "4686659ec57197ec37f2389a9d7ad01ab556328b0ccb8d237898523f24367e42",
+            "log.jsonl":
+                "0ed8e52b496dec681b729e8cdc51406349abdf885f784b16faad5190ff158cd2",
+        },
+    ),
+}
+
 
 def random_log_csv(seed=2024, users=25, count=3000) -> str:
     """Rows over two days with same-second ties and a few swapped neighbours."""
@@ -166,3 +230,14 @@ def test_report_and_step_artifacts_match_golden_digests(tmp_path, name):
     ):
         assert main([*argv, "--out", str(steps)]) == EXIT_OK
     assert digests(steps) == REPORT[name] | SERIES[name]
+
+
+@pytest.mark.parametrize("kind", sorted(SIMULATE))
+def test_simulate_outputs_match_golden_digests(tmp_path, kind):
+    flags, expected = SIMULATE[kind]
+    for fmt in ("csv", "jsonl"):
+        out = tmp_path / fmt
+        assert main(["simulate", "--out", str(out), "--regime", kind, *flags,
+                     "--format", fmt]) == EXIT_OK
+        names = ("ground_truth.jsonl", f"log.{fmt}")
+        assert digests(out) == {name: expected[name] for name in names}

@@ -101,7 +101,7 @@ def test_time_shift_invariance():
     base = period_compare(conversation_metrics(ens), split)
 
     offset = 7 * 86400
-    shifted_log = make_log([(e.user, e.timestamp + offset) for e in log.events])
+    shifted_log = make_log(zip(log.users, [t + offset for t in log.timestamps]))
     shifted = period_compare(
         conversation_metrics(build_ensemble(shifted_log, WindowSpec())),
         split + offset,
