@@ -19,7 +19,6 @@ from .chatlog import (
     dump_log,
     dump_mapping,
     load_log,
-    parse_export,
     parse_transcript,
     read_mapping,
 )

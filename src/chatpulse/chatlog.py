@@ -50,7 +50,6 @@ class MessageLog:
     timestamps never decrease.
     """
 
-    group_name: str
     users: tuple[int, ...]
     timestamps: tuple[int, ...]
 
@@ -99,9 +98,11 @@ class AnonymizedLog:
 
 @dataclass(frozen=True)
 class ExportProfile:
-    """Grammar for one export locale. No auto-detection: pick one explicitly."""
+    """Grammar for one export locale, named by its ``PROFILES`` key.
 
-    name: str
+    No auto-detection: pick one explicitly.
+    """
+
     header: re.Pattern[str]
     timestamp_formats: tuple[str, ...]
 
@@ -110,7 +111,6 @@ PROFILES: dict[str, ExportProfile] = {
     # `D/M/YY, HH:MM - Sender Name: body`; the separator dash may be an
     # ASCII hyphen or U+2013 depending on the exporting device.
     "whatsapp-en-dash": ExportProfile(
-        name="whatsapp-en-dash",
         header=re.compile(
             r"^(?P<ts>\d{1,2}/\d{1,2}/\d{2,4}, \d{1,2}:\d{2}) [-–] (?P<rest>.*)$"
         ),
@@ -118,7 +118,6 @@ PROFILES: dict[str, ExportProfile] = {
     ),
     # `M/D/YY, H:MM AM - Sender: body` (US date order, 12-hour clock).
     "whatsapp-us-dash": ExportProfile(
-        name="whatsapp-us-dash",
         header=re.compile(
             r"^(?P<ts>\d{1,2}/\d{1,2}/\d{2,4}, \d{1,2}:\d{2} ?[AaPp][Mm])"
             r" [-–] (?P<rest>.*)$"
@@ -127,7 +126,6 @@ PROFILES: dict[str, ExportProfile] = {
     ),
     # `[D/M/YY, HH:MM:SS] Sender: body` (bracketed, usually iOS).
     "whatsapp-bracket": ExportProfile(
-        name="whatsapp-bracket",
         header=re.compile(
             r"^\[(?P<ts>\d{1,2}/\d{1,2}/\d{2,4}, \d{1,2}:\d{2}(?::\d{2})?)\] (?P<rest>.*)$"
         ),
@@ -186,7 +184,6 @@ def parse_transcript(
     *,
     tz: str | ZoneInfo = "UTC",
     profile: str = DEFAULT_PROFILE,
-    group_name: str = "",
     slack: int = 0,
 ) -> ParsedTranscript:
     """Parse an exported transcript into a metadata log plus sender table.
@@ -250,22 +247,8 @@ def parse_transcript(
     # Within-slack regressions are clamped so the log stays non-decreasing.
     if slack > 0:
         stamps = accumulate(stamps, max)
-    log = MessageLog(group_name, tuple(users), tuple(stamps))
+    log = MessageLog(tuple(users), tuple(stamps))
     return ParsedTranscript(log=log, senders=tuple(senders))
-
-
-def parse_export(
-    text: str,
-    *,
-    tz: str | ZoneInfo = "UTC",
-    profile: str = DEFAULT_PROFILE,
-    group_name: str = "",
-    slack: int = 0,
-) -> MessageLog:
-    """Parse an exported transcript; sender names become first-appearance IDs."""
-    return parse_transcript(
-        text, tz=tz, profile=profile, group_name=group_name, slack=slack
-    ).log
 
 
 def sender_digest(salt: bytes, sender: str) -> str:
@@ -317,7 +300,7 @@ def anonymize(
     log = parsed.log
     users = tuple(map(relabel.__getitem__, log.users))
     return AnonymizedLog(
-        log=MessageLog(log.group_name, users, log.timestamps),
+        log=MessageLog(users, log.timestamps),
         mapping=mapping,
         salt=salt,
     )
@@ -385,25 +368,15 @@ def read_utf8(path: Path, error: type[ChatpulseError]) -> str:
         raise error(f"{path}: not UTF-8 text (byte {exc.start})") from exc
 
 
-def infer_log_format(path: str | Path) -> str:
-    return "jsonl" if str(path).endswith((".jsonl", ".ndjson")) else "csv"
-
-
-def load_log(
-    path: str | Path, fmt: str | None = None, *, group_name: str | None = None
-) -> MessageLog:
-    """Load a canonical log file (CSV ``user_id,timestamp`` or JSONL)."""
+def load_log(path: str | Path) -> MessageLog:
+    """Load a canonical log: JSONL if named ``*.jsonl``/``*.ndjson``, else CSV."""
     path = Path(path)
-    fmt = fmt or infer_log_format(path)
-    if fmt not in ("csv", "jsonl"):
-        raise SchemaError(f"unknown log format {fmt!r}")
-    name = path.stem if group_name is None else group_name
     source = str(path)
     text = read_utf8(path, SchemaError)
     users: list[int] = []
     stamps: list[int] = []
     add_user, add_stamp = users.append, stamps.append
-    if fmt == "csv":
+    if not source.endswith((".jsonl", ".ndjson")):
         reader = csv.reader(io.StringIO(text))
         try:
             if next(reader, None) != LOG_CSV_HEADER:
@@ -447,7 +420,7 @@ def load_log(
         order = sorted(range(len(stamps)), key=stamps.__getitem__)  # stable
         users = [users[i] for i in order]
         stamps = [stamps[i] for i in order]
-    return MessageLog(name, tuple(users), tuple(stamps))
+    return MessageLog(tuple(users), tuple(stamps))
 
 
 def dump_log(log: MessageLog, fmt: str = "csv") -> str:

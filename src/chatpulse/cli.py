@@ -7,8 +7,8 @@ atomic (write temp, then rename), timestamps in artifacts are UTC epoch
 seconds, and floats are written in shortest round-trip form.
 
 Exit codes: 0 ok, 2 usage or bad parameter, 3 parse/ordering error,
-4 schema error, 5 insufficient data, 6 I/O failure. Failures print a
-single-line JSON diagnostic to stderr.
+4 schema error, 5 insufficient data, 6 I/O failure. Failures, usage errors
+included, print a single-line JSON diagnostic to stderr.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from pathlib import Path
 
 from . import __version__
 from .chatlog import (
+    DEFAULT_PROFILE,
+    PROFILES,
     anonymize,
     dump_log,
     dump_mapping,
@@ -61,7 +63,7 @@ from .netbuild import (
     dump_ensemble,
     load_ensemble,
 )
-from .synth import Regime, dump_ground_truth, generate
+from .synth import REGIME_KINDS, Regime, dump_ground_truth, generate
 from .temporal import period_compare, user_series
 
 EXIT_OK = 0
@@ -144,7 +146,7 @@ def _when(text: str | None) -> int | None:
 
 
 def _build(args) -> NetworkEnsemble:
-    log = load_log(args.input, group_name=args.group_name)
+    log = load_log(args.input)
     spec = WindowSpec(
         delta_t=args.interval * 60,
         alignment=args.align,
@@ -258,12 +260,10 @@ def _emit_compare(outdir: Path, wms, split: int, top_k: int | None, avg: str):
 # ``main`` records the manifest from the parsed flags once the handler returns.
 
 def _cmd_parse(args, outdir: Path) -> list[str]:
-    input_path = Path(args.input)
     parsed = parse_transcript(
-        read_utf8(input_path, ParseError),
+        read_utf8(Path(args.input), ParseError),
         tz=args.tz,
         profile=args.profile,
-        group_name=args.group_name or input_path.stem,
         slack=args.slack,
     )
     prior = read_mapping(args.mapping_in) if args.mapping_in else None
@@ -365,7 +365,6 @@ def _add_window_flags(sp) -> None:
                     help="keep events at/after this UTC date or datetime")
     sp.add_argument("--to", dest="to_when", default=None, metavar="ISO",
                     help="keep events before this UTC date or datetime")
-    sp.add_argument("--group-name", default=None)
 
 
 def _add_class_flags(sp) -> None:
@@ -375,11 +374,18 @@ def _add_class_flags(sp) -> None:
                     help="standard deviation mode (default pop)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ParameterError instead of exiting."""
+
+    def error(self, message):
+        raise ParameterError(f"{self.prog}: {message}")
+
+
 # Built once per process: the tree is a few hundred objects in reference
 # cycles, which a paused collector would otherwise leave behind on every call.
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _build_parser() -> _Parser:
+    parser = _Parser(
         prog="chatpulse",
         description="Engagement analytics for group chats from (user, timestamp) "
         "metadata: per-window interaction networks, engagement index, z-score "
@@ -392,10 +398,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("parse", help="parse a transcript export into an anonymized log")
     sp.add_argument("input", help="transcript text export")
     _add_out(sp)
-    sp.add_argument("--profile", default="whatsapp-en-dash",
-                    choices=["whatsapp-en-dash", "whatsapp-us-dash", "whatsapp-bracket"])
+    sp.add_argument("--profile", default=DEFAULT_PROFILE, choices=list(PROFILES))
     sp.add_argument("--tz", default="UTC", help="timezone of the export (default UTC)")
-    sp.add_argument("--group-name", default=None)
     sp.add_argument("--slack", type=int, default=0, metavar="SECONDS",
                     help="tolerated backward timestamp jitter (default 0)")
     sp.add_argument("--format", choices=["csv", "jsonl"], default="csv")
@@ -449,9 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="generate a synthetic log with ground truth")
     _add_out(sp)
-    sp.add_argument("--regime", required=True,
-                    choices=["round-robin", "broadcaster", "dominant-pair",
-                             "uniform-random", "planted-dropout"])
+    sp.add_argument("--regime", required=True, choices=REGIME_KINDS)
     sp.add_argument("--users", type=int, required=True)
     sp.add_argument("--rate", type=int, required=True, help="messages per window")
     sp.add_argument("--windows", type=int, required=True)
@@ -482,13 +484,13 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     # A command allocates many long-lived objects and no reference cycles, so
     # the cyclic collector would only traverse them again and again; it stays
     # paused while the command runs and is restored as the caller had it.
     collecting = gc.isenabled()
     gc.disable()
     try:
+        args = _build_parser().parse_args(argv)  # may raise ParameterError
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         inputs = _input_digests(args)

@@ -147,7 +147,6 @@ class NetworkEnsemble:
     ensembles are checked alike.
     """
 
-    group_name: str
     networks: tuple[InteractionNetwork, ...]
 
     def __post_init__(self) -> None:
@@ -182,9 +181,7 @@ class NetworkEnsemble:
         return len(self.networks)
 
 
-def build_ensemble(
-    log: MessageLog, spec: WindowSpec, *, group_name: str | None = None
-) -> NetworkEnsemble:
+def build_ensemble(log: MessageLog, spec: WindowSpec) -> NetworkEnsemble:
     """One network per nonempty window; deterministic for a fixed log + spec."""
     users = log.users
     networks = tuple(
@@ -193,10 +190,7 @@ def build_ensemble(
         )
         for w in slice_windows(log, spec)
     )
-    return NetworkEnsemble(
-        group_name=log.group_name if group_name is None else group_name,
-        networks=networks,
-    )
+    return NetworkEnsemble(networks)
 
 
 def dump_ensemble(ensemble: NetworkEnsemble) -> str:
@@ -215,7 +209,7 @@ def dump_ensemble(ensemble: NetworkEnsemble) -> str:
     return "".join(lines)
 
 
-def load_ensemble(path: str | Path, *, group_name: str | None = None) -> NetworkEnsemble:
+def load_ensemble(path: str | Path) -> NetworkEnsemble:
     """Read an ensemble JSONL file.
 
     A line holds a window's start, index, nodes and edges; every metric
@@ -262,7 +256,4 @@ def load_ensemble(path: str | Path, *, group_name: str | None = None) -> Network
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"{path}: line {line_no}: malformed network") from exc
-    return NetworkEnsemble(
-        group_name=path.stem if group_name is None else group_name,
-        networks=tuple(networks),
-    )
+    return NetworkEnsemble(tuple(networks))

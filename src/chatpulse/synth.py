@@ -187,7 +187,7 @@ def generate(regime: Regime, spec: WindowSpec | None = None) -> SynthResult:
             )
         )
 
-    log = MessageLog(f"synth-{regime.kind}", tuple(users), tuple(stamps))
+    log = MessageLog(tuple(users), tuple(stamps))
     return SynthResult(regime=regime, log=log, truth=tuple(truth))
 
 

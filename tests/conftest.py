@@ -13,12 +13,10 @@ settings.register_profile(
 settings.load_profile("derandomized")
 
 
-def make_log(rows, group_name="test") -> MessageLog:
+def make_log(rows) -> MessageLog:
     """Build a log from (user, timestamp) pairs in order."""
     rows = list(rows)
-    return MessageLog(
-        group_name, tuple(u for u, _ in rows), tuple(t for _, t in rows)
-    )
+    return MessageLog(tuple(u for u, _ in rows), tuple(t for _, t in rows))
 
 
 def random_log(seed=0, users=6, count=400, horizon=6 * 3600, start=0) -> MessageLog:

@@ -245,7 +245,7 @@ def test_criterion_9_report_performance(tmp_path):
     times = sorted(rng.randrange(days * 86400) for _ in range(count))
     base = 1_533_081_600
     ids = tuple(rng.randrange(users) for _ in times)
-    log = MessageLog("scale", ids, tuple(base + t for t in times))
+    log = MessageLog(ids, tuple(base + t for t in times))
     log_path = tmp_path / "scale.csv"
     log_path.write_text(dump_log(log))
 

@@ -18,7 +18,6 @@ from chatpulse import (
     dump_log,
     dump_mapping,
     load_log,
-    parse_export,
     parse_transcript,
     read_mapping,
 )
@@ -27,14 +26,14 @@ from chatpulse.chatlog import utc_timestamp
 
 def test_two_lines_same_sender():
     text = "3/7/18, 23:31 - Alice: hello\n3/7/18, 23:32 - Alice: again"
-    log = parse_export(text)
+    log = parse_transcript(text).log
     assert len(log) == 2
     assert log.users == (0, 0)
 
 
 def test_continuation_collapses_into_one_event():
     text = "3/7/18, 23:31 - Alice: first line\nsecond line without header"
-    log = parse_export(text)
+    log = parse_transcript(text).log
     assert len(log) == 1
 
 
@@ -58,14 +57,14 @@ def test_system_lines_produce_no_events():
         "3/7/18, 23:32 - Bob added Carol\n"
         "3/7/18, 23:33 - Bob: hello"
     )
-    log = parse_export(text)
+    log = parse_transcript(text).log
     assert len(log) == 2
     assert set(log.users) == {0, 1}
 
 
 def test_media_placeholder_counts_as_message():
     text = "3/7/18, 23:31 - Alice: <Media omitted>\n3/7/18, 23:32 - Bob: ok"
-    assert len(parse_export(text)) == 2
+    assert len(parse_transcript(text).log) == 2
 
 
 def test_event_count_equals_message_start_lines():
@@ -74,27 +73,27 @@ def test_event_count_equals_message_start_lines():
         lines.append(f"3/7/18, 10:{i:02d} - User{i % 7}: msg {i}")
         if i % 5 == 0:
             lines.append("a continuation line")
-    assert len(parse_export("\n".join(lines))) == 50
+    assert len(parse_transcript("\n".join(lines)).log) == 50
 
 
 def test_malformed_first_line_is_parse_error_with_line_number():
     with pytest.raises(ParseError) as err:
-        parse_export("this is not an export at all")
+        parse_transcript("this is not an export at all")
     assert err.value.line_no == 1
 
 
 def test_header_shaped_line_with_impossible_date_is_parse_error():
     text = "3/7/18, 23:31 - Alice: ok\n99/99/18, 23:32 - Bob: bad"
     with pytest.raises(ParseError) as err:
-        parse_export(text)
+        parse_transcript(text)
     assert err.value.line_no == 2
 
 
 def test_backward_timestamp_rejected_and_slack_tolerates():
     text = "3/7/18, 23:31 - Alice: a\n3/7/18, 23:29 - Bob: b"
     with pytest.raises(OrderingError):
-        parse_export(text)
-    log = parse_export(text, slack=180)
+        parse_transcript(text)
+    log = parse_transcript(text, slack=180).log
     assert list(log.timestamps) == sorted(
         log.timestamps
     )
@@ -102,7 +101,7 @@ def test_backward_timestamp_rejected_and_slack_tolerates():
 
 def test_negative_slack_rejected():
     with pytest.raises(ParameterError):
-        parse_export("3/7/18, 23:31 - Alice: a", slack=-5)
+        parse_transcript("3/7/18, 23:31 - Alice: a", slack=-5)
 
 
 def test_dst_fall_back_hour_reads_second_occurrence_when_needed():
@@ -112,49 +111,51 @@ def test_dst_fall_back_hour_reads_second_occurrence_when_needed():
         "16/2/19, 23:10 - Bob: yo\n"
         "17/2/19, 00:05 - Alice: ok"
     )
-    log = parse_export(text, tz="America/Sao_Paulo")
+    log = parse_transcript(text, tz="America/Sao_Paulo").log
     assert log.timestamps == (1550368200, 1550369400, 1550372700)
     # a regression within --slack is jitter: clamped, not moved an hour ahead
     jitter = "16/2/19, 23:50 - Alice: hi\n16/2/19, 23:49 - Bob: yo"
-    log = parse_export(jitter, tz="America/Sao_Paulo", slack=120)
+    log = parse_transcript(jitter, tz="America/Sao_Paulo", slack=120).log
     assert log.timestamps == (1550368200, 1550368200)
 
 
 def test_dst_spring_forward_gap_keeps_offset_before_the_gap():
     # Sao Paulo skipped 2018-11-04 00:00-00:59; 00:30 reads at UTC-3
-    log = parse_export("4/11/18, 00:30 - Alice: hi", tz="America/Sao_Paulo")
+    log = parse_transcript("4/11/18, 00:30 - Alice: hi", tz="America/Sao_Paulo").log
     assert log.timestamps[0] == 1541302200
 
 
 def test_same_minute_ties_are_fine_and_ordered_by_file():
     text = "3/7/18, 23:31 - Alice: a\n3/7/18, 23:31 - Bob: b"
-    log = parse_export(text)
+    log = parse_transcript(text).log
     assert log.users == (0, 1)
     assert log.timestamps[0] == log.timestamps[1]
 
 
 def test_timezone_shifts_epoch():
     text = "3/7/18, 12:00 - Alice: hi"
-    utc = parse_export(text).timestamps[0]
-    sp = parse_export(text, tz="America/Sao_Paulo").timestamps[0]
+    utc = parse_transcript(text).log.timestamps[0]
+    sp = parse_transcript(text, tz="America/Sao_Paulo").log.timestamps[0]
     assert sp - utc == 3 * 3600  # Sao Paulo is UTC-3 in July
 
 
 def test_bracket_and_us_profiles():
-    log = parse_export("[3/7/18, 23:31:10] Alice: hi", profile="whatsapp-bracket")
+    text = "[3/7/18, 23:31:10] Alice: hi"
+    log = parse_transcript(text, profile="whatsapp-bracket").log
     assert len(log) == 1
-    log = parse_export("7/3/18, 11:31 PM - Alice: hi", profile="whatsapp-us-dash")
+    text = "7/3/18, 11:31 PM - Alice: hi"
+    log = parse_transcript(text, profile="whatsapp-us-dash").log
     assert len(log) == 1
     assert log.timestamps[0] == utc_timestamp("2018-07-03T23:31:00Z")
 
 
 def test_en_dash_separator_accepted():
-    log = parse_export("3/7/18, 23:31 – Alice: hi")
+    log = parse_transcript("3/7/18, 23:31 – Alice: hi").log
     assert len(log) == 1
 
 
 def test_empty_transcript_gives_empty_log():
-    log = parse_export("")
+    log = parse_transcript("").log
     assert len(log) == 0 and log.users == () and log.timestamps == ()
 
 
@@ -335,7 +336,7 @@ def test_bad_jsonl_rejected(tmp_path, line):
 
 
 def test_persisted_log_has_exactly_two_data_columns():
-    log = parse_export(FIXTURE)
+    log = parse_transcript(FIXTURE).log
     csv_lines = dump_log(log, "csv").splitlines()
     assert csv_lines[0] == "user_id,timestamp"
     assert all(line.count(",") == 1 for line in csv_lines)
@@ -345,9 +346,9 @@ def test_persisted_log_has_exactly_two_data_columns():
 
 def test_message_log_invariants_enforced():
     with pytest.raises(ValueError, match="timestamps decrease at seq=2"):
-        MessageLog("g", (0, 1, 0), (100, 100, 50))
+        MessageLog((0, 1, 0), (100, 100, 50))
     with pytest.raises(ValueError, match="negative user ID -2"):
-        MessageLog("g", (0, -2), (100, 200))
+        MessageLog((0, -2), (100, 200))
     with pytest.raises(ValueError, match="2 user IDs but 3 timestamps"):
-        MessageLog("g", (0, 1), (100, 200, 300))
-    assert len(MessageLog("g", (0, 1, 0), (100, 100, 200))) == 3
+        MessageLog((0, 1), (100, 200, 300))
+    assert len(MessageLog((0, 1, 0), (100, 100, 200))) == 3

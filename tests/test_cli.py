@@ -89,17 +89,16 @@ ENS_DEFAULTS = {"input": "ENS", "out": "OUT"}
     [
         (
             ["parse", "CHAT", "--salt", "ab" * 16, "--tz", "America/Sao_Paulo",
-             "--group-name", "g", "--slack", 60, "--format", "jsonl",
-             "--mapping-in", "MAP"],
+             "--slack", 60, "--format", "jsonl", "--mapping-in", "MAP"],
             {"input": "CHAT", "out": "OUT", "profile": "whatsapp-en-dash",
-             "tz": "America/Sao_Paulo", "group_name": "g", "slack": 60,
-             "format": "jsonl", "salt": "ab" * 16, "mapping_in": "MAP"},
+             "tz": "America/Sao_Paulo", "slack": 60, "format": "jsonl",
+             "salt": "ab" * 16, "mapping_in": "MAP"},
         ),
         (
             ["build", "LOG", "--interval", 5, "--align", "first",
              "--from", "2018-08-01", "--to", "2018-08-02"],
             {"input": "LOG", "out": "OUT", "interval": 5, "align": "first",
-             "from": "2018-08-01", "to": "2018-08-02", "group_name": None},
+             "from": "2018-08-01", "to": "2018-08-02"},
         ),
         (["metrics", "ENS"], ENS_DEFAULTS),
         (
@@ -127,9 +126,9 @@ ENS_DEFAULTS = {"input": "ENS", "out": "OUT"}
              "interval": 10, "format": "csv"},
         ),
         (
-            ["report", "LOG", "--split", "2018-08-01T02:00", "--group-name", "g"],
+            ["report", "LOG", "--split", "2018-08-01T02:00"],
             {"input": "LOG", "out": "OUT", "interval": 10, "align": "wall",
-             "from": None, "to": None, "group_name": "g", "thresholds": "-1,1",
+             "from": None, "to": None, "thresholds": "-1,1",
              "std": "pop", "avg": "zero", "top_k": 10, "split": "2018-08-01T02:00"},
         ),
     ],
@@ -285,6 +284,36 @@ def test_negative_slack_exits_usage(tmp_path, capsys):
     export.write_text(TRANSCRIPT)
     assert run("parse", export, "--out", tmp_path / "o", "--slack", -5) == EXIT_USAGE
     assert json.loads(capsys.readouterr().err)["error"] == "parameter"
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["report", "LOG", "--out", "OUT", "--top-k", "abc"], "--top-k"),
+        (["report", "LOG", "--out", "OUT", "--bogus"], "--bogus"),
+        (["report", "LOG", "--out", "OUT", "--group-name", "g"], "--group-name"),
+        (["simulate", "--out", "OUT", "--regime", "nope", "--users", 3,
+          "--rate", 2, "--windows", 2], "nope"),
+        ([], "command"),
+    ],
+)
+def test_usage_errors_print_one_json_line(tmp_path, capsys, argv, named):
+    out = tmp_path / "out"
+    assert run(*[out if a == "OUT" else a for a in argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "parameter" and named in err["detail"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["report", "--help"], ["--version"]])
+def test_help_and_version_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip()
 
 
 def test_report_on_round_robin_gives_equality_one_everywhere(tmp_path):
