@@ -100,74 +100,97 @@ class AnonymizedLog:
 class ExportProfile:
     """Grammar for one export locale, named by its ``PROFILES`` key.
 
-    No auto-detection: pick one explicitly.
+    ``header`` matches a message or notice line. Its named groups are ``ts``
+    (the whole time token, quoted in diagnostics), ``rest`` (what follows
+    it) and the seven ``_TIME_FIELDS`` that :func:`_local_epoch` reads. A
+    field the locale never writes is an empty group. No auto-detection:
+    pick one explicitly.
     """
 
     header: re.Pattern[str]
-    timestamp_formats: tuple[str, ...]
 
+
+# the named groups of every header regex that hold the time, in the order
+# _local_epoch takes them
+_TIME_FIELDS = ("day", "month", "year", "hour", "minute", "second", "meridiem")
+
+_DATE = r"(?P<day>\d{1,2})/(?P<month>\d{1,2})/(?P<year>\d{2,4})"
+_US_DATE = r"(?P<month>\d{1,2})/(?P<day>\d{1,2})/(?P<year>\d{2,4})"
+_TIME = r"(?P<hour>\d{1,2}):(?P<minute>\d{2})"
+_NO_SECOND = "(?P<second>)"
+_NO_MERIDIEM = "(?P<meridiem>)"  # 24-hour clock
 
 PROFILES: dict[str, ExportProfile] = {
     # `D/M/YY, HH:MM - Sender Name: body`; the separator dash may be an
     # ASCII hyphen or U+2013 depending on the exporting device.
-    "whatsapp-en-dash": ExportProfile(
-        header=re.compile(
-            r"^(?P<ts>\d{1,2}/\d{1,2}/\d{2,4}, \d{1,2}:\d{2}) [-–] (?P<rest>.*)$"
-        ),
-        timestamp_formats=("%d/%m/%y, %H:%M", "%d/%m/%Y, %H:%M"),
-    ),
-    # `M/D/YY, H:MM AM - Sender: body` (US date order, 12-hour clock).
-    "whatsapp-us-dash": ExportProfile(
-        header=re.compile(
-            r"^(?P<ts>\d{1,2}/\d{1,2}/\d{2,4}, \d{1,2}:\d{2} ?[AaPp][Mm])"
-            r" [-–] (?P<rest>.*)$"
-        ),
-        timestamp_formats=("%m/%d/%y, %I:%M %p", "%m/%d/%Y, %I:%M %p"),
-    ),
-    # `[D/M/YY, HH:MM:SS] Sender: body` (bracketed, usually iOS).
-    "whatsapp-bracket": ExportProfile(
-        header=re.compile(
-            r"^\[(?P<ts>\d{1,2}/\d{1,2}/\d{2,4}, \d{1,2}:\d{2}(?::\d{2})?)\] (?P<rest>.*)$"
-        ),
-        timestamp_formats=(
-            "%d/%m/%y, %H:%M:%S",
-            "%d/%m/%Y, %H:%M:%S",
-            "%d/%m/%y, %H:%M",
-            "%d/%m/%Y, %H:%M",
-        ),
-    ),
+    "whatsapp-en-dash": ExportProfile(re.compile(
+        rf"^(?P<ts>{_DATE}, {_TIME}){_NO_SECOND}{_NO_MERIDIEM} [-–] (?P<rest>.*)$"
+    )),
+    # `M/D/YY, H:MM AM - Sender: body` (US date order, 12-hour clock; the
+    # space before the meridiem is optional).
+    "whatsapp-us-dash": ExportProfile(re.compile(
+        rf"^(?P<ts>{_US_DATE}, {_TIME}{_NO_SECOND} ?(?P<meridiem>[AaPp])[Mm])"
+        r" [-–] (?P<rest>.*)$"
+    )),
+    # `[D/M/YY, HH:MM:SS] Sender: body` (bracketed, usually iOS; the seconds
+    # are optional).
+    "whatsapp-bracket": ExportProfile(re.compile(
+        rf"^\[(?P<ts>{_DATE}, {_TIME}(?::(?P<second>\d{{2}}))?){_NO_MERIDIEM}\]"
+        r" (?P<rest>.*)$"
+    )),
 }
 
 DEFAULT_PROFILE = "whatsapp-en-dash"
 
 
 def _clean_line(line: str) -> str:
+    if line.isascii():  # every character rewritten below is non-ASCII
+        return line
     line = line.replace(" ", " ").replace(" ", " ")
     return _INVISIBLE_MARKS.sub("", line)
 
 
-def _parse_header_timestamp(
-    token: str, profile: ExportProfile, zone: ZoneInfo, line_no: int,
-    earliest: int | None,
+def _local_epoch(
+    zone: ZoneInfo, earliest: int | None, token: str,
+    day: str, month: str, year: str, hour: str, minute: str,
+    second: str | None, meridiem: str,
 ) -> int:
-    """Epoch seconds of a header timestamp read in ``zone``.
+    """Epoch seconds of the header time ``token`` read in ``zone``.
+
+    The fields are the parts of ``token`` a header regex captured. A
+    two-digit year pivots as ``%y`` does (69-99 is 19xx, 00-68 is 20xx), a
+    four-digit one is read as is, and any other length is an error. Seconds
+    are 0 when absent or empty. With a meridiem (``A`` or ``P``, any case)
+    the hour is on the 12-hour clock and must be 1-12. Raises ``ValueError``
+    for a field out of range, such as 31/2 or a minute of 60, and for a
+    token with digits outside ASCII.
 
     A local time repeated by a DST fall-back reads as its first occurrence
     unless that falls before ``earliest``; then it reads as the second
     (``fold=1``). A local time skipped by a spring-forward gap keeps the
     ``fold=0`` reading, the offset in force before the gap.
     """
-    for fmt in profile.timestamp_formats:
-        try:
-            local = datetime.strptime(token, fmt).replace(tzinfo=zone)
-        except ValueError:
-            continue
-        ts = int(local.timestamp())
-        if earliest is not None and ts < earliest:
-            # fold=1 is later only for a repeated time, earlier in a gap
-            ts = max(ts, int(local.replace(fold=1).timestamp()))
-        return ts
-    raise ParseError(f"unparseable timestamp {token!r}", line_no)
+    if not token.isascii():
+        raise ValueError("non-ASCII digits")
+    y = int(year)
+    if len(year) == 2:
+        y += 2000 if y <= 68 else 1900
+    elif len(year) != 4:
+        raise ValueError(f"{len(year)}-digit year")
+    h = int(hour)
+    if meridiem:
+        if not 1 <= h <= 12:
+            raise ValueError(f"hour {h} on a 12-hour clock")
+        h = h % 12 + (12 if meridiem in "Pp" else 0)
+    local = datetime(
+        y, int(month), int(day), h, int(minute),
+        int(second) if second else 0, tzinfo=zone,
+    )
+    ts = int(local.timestamp())
+    if earliest is not None and ts < earliest:
+        # fold=1 is later only for a repeated time, earlier in a gap
+        ts = max(ts, int(local.replace(fold=1).timestamp()))
+    return ts
 
 
 def _resolve_zone(tz: str | ZoneInfo) -> ZoneInfo:
@@ -231,7 +254,12 @@ def parse_transcript(
             continue
         sender = rest[:sep].strip()
         earliest = None if prev_ts is None else prev_ts - slack
-        ts = _parse_header_timestamp(match.group("ts"), prof, zone, line_no, earliest)
+        try:
+            ts = _local_epoch(zone, earliest, *match.group("ts", *_TIME_FIELDS))
+        except ValueError:
+            raise ParseError(
+                f"unparseable timestamp {match.group('ts')!r}", line_no
+            ) from None
         if earliest is not None and ts < earliest:
             raise OrderingError(
                 f"timestamp moves backward by {prev_ts - ts}s (slack={slack}s)",

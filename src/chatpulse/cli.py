@@ -352,12 +352,28 @@ def _cmd_report(args, outdir: Path) -> list[str]:
 # ---------------------------------------------------------------------------
 # parser
 
+def _int_at_least(low: int):
+    """An argparse type for integer flags, checked before the command runs."""
+    def int_(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    int_.__name__ = "int"  # argparse names it in "invalid int value: ..."
+    return int_
+
+
+_POSITIVE = _int_at_least(1)
+_NON_NEGATIVE = _int_at_least(0)
+
+
 def _add_out(sp) -> None:
     sp.add_argument("--out", required=True, help="output directory")
 
 
 def _add_window_flags(sp) -> None:
-    sp.add_argument("--interval", type=int, default=10, metavar="MINUTES",
+    sp.add_argument("--interval", type=_POSITIVE, default=10, metavar="MINUTES",
                     help="window length in minutes (default 10)")
     sp.add_argument("--align", choices=["wall", "first"], default="wall",
                     help="window alignment: wall clock or first message")
@@ -429,7 +445,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("rank", help="user rankings per engagement class")
     sp.add_argument("input", help="ensemble.jsonl")
     _add_out(sp)
-    sp.add_argument("--top-k", type=int, default=10)
+    sp.add_argument("--top-k", type=_POSITIVE, default=10)
     sp.add_argument("--avg", choices=[AVG_ZERO, AVG_PRESENT], default=AVG_ZERO,
                     help="absent users count as zero, or average over appearances")
     _add_class_flags(sp)
@@ -438,7 +454,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("series", help="per-user engagement time series")
     sp.add_argument("input", help="ensemble.jsonl")
     _add_out(sp)
-    sp.add_argument("--user", type=int, action="append", required=True,
+    sp.add_argument("--user", type=_NON_NEGATIVE, action="append", required=True,
                     help="user ID (repeatable)")
     sp.set_defaults(handler=_cmd_series)
 
@@ -447,7 +463,7 @@ def _build_parser() -> _Parser:
     _add_out(sp)
     sp.add_argument("--split", required=True, metavar="ISO",
                     help="boundary date; the boundary belongs to the second period")
-    sp.add_argument("--top-k", type=int, default=None)
+    sp.add_argument("--top-k", type=_POSITIVE, default=None)
     sp.add_argument("--avg", choices=[AVG_ZERO, AVG_PRESENT], default=AVG_ZERO)
     sp.set_defaults(handler=_cmd_compare)
 
@@ -460,7 +476,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--dropouts", type=int, default=0)
     sp.add_argument("--split-window", type=int, default=None)
-    sp.add_argument("--interval", type=int, default=10, metavar="MINUTES")
+    sp.add_argument("--interval", type=_POSITIVE, default=10, metavar="MINUTES")
     sp.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     sp.set_defaults(handler=_cmd_simulate)
 
@@ -470,7 +486,7 @@ def _build_parser() -> _Parser:
     _add_window_flags(sp)
     _add_class_flags(sp)
     sp.add_argument("--avg", choices=[AVG_ZERO, AVG_PRESENT], default=AVG_ZERO)
-    sp.add_argument("--top-k", type=int, default=10)
+    sp.add_argument("--top-k", type=_POSITIVE, default=10)
     sp.add_argument("--split", default=None, metavar="ISO",
                     help="also emit period comparison artifacts")
     sp.set_defaults(handler=_cmd_report)

@@ -9,7 +9,9 @@ with.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
+from datetime import datetime
 
 
 def gini_pairwise(weights) -> float:
@@ -82,3 +84,44 @@ def scope_means_direct(scoped, avg: str, population=()) -> dict[int, float]:
         return {user: s / appearances[user] for user, s in sums.items()}
     means = {user: s / len(scoped) for user, s in sums.items()}
     return dict.fromkeys(population, 0.0) | means
+
+
+# profile -> (header regex, strptime formats tried in order), as transcripts
+# were read when header times went through datetime.strptime
+STRPTIME_PROFILES = {
+    "whatsapp-en-dash": (
+        r"^(?P<ts>\d{1,2}/\d{1,2}/\d{2,4}, \d{1,2}:\d{2}) [-–] (?P<rest>.*)$",
+        ("%d/%m/%y, %H:%M", "%d/%m/%Y, %H:%M"),
+    ),
+    "whatsapp-us-dash": (
+        r"^(?P<ts>\d{1,2}/\d{1,2}/\d{2,4}, \d{1,2}:\d{2} ?[AaPp][Mm]) [-–] (?P<rest>.*)$",
+        ("%m/%d/%y, %I:%M %p", "%m/%d/%Y, %I:%M %p"),
+    ),
+    "whatsapp-bracket": (
+        r"^\[(?P<ts>\d{1,2}/\d{1,2}/\d{2,4}, \d{1,2}:\d{2}(?::\d{2})?)\] (?P<rest>.*)$",
+        ("%d/%m/%y, %H:%M:%S", "%d/%m/%Y, %H:%M:%S",
+         "%d/%m/%y, %H:%M", "%d/%m/%Y, %H:%M"),
+    ),
+}
+
+
+def strptime_first_line(line: str, profile: str, zone) -> int | str:
+    """Epoch of an ASCII transcript's first line read with ``strptime``.
+
+    Returns the epoch of a message header, or the text of the ``ParseError``
+    the line must raise. ``%p`` wants a space before the meridiem, which the
+    header grammar makes optional, so one is inserted when missing.
+    """
+    header, formats = STRPTIME_PROFILES[profile]
+    match = re.match(header, line)
+    if match is None:
+        return "not a header line and no preceding message to continue"
+    token = match.group("ts")
+    spaced = re.sub(r"(?<=\d)(?=[AaPp][Mm]$)", " ", token)
+    for fmt in formats:
+        try:
+            local = datetime.strptime(spaced, fmt)
+        except ValueError:
+            continue
+        return int(local.replace(tzinfo=zone).timestamp())
+    return f"unparseable timestamp {token!r}"

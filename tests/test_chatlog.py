@@ -149,6 +149,29 @@ def test_bracket_and_us_profiles():
     assert log.timestamps[0] == utc_timestamp("2018-07-03T23:31:00Z")
 
 
+def test_us_meridiem_without_space_reads_like_spaced():
+    spaced = parse_transcript("8/1/18, 9:05 PM - Ann: hi\n", profile="whatsapp-us-dash")
+    tight = parse_transcript("8/1/18, 9:05PM - Ann: hi\n", profile="whatsapp-us-dash")
+    assert tight == spaced
+    assert tight.log.timestamps == (utc_timestamp("2018-08-01T21:05:00Z"),)
+
+
+@pytest.mark.parametrize(
+    "line, token",
+    [
+        ("8/1/18, 0:05 PM - Ann: hi", "8/1/18, 0:05 PM"),
+        ("8/1/18, 13:05 PM - Ann: hi", "8/1/18, 13:05 PM"),
+        ("8/1/018, 9:05 AM - Ann: hi", "8/1/018, 9:05 AM"),
+        # digits outside ASCII are refused even where \d matches them
+        ("8/\u0661/18, 9:05 AM - Ann: hi", "8/\u0661/18, 9:05 AM"),
+    ],
+)
+def test_bad_us_header_time_is_parse_error(line, token):
+    with pytest.raises(ParseError) as err:
+        parse_transcript(f"8/1/18, 9:00 AM - Ann: ok\n{line}", profile="whatsapp-us-dash")
+    assert str(err.value) == f"line 2: unparseable timestamp {token!r}"
+
+
 def test_en_dash_separator_accepted():
     log = parse_transcript("3/7/18, 23:31 – Alice: hi").log
     assert len(log) == 1

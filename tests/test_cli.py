@@ -308,6 +308,34 @@ def test_usage_errors_print_one_json_line(tmp_path, capsys, argv, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["report", "LOG", "--interval", -5], "--interval"),
+        (["report", "LOG", "--interval", 0], "--interval"),
+        (["build", "LOG", "--interval", 0], "--interval"),
+        (["simulate", "--regime", "uniform-random", "--users", 3, "--rate", 2,
+          "--windows", 2, "--interval", -1], "--interval"),
+        (["report", "LOG", "--top-k", 0], "--top-k"),
+        (["rank", "ENS", "--top-k", 0], "--top-k"),
+        (["compare", "ENS", "--split", "2018-08-01T02:00", "--top-k", -3], "--top-k"),
+        (["series", "ENS", "--user", 0, "--user", -1], "--user"),
+    ],
+)
+def test_out_of_range_flags_exit_before_any_artifact(tmp_path, capsys, argv, named):
+    log = simulate(tmp_path)
+    assert run("build", log, "--out", tmp_path / "built") == EXIT_OK
+    paths = {"LOG": log, "ENS": tmp_path / "built" / "ensemble.jsonl"}
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(*[paths.get(a, a) for a in argv], "--out", out) == EXIT_USAGE
+    [line] = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "parameter"
+    assert f"argument {named}: must be >= " in err["detail"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["report", "--help"], ["--version"]])
 def test_help_and_version_exit_zero(capsys, argv):
     with pytest.raises(SystemExit) as exc:

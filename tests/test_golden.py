@@ -9,12 +9,19 @@ went in; a change that moves any of them changes an artifact.
 
 ``simulate`` is pinned on its own for each of the five regimes, in both log
 formats, so a rewrite of the generator cannot shift the logs it writes.
+
+``parse`` is pinned on one small transcript per export profile under
+``tests/data``: continuation lines, system notices, U+200E marks, U+202F
+before the time or meridiem, an en dash, and the hour Sao Paulo repeated when
+it left DST on 2019-02-17. Those digests were taken while header times were
+still read with ``strptime``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +170,34 @@ SIMULATE = {
 }
 
 
+DATA = Path(__file__).resolve().parent / "data"
+PARSE_SALT = "0123456789abcdef"
+PARSE_MAPPING = "f5da4fa7e3aeed2eb3a0c921db6ecb8be12d8b5b895a91fb8bf293bdee401f34"
+
+# profile -> SHA-256 of the log `parse` writes in each format; all three
+# transcripts have the same senders, so they share one mapping.csv
+PARSE = {
+    "whatsapp-bracket": {
+        "log.csv":
+            "a835662d678074d4eedcea2eb82a76e60a63a105fc6e379cb5c0a577ed7db0bd",
+        "log.jsonl":
+            "a4a63ae74be639337b2dea2dc5e6b1bfa149768e4b8cf86713025957b4576088",
+    },
+    "whatsapp-en-dash": {
+        "log.csv":
+            "777f474a06c9acb655bb1111433a5567cca94686d84bc54e4412866dc30eea14",
+        "log.jsonl":
+            "c97a89ce665014ee46905bb5c9daadec299003bf8eefe07a9d984da936e42152",
+    },
+    "whatsapp-us-dash": {
+        "log.csv":
+            "c5904fe4d130e2a8dad0351e3f5106f6b0f17f32dfed04a0ae253c1d950230c4",
+        "log.jsonl":
+            "7cc9b601aff9e8eb5b4a1551d06e6d5e33c26558294e6f6b65dd6569fad7f99d",
+    },
+}
+
+
 def random_log_csv(seed=2024, users=25, count=3000) -> str:
     """Rows over two days with same-second ties and a few swapped neighbours."""
     rng = random.Random(seed)
@@ -241,3 +276,17 @@ def test_simulate_outputs_match_golden_digests(tmp_path, kind):
                      "--format", fmt]) == EXIT_OK
         names = ("ground_truth.jsonl", f"log.{fmt}")
         assert digests(out) == {name: expected[name] for name in names}
+
+
+@pytest.mark.parametrize("profile", sorted(PARSE))
+def test_parse_outputs_match_golden_digests(tmp_path, profile):
+    for fmt in ("csv", "jsonl"):
+        out = tmp_path / fmt
+        assert main([
+            "parse", str(DATA / f"{profile}.txt"), "--out", str(out),
+            "--profile", profile, "--tz", "America/Sao_Paulo",
+            "--salt", PARSE_SALT, "--format", fmt,
+        ]) == EXIT_OK
+        name = f"log.{fmt}"
+        assert digests(out) == {name: PARSE[profile][name],
+                                "mapping.csv": PARSE_MAPPING}

@@ -6,14 +6,17 @@ import math
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
+from zoneinfo import ZoneInfo
 
-from hypothesis import assume, given
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chatpulse import (
     DegenerateEnsembleError,
     EngagementClass,
     InsufficientDataError,
+    ParseError,
     WindowSpec,
     build_ensemble,
     conversation_metrics,
@@ -22,6 +25,7 @@ from chatpulse import (
     ensemble_stats,
     load_ensemble,
     load_log,
+    parse_transcript,
     period_means,
     rank_users,
     zscore_classify,
@@ -29,7 +33,7 @@ from chatpulse import (
 from chatpulse.cli import EXIT_OK, main
 
 from conftest import make_log
-from oracles import scope_means_direct
+from oracles import STRPTIME_PROFILES, scope_means_direct, strptime_first_line
 
 DELTA_T = 600
 BASE = 1_533_081_600  # 2018-08-01T00:00Z
@@ -233,3 +237,88 @@ def test_stepwise_rank_and_compare_match_report(rows, avg, data):
         }
         assert len(written) == 7  # ensemble, four rankings, two comparison files
         assert {name: (report / name).read_bytes() for name in written} == written
+
+
+# --- transcript header times against strptime --------------------------------
+
+# digit strings in and out of range for each field of a header time; the
+# header grammar wants 1-2 digits for day, month and hour, 2-4 for the year
+# and exactly 2 for minute and second, so longer and shorter ones are here too
+EDGES = {
+    "day": ("0", "00", "1", "07", "13", "28", "29", "30", "31", "32", "007"),
+    "month": ("0", "00", "1", "02", "09", "12", "13", "32", "012"),
+    "year": ("0", "7", "00", "18", "68", "69", "99", "018", "100", "0000",
+             "0001", "1969", "2019", "9999", "20190"),
+    "hour": ("0", "00", "1", "09", "11", "12", "13", "23", "24", "012"),
+    "minute": ("0", "00", "05", "59", "60", "99", "005"),
+    "second": (None, "0", "00", "30", "59", "60", "61", "005"),
+    "meridiem": (" AM", " PM", "AM", "PM", " am", " pm", "pM", " Am"),
+}
+VALID = {"day": "17", "month": "2", "year": "19", "hour": "11", "minute": "05",
+         "second": "30", "meridiem": " PM"}
+ZONES = ("UTC", "America/Sao_Paulo")
+
+
+def header_line(profile, day, month, year, hour, minute, second, meridiem):
+    """One message line whose header time has exactly these field strings."""
+    if profile == "whatsapp-us-dash":
+        return f"{month}/{day}/{year}, {hour}:{minute}{meridiem} - Ann: hi"
+    if profile == "whatsapp-bracket":
+        secs = "" if second is None else f":{second}"
+        return f"[{day}/{month}/{year}, {hour}:{minute}{secs}] Ann: hi"
+    return f"{day}/{month}/{year}, {hour}:{minute} - Ann: hi"
+
+
+def parsed_first_line(line, profile, tz):
+    """The epoch parse_transcript reads from ``line``, or its error text."""
+    try:
+        return parse_transcript(line + "\n", tz=tz, profile=profile).log.timestamps[0]
+    except ParseError as exc:
+        assert exc.line_no == 1
+        return str(exc).removeprefix("line 1: ")
+
+
+def edge_cases():
+    """Field dicts that each move one field, or hour and meridiem, to an edge."""
+    for name, values in EDGES.items():
+        for value in values:
+            yield VALID | {name: value}
+    for hour in EDGES["hour"]:
+        for meridiem in EDGES["meridiem"]:
+            yield VALID | {"hour": hour, "meridiem": meridiem}
+
+
+@pytest.mark.parametrize("tz", ZONES)
+@pytest.mark.parametrize("profile", sorted(STRPTIME_PROFILES))
+def test_header_time_edges_match_strptime(profile, tz):
+    zone = ZoneInfo(tz)
+    mismatches = []
+    for fields in edge_cases():
+        line = header_line(profile, **fields)
+        expected = strptime_first_line(line, profile, zone)
+        if parsed_first_line(line, profile, tz) != expected:
+            mismatches.append((line, expected))
+    assert mismatches == []
+
+
+def time_field(name, max_size):
+    digits = st.text("0123456789", min_size=1, max_size=max_size)
+    return st.one_of(st.sampled_from(EDGES[name]), digits)
+
+
+@settings(max_examples=400)
+@given(
+    profile=st.sampled_from(sorted(STRPTIME_PROFILES)),
+    tz=st.sampled_from(ZONES),
+    day=time_field("day", 3),
+    month=time_field("month", 3),
+    year=time_field("year", 5),
+    hour=time_field("hour", 3),
+    minute=time_field("minute", 3),
+    second=time_field("second", 3),
+    meridiem=st.sampled_from(EDGES["meridiem"]),
+)
+def test_header_times_match_strptime(profile, tz, **fields):
+    line = header_line(profile, **fields)
+    expected = strptime_first_line(line, profile, ZoneInfo(tz))
+    assert parsed_first_line(line, profile, tz) == expected
