@@ -21,6 +21,7 @@ from .chatlog import (
     load_log,
     parse_transcript,
     read_mapping,
+    utf8_lines,
 )
 from .engagement import (
     EngagementMetrics,

@@ -17,6 +17,7 @@ import logging
 import operator
 import re
 import secrets
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import accumulate
@@ -203,7 +204,7 @@ def _resolve_zone(tz: str | ZoneInfo) -> ZoneInfo:
 
 
 def parse_transcript(
-    text: str,
+    lines: str | Iterable[str],
     *,
     tz: str | ZoneInfo = "UTC",
     profile: str = DEFAULT_PROFILE,
@@ -211,6 +212,8 @@ def parse_transcript(
 ) -> ParsedTranscript:
     """Parse an exported transcript into a metadata log plus sender table.
 
+    ``lines`` is the transcript's lines without their terminators, as
+    :func:`utf8_lines` yields them; a ``str`` is split with ``splitlines``.
     Line classification: a line matching the profile's header regex whose
     remainder contains ``Sender: `` starts a message; a matching line without
     a sender is a system notice (dropped); anything else continues the most
@@ -235,8 +238,13 @@ def parse_transcript(
     ids: dict[str, int] = {}
     seen_any = False
     prev_ts: int | None = None
+    # headers have minute precision, so a time token often repeats the last
+    last_token: str | None = None
+    last_epoch = 0  # fold=0 reading of last_token
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    if isinstance(lines, str):
+        lines = lines.splitlines()
+    for line_no, raw in enumerate(lines, start=1):
         line = _clean_line(raw)
         match = prof.header.match(line)
         if match is None:
@@ -253,13 +261,19 @@ def parse_transcript(
             # change, encryption banner). No human sender, no event.
             continue
         sender = rest[:sep].strip()
+        token = match.group("ts")
         earliest = None if prev_ts is None else prev_ts - slack
         try:
-            ts = _local_epoch(zone, earliest, *match.group("ts", *_TIME_FIELDS))
+            if token != last_token:
+                last_epoch = _local_epoch(
+                    zone, None, *match.group("ts", *_TIME_FIELDS)
+                )
+                last_token = token
+            ts = last_epoch
+            if earliest is not None and ts < earliest:
+                ts = _local_epoch(zone, earliest, *match.group("ts", *_TIME_FIELDS))
         except ValueError:
-            raise ParseError(
-                f"unparseable timestamp {match.group('ts')!r}", line_no
-            ) from None
+            raise ParseError(f"unparseable timestamp {token!r}", line_no) from None
         if earliest is not None and ts < earliest:
             raise OrderingError(
                 f"timestamp moves backward by {prev_ts - ts}s (slack={slack}s)",
@@ -394,6 +408,53 @@ def read_utf8(path: Path, error: type[ChatpulseError]) -> str:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+
+
+READ_CHUNK = 1 << 16  # bytes utf8_lines reads at a time
+
+
+def _line_blocks(fh) -> Iterator[bytes]:
+    """A binary file in blocks of whole lines, each ending just after a
+    ``b"\\n"`` except the last, so a UTF-8 sequence never spans two."""
+    pending: list[bytes] = []
+    while chunk := fh.read(READ_CHUNK):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            pending.append(chunk[:cut])
+            yield b"".join(pending)
+            pending = [chunk[cut:]]
+        else:  # inside a line longer than a chunk
+            pending.append(chunk)
+    yield b"".join(pending)
+
+
+def utf8_lines(path: str | Path, error: type[ChatpulseError]) -> Iterator[str]:
+    """The lines of a UTF-8 text file, exactly as ``str.splitlines`` gives them.
+
+    The file is read ``READ_CHUNK`` bytes at a time and never held whole;
+    each block of whole lines is decoded alone and split, and the lines of
+    the blocks add up to those of the whole text. The whole file is checked
+    before this returns: one that is not UTF-8 raises ``error`` naming the
+    first bad byte, as :func:`read_utf8` does.
+    """
+    path = Path(path)
+    with open(path, "rb") as fh:
+        offset = 0
+        for block in _line_blocks(fh):
+            try:
+                block.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(
+                    f"{path}: not UTF-8 text (byte {offset + exc.start})"
+                ) from exc
+            offset += len(block)
+    return _decoded_lines(path)
+
+
+def _decoded_lines(path: Path) -> Iterator[str]:
+    with open(path, "rb") as fh:
+        for block in _line_blocks(fh):
+            yield from block.decode("utf-8").splitlines()
 
 
 def load_log(path: str | Path) -> MessageLog:

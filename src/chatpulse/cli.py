@@ -34,8 +34,8 @@ from .chatlog import (
     load_log,
     parse_transcript,
     read_mapping,
-    read_utf8,
     utc_timestamp,
+    utf8_lines,
 )
 from .ensemble import (
     AVG_PRESENT,
@@ -261,7 +261,7 @@ def _emit_compare(outdir: Path, wms, split: int, top_k: int | None, avg: str):
 
 def _cmd_parse(args, outdir: Path) -> list[str]:
     parsed = parse_transcript(
-        read_utf8(Path(args.input), ParseError),
+        utf8_lines(args.input, ParseError),
         tz=args.tz,
         profile=args.profile,
         slack=args.slack,

@@ -11,7 +11,7 @@ from .engagement import (
     EngagementMetrics, NodeEngagement, engagement_index, node_centralities,
 )
 from .errors import DegenerateEnsembleError, InsufficientDataError, ParameterError
-from .netbuild import NetworkEnsemble
+from .netbuild import InteractionNetwork, NetworkEnsemble
 
 AVG_ZERO = "zero"  # absent users count as 0 in class means
 AVG_PRESENT = "present"  # mean over networks the user appears in
@@ -27,30 +27,58 @@ class EngagementClass(str, Enum):
     GLOBAL = "GLOBAL"  # ranking scope only, never a network label
 
 
-@dataclass(slots=True)
 class WindowMetrics:
     """One scored conversation window: its metrics and per-user centralities.
 
     ``nodes`` is in ascending user order, as node_centralities returns it.
+    A window scored from its ``network`` builds them on first read and then
+    drops the network, so a command that reads only ``metrics`` never pays
+    for them; without a network, ``nodes`` is the rows given, none by default.
     """
 
-    window_start: int
-    window_index: int
-    metrics: EngagementMetrics
-    nodes: tuple[NodeEngagement, ...] = ()
+    __slots__ = ("window_start", "window_index", "metrics", "_network", "_nodes")
+
+    def __init__(
+        self,
+        window_start: int,
+        window_index: int,
+        metrics: EngagementMetrics,
+        nodes: tuple[NodeEngagement, ...] = (),
+        *,
+        network: InteractionNetwork | None = None,
+    ) -> None:
+        self.window_start = window_start
+        self.window_index = window_index
+        self.metrics = metrics
+        self._network = network
+        self._nodes = nodes if network is None else None
+
+    @property
+    def nodes(self) -> tuple[NodeEngagement, ...]:
+        if self._nodes is None:
+            self._nodes = tuple(node_centralities(self._network, self.metrics))
+            self._network = None  # the rows hold all that is read from it
+        return self._nodes
+
+    def has_node(self, user: int) -> bool:
+        """Whether ``user`` is a node; an unscored window asks its network."""
+        if self._network is not None:
+            return user in self._network.nodes
+        return any(ne.user == user for ne in self.nodes)
 
 
 def conversation_metrics(ensemble: NetworkEnsemble) -> list[WindowMetrics]:
     """Score every conversation network once, in window order.
 
     The result feeds classification, rankings, series and period comparison.
+    Each window keeps its network until its nodes are first read.
     """
-    scored = []
-    for net in ensemble.conversations:
-        metrics = engagement_index(net)
-        nodes = tuple(node_centralities(net, metrics))
-        scored.append(WindowMetrics(net.window_start, net.window_index, metrics, nodes))
-    return scored
+    return [
+        WindowMetrics(
+            net.window_start, net.window_index, engagement_index(net), network=net
+        )
+        for net in ensemble.conversations
+    ]
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import _kernels
-from .chatlog import MessageLog, read_utf8
+from .chatlog import MessageLog, utf8_lines
 from .errors import ParameterError, SchemaError
 
 ALIGN_WALL = "wall"
@@ -217,7 +217,7 @@ def load_ensemble(path: str | Path) -> NetworkEnsemble:
     """
     path = Path(path)
     networks: list[InteractionNetwork] = []
-    for line_no, line in enumerate(read_utf8(path, SchemaError).splitlines(), 1):
+    for line_no, line in enumerate(utf8_lines(path, SchemaError), 1):
         if not line.strip():
             continue
         try:

@@ -23,10 +23,15 @@ class UserSeries:
 
 
 def user_series(windows, user: int) -> UserSeries:
-    """All (window_start, ei centrality) points for one user; gaps where absent."""
+    """All (window_start, ei centrality) points for one user; gaps where absent.
+
+    A window whose network lacks the user is skipped before its nodes are
+    scored.
+    """
     points = tuple(
         (w.window_start, ne.ei_centrality)
         for w in windows
+        if w.has_node(user)
         for ne in w.nodes
         if ne.user == user
     )

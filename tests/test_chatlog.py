@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
+import tracemalloc
 
 import pytest
 
@@ -21,7 +23,8 @@ from chatpulse import (
     parse_transcript,
     read_mapping,
 )
-from chatpulse.chatlog import utc_timestamp
+from chatpulse.chatlog import READ_CHUNK, read_utf8, utc_timestamp, utf8_lines
+from chatpulse.cli import EXIT_OK, main
 
 
 def test_two_lines_same_sender():
@@ -117,6 +120,18 @@ def test_dst_fall_back_hour_reads_second_occurrence_when_needed():
     jitter = "16/2/19, 23:50 - Alice: hi\n16/2/19, 23:49 - Bob: yo"
     log = parse_transcript(jitter, tz="America/Sao_Paulo", slack=120).log
     assert log.timestamps == (1550368200, 1550368200)
+
+
+def test_repeated_time_token_in_fall_back_hour_keeps_second_reading():
+    # the repeated 23:10 reads as the hour's second occurrence, like the first
+    text = (
+        "16/2/19, 23:50 - Alice: hi\n"
+        "16/2/19, 23:10 - Bob: yo\n"
+        "16/2/19, 23:10 - Alice: again\n"
+        "16/2/19, 23:50 - Bob: later"
+    )
+    log = parse_transcript(text, tz="America/Sao_Paulo").log
+    assert log.timestamps == (1550368200, 1550369400, 1550369400, 1550371800)
 
 
 def test_dst_spring_forward_gap_keeps_offset_before_the_gap():
@@ -375,3 +390,69 @@ def test_message_log_invariants_enforced():
     with pytest.raises(ValueError, match="2 user IDs but 3 timestamps"):
         MessageLog((0, 1), (100, 200, 300))
     assert len(MessageLog((0, 1, 0), (100, 100, 200))) == 3
+
+
+# Text whose "\r\n" or four-byte character straddles a READ_CHUNK boundary,
+# a line longer than two chunks, and files without a "\n"
+READER_CASES = {
+    "crlf": "a" * (READ_CHUNK - 1) + "\r\nb\n",
+    "emoji": "a" * (READ_CHUNK - 2) + "\U0001f600\nz",
+    "long-line": "x" * (2 * READ_CHUNK + 5) + "\ry\n\n",
+    "no-newline": "\ufeffhead\u2028tail\x85",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("text", list(READER_CASES.values()), ids=list(READER_CASES))
+def test_utf8_lines_match_splitlines_across_chunks(tmp_path, text):
+    path = tmp_path / "t.txt"
+    path.write_bytes(text.encode("utf-8"))
+    expected = path.read_text(encoding="utf-8").splitlines()
+    assert list(utf8_lines(path, ParseError)) == expected
+
+
+BAD_UTF8 = {
+    "mid-file": b"ok\n" * 1000 + b"\xff rest\n",
+    "across-chunk": b"a" * (READ_CHUNK - 1) + b"\xe2\x82x\n",
+    "truncated-end": b"line\n" + b"b" * READ_CHUNK + b"\xf0\x9f\x98",
+    "after-long-line": b"x" * (2 * READ_CHUNK) + b"\n\xc3(",
+}
+
+
+@pytest.mark.parametrize("data", list(BAD_UTF8.values()), ids=list(BAD_UTF8))
+def test_utf8_lines_reject_bad_bytes_like_read_utf8(tmp_path, data):
+    path = tmp_path / "t.txt"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as whole:
+        read_utf8(path, ParseError)
+    # the check runs before a single line is handed out
+    with pytest.raises(ParseError) as streamed:
+        utf8_lines(path, ParseError)
+    assert str(streamed.value) == str(whole.value)
+    assert "not UTF-8 text (byte " in str(whole.value)
+
+
+def test_parse_memory_stays_below_half_the_decoded_text(tmp_path):
+    lines = ["1/8/18, 00:00 - Messages and calls are end-to-end encrypted."]
+    for i in range(20_000):
+        day, minute = divmod(i, 1440)
+        lines.append(
+            f"{day % 28 + 1}/9/18, {minute // 60:02}:{minute % 60:02} - "
+            f"Sender {i % 37}: mensagem n\u00famero {i} \U0001f600 "
+            + "tudo certo por aqui, e a\u00ed? " * 3
+        )
+        if i % 10 == 0:
+            lines.append("a continuation line \U0001f44d")
+    path = tmp_path / "chat.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text_size = sys.getsizeof(path.read_text(encoding="utf-8"))
+    argv = ["parse", str(path), "--out", str(tmp_path / "out"), "--salt", "00"]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert (tmp_path / "out" / "log.csv").read_text().count("\n") == 20_001
+    assert peak < text_size / 2

@@ -393,7 +393,8 @@ def test_pipeline_composition_matches_report(tmp_path):
         )
 
 
-def test_report_scores_each_conversation_once(tmp_path, monkeypatch):
+def count_scoring(monkeypatch) -> dict[str, int]:
+    """Count calls of the scoring functions, through every importing module."""
     calls = {"engagement_index": 0, "node_centralities": 0}
 
     def counted(name, fn):
@@ -403,19 +404,43 @@ def test_report_scores_each_conversation_once(tmp_path, monkeypatch):
 
         return wrapper
 
-    # count calls through every module that imported the scoring functions
     for name in calls:
         original = getattr(engagement, name)
         wrapper = counted(name, original)
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.startswith("chatpulse") and getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, wrapper)
+    return calls
+
+
+def test_report_scores_each_conversation_once(tmp_path, monkeypatch):
+    calls = count_scoring(monkeypatch)
     log = simulate(tmp_path)
     out = tmp_path / "report"
     assert run("report", log, "--out", out, "--split", "2018-08-01T02:00") == EXIT_OK
     conversations = len((out / "metrics.csv").read_text().splitlines()) - 1
     assert conversations > 0
     assert calls == {"engagement_index": conversations, "node_centralities": conversations}
+
+
+def test_step_commands_score_node_rows_only_where_read(tmp_path, monkeypatch):
+    log = simulate(tmp_path, users=12)
+    assert run("build", log, "--out", tmp_path) == EXIT_OK
+    ens = tmp_path / "ensemble.jsonl"
+    calls = count_scoring(monkeypatch)
+    assert run("metrics", ens, "--out", tmp_path / "m") == EXIT_OK
+    conversations = len((tmp_path / "m" / "metrics.csv").read_text().splitlines()) - 1
+    assert calls == {"engagement_index": conversations, "node_centralities": conversations}
+
+    calls.update(engagement_index=0, node_centralities=0)
+    assert run("classify", ens, "--out", tmp_path / "c") == EXIT_OK
+    assert calls == {"engagement_index": conversations, "node_centralities": 0}
+
+    calls.update(engagement_index=0, node_centralities=0)
+    assert run("series", ens, "--out", tmp_path / "s", "--user", 0) == EXIT_OK
+    holding = len((tmp_path / "s" / "series_0.csv").read_text().splitlines()) - 1
+    assert 0 < holding < conversations
+    assert calls == {"engagement_index": conversations, "node_centralities": holding}
 
 
 def failing_runs(tmp_path) -> dict[int, list]:

@@ -13,6 +13,7 @@ from chatpulse import (
     EngagementClass,
     EngagementMetrics,
     InsufficientDataError,
+    NodeEngagement,
     ParameterError,
     WindowMetrics,
     WindowSpec,
@@ -37,6 +38,39 @@ def wm(index: int, ei: float) -> WindowMetrics:
 
 def wms(*eis: float) -> list[WindowMetrics]:
     return [wm(i, ei) for i, ei in enumerate(eis)]
+
+
+def test_window_metrics_keep_given_node_rows():
+    metrics = wm(0, 2.0).metrics
+    rows = (NodeEngagement(0, 1, 2.0), NodeEngagement(1, 1, 2.0))
+    assert WindowMetrics(0, 0, metrics, rows).nodes == rows
+    assert wm(0, 2.0).nodes == ()
+    assert WindowMetrics(0, 0, metrics, rows).has_node(1)
+    assert not WindowMetrics(0, 0, metrics, rows).has_node(2)
+
+
+def test_scored_windows_build_node_rows_once_on_first_read(monkeypatch):
+    from chatpulse import ensemble
+
+    calls = []
+    original = ensemble.node_centralities
+
+    def counted(net, metrics):
+        calls.append(net.window_index)
+        return original(net, metrics)
+
+    monkeypatch.setattr(ensemble, "node_centralities", counted)
+    log = make_log([(0, 0), (1, 30), (2, 600), (3, 630), (0, 660)])
+    windows = conversation_metrics(build_ensemble(log, WindowSpec(delta_t=600)))
+    zscore_classify(windows, ensemble_stats(windows))
+    assert calls == []
+    assert windows[0].has_node(1) and not windows[0].has_node(2)
+    assert calls == []  # an unscored window asks its network
+    first = windows[1].nodes
+    assert windows[1].nodes is first and calls == [1]
+    assert [(ne.user, ne.strength) for ne in first] == [(0, 1), (2, 1), (3, 2)]
+    assert windows[1].has_node(3) and not windows[1].has_node(1)
+    assert calls == [1]
 
 
 def test_stats_of_constant_values():

@@ -30,6 +30,7 @@ from chatpulse import (
     rank_users,
     zscore_classify,
 )
+from chatpulse.chatlog import READ_CHUNK, utf8_lines
 from chatpulse.cli import EXIT_OK, main
 
 from conftest import make_log
@@ -115,6 +116,25 @@ def test_ensemble_round_trip(rows):
         loaded = load_ensemble(path)
     assert networks_of(loaded) == networks_of(ens)
     assert dump_ensemble(loaded) == text
+
+
+# every line boundary str.splitlines knows, a BOM, and characters of one to
+# four UTF-8 bytes
+LINE_PIECES = st.sampled_from([
+    "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+    "\u2028", "\u2029", "\ufeff", "a", "\u00e9", "\u20ac", "\U0001f600",
+])
+
+
+@given(st.lists(LINE_PIECES, max_size=60), st.integers(0, 8))
+def test_utf8_lines_equal_splitlines(pieces, shift):
+    # the ASCII prefix moves the pieces across the first READ_CHUNK boundary
+    text = "x" * (READ_CHUNK - shift) + "".join(pieces) if shift else "".join(pieces)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.txt"
+        path.write_bytes(text.encode("utf-8"))
+        lines = list(utf8_lines(path, ParseError))
+        assert lines == path.read_text(encoding="utf-8").splitlines()
 
 
 def scored_csvs(rows, tmp: Path, name: str, start=BASE) -> tuple[str, str]:
