@@ -20,7 +20,7 @@ import secrets
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import accumulate
+from itertools import accumulate, chain, islice
 from pathlib import Path
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
@@ -214,6 +214,8 @@ def parse_transcript(
 
     ``lines`` is the transcript's lines without their terminators, as
     :func:`utf8_lines` yields them; a ``str`` is split with ``splitlines``.
+    One U+FEFF at the start of the first line is a byte-order mark and is
+    dropped, as the ``utf-8-sig`` codec drops it.
     Line classification: a line matching the profile's header regex whose
     remainder contains ``Sender: `` starts a message; a matching line without
     a sender is a system notice (dropped); anything else continues the most
@@ -244,7 +246,7 @@ def parse_transcript(
 
     if isinstance(lines, str):
         lines = lines.splitlines()
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(_without_bom(lines), start=1):
         line = _clean_line(raw)
         match = prof.header.match(line)
         if match is None:
@@ -363,11 +365,12 @@ def _csv_error(source, reader, exc: csv.Error) -> SchemaError:
 
 
 def read_mapping(path: str | Path) -> dict[str, int]:
-    reader = csv.reader(io.StringIO(read_utf8(Path(path), SchemaError)))
-    try:
-        rows = list(reader)
-    except csv.Error as exc:
-        raise _csv_error(path, reader, exc) from exc
+    with _open_csv(Path(path)) as fh:
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise _csv_error(path, reader, exc) from exc
     if not rows or rows[0] != MAPPING_CSV_HEADER:
         raise SchemaError(f"{path}: expected header {','.join(MAPPING_CSV_HEADER)}")
     mapping: dict[str, int] = {}
@@ -438,6 +441,16 @@ def utf8_lines(path: str | Path, error: type[ChatpulseError]) -> Iterator[str]:
     first bad byte, as :func:`read_utf8` does.
     """
     path = Path(path)
+    _check_utf8(path, error)
+    return _decoded_lines(path)
+
+
+def _check_utf8(path: Path, error: type[ChatpulseError]) -> None:
+    """Raise ``error`` naming the first bad byte unless the file is UTF-8.
+
+    The file is read ``READ_CHUNK`` bytes at a time, as :func:`utf8_lines`
+    reads it, and the message is the one :func:`read_utf8` gives.
+    """
     with open(path, "rb") as fh:
         offset = 0
         for block in _line_blocks(fh):
@@ -448,7 +461,6 @@ def utf8_lines(path: str | Path, error: type[ChatpulseError]) -> Iterator[str]:
                     f"{path}: not UTF-8 text (byte {offset + exc.start})"
                 ) from exc
             offset += len(block)
-    return _decoded_lines(path)
 
 
 def _decoded_lines(path: Path) -> Iterator[str]:
@@ -457,53 +469,75 @@ def _decoded_lines(path: Path) -> Iterator[str]:
             yield from block.decode("utf-8").splitlines()
 
 
+def _without_bom(lines: Iterable[str]) -> Iterator[str]:
+    """``lines`` with one U+FEFF dropped from the start of the first, as the
+    ``utf-8-sig`` codec drops a byte-order mark."""
+    lines = iter(lines)
+    return chain([line.removeprefix("\ufeff") for line in islice(lines, 1)], lines)
+
+
+def _open_csv(path: Path) -> io.TextIOWrapper:
+    """A UTF-8 CSV file opened for ``csv.reader``, once the whole file is
+    checked; the text is read a line at a time and one leading byte-order
+    mark is dropped. A file that is not UTF-8 raises ``SchemaError``."""
+    _check_utf8(path, SchemaError)
+    return open(path, encoding="utf-8-sig", newline="")
+
+
 def load_log(path: str | Path) -> MessageLog:
-    """Load a canonical log: JSONL if named ``*.jsonl``/``*.ndjson``, else CSV."""
+    """Load a canonical log: JSONL if named ``*.jsonl``/``*.ndjson``, else CSV.
+
+    Either is read a line at a time, and one leading byte-order mark is
+    dropped.
+    """
     path = Path(path)
     source = str(path)
-    text = read_utf8(path, SchemaError)
     users: list[int] = []
     stamps: list[int] = []
     add_user, add_stamp = users.append, stamps.append
-    if not source.endswith((".jsonl", ".ndjson")):
-        reader = csv.reader(io.StringIO(text))
-        try:
-            if next(reader, None) != LOG_CSV_HEADER:
-                raise SchemaError(
-                    f"{source}: missing header {','.join(LOG_CSV_HEADER)}"
-                )
-            # line numbers count CSV records, as csv.reader yields them
-            for line_no, row in enumerate(reader, start=2):
-                if len(row) != 2:
-                    raise SchemaError(
-                        f"{source}: line {line_no}: expected 2 columns, got {len(row)}"
-                    )
-                raw_user, raw_ts = row
-                try:
-                    user = int(raw_user)
-                except ValueError as exc:
-                    raise SchemaError(
-                        f"{source}: line {line_no}: bad user ID {raw_user!r}"
-                    ) from exc
-                try:
-                    add_stamp(int(raw_ts))
-                except ValueError as exc:
-                    raise SchemaError(
-                        f"{source}: line {line_no}: unparsable timestamp {raw_ts!r}"
-                    ) from exc
-                if user < 0:
-                    raise SchemaError(
-                        f"{source}: line {line_no}: negative user ID {user}"
-                    )
-                add_user(user)
-        except csv.Error as exc:
-            raise _csv_error(source, reader, exc) from exc
-    else:
-        for line_no, line in enumerate(text.splitlines(), start=1):
+    if source.endswith((".jsonl", ".ndjson")):
+        lines = _without_bom(utf8_lines(path, SchemaError))
+        for line_no, line in enumerate(lines, start=1):
             if line.strip():
                 user, ts = _row_from_jsonl(line, line_no, source)
                 add_user(user)
                 add_stamp(ts)
+    else:
+        with _open_csv(path) as fh:
+            reader = csv.reader(fh)
+            try:
+                if next(reader, None) != LOG_CSV_HEADER:
+                    raise SchemaError(
+                        f"{source}: missing header {','.join(LOG_CSV_HEADER)}"
+                    )
+                # line numbers count CSV records, as csv.reader yields them
+                for line_no, row in enumerate(reader, start=2):
+                    if len(row) != 2:
+                        raise SchemaError(
+                            f"{source}: line {line_no}: expected 2 columns,"
+                            f" got {len(row)}"
+                        )
+                    raw_user, raw_ts = row
+                    try:
+                        user = int(raw_user)
+                    except ValueError as exc:
+                        raise SchemaError(
+                            f"{source}: line {line_no}: bad user ID {raw_user!r}"
+                        ) from exc
+                    try:
+                        add_stamp(int(raw_ts))
+                    except ValueError as exc:
+                        raise SchemaError(
+                            f"{source}: line {line_no}: unparsable timestamp"
+                            f" {raw_ts!r}"
+                        ) from exc
+                    if user < 0:
+                        raise SchemaError(
+                            f"{source}: line {line_no}: negative user ID {user}"
+                        )
+                    add_user(user)
+            except csv.Error as exc:
+                raise _csv_error(source, reader, exc) from exc
     if any(map(operator.gt, stamps, stamps[1:])):
         logger.warning("%s: rows out of order; re-sorting by (timestamp, row)", source)
         order = sorted(range(len(stamps)), key=stamps.__getitem__)  # stable

@@ -168,22 +168,42 @@ def _emit_ensemble(outdir: Path, ens) -> list[str]:
     return ["ensemble.jsonl"]
 
 
+class _Reprs(dict):
+    """Float -> ``repr`` text, each distinct value formatted once.
+
+    Keys must be nonzero, since a dict merges 0.0 and -0.0, whose reprs
+    differ; the centralities cached here are strictly positive.
+    """
+
+    def __missing__(self, value: float) -> str:
+        text = self[value] = repr(value)
+        return text
+
+
 def _emit_metrics(outdir: Path, wms) -> list[str]:
+    def metrics_rows():
+        # windows of one shape share their metrics object, and so its text
+        tails: dict[int, str] = {}
+        for w in wms:
+            m = w.metrics
+            tail = tails.get(id(m))
+            if tail is None:
+                tail = tails[id(m)] = (
+                    f"{m.n},{m.total_weight},{m.equality!r},{m.intensity!r},{m.ei!r}\n"
+                )
+            yield f"{w.window_start},{w.window_index},{tail}"
+
     _write_csv(
         outdir / "metrics.csv",
         "window_start,window_index,n,total_weight,equality,intensity,ei",
-        (
-            f"{w.window_start},{w.window_index},{w.metrics.n},"
-            f"{w.metrics.total_weight},{w.metrics.equality!r},"
-            f"{w.metrics.intensity!r},{w.metrics.ei!r}\n"
-            for w in wms
-        ),
+        metrics_rows(),
     )
+    reprs = _Reprs()
     _write_csv(
         outdir / "centralities.csv",
         "window_start,user_id,strength,ei_centrality",
         (
-            f"{w.window_start},{ne.user},{ne.strength},{ne.ei_centrality!r}\n"
+            f"{w.window_start},{ne.user},{ne.strength},{reprs[ne.ei_centrality]}\n"
             for w in wms
             for ne in w.nodes
         ),
@@ -194,11 +214,18 @@ def _emit_metrics(outdir: Path, wms) -> list[str]:
 def _emit_classify(outdir: Path, wms, std: str, low: float, high: float):
     stats = ensemble_stats(wms, std=std)
     classified = zscore_classify(wms, stats, low=low, high=high)
-    _write_csv(
-        outdir / "classified.csv",
-        "window_index,ei,z,label",
-        (f"{c.window_index},{c.ei!r},{c.z!r},{c.label.value}\n" for c in classified),
-    )
+
+    def classified_rows():
+        # z and the label are functions of ei for fixed stats and thresholds;
+        # ei is strictly positive, so no key is -0.0
+        tails: dict[float, str] = {}
+        for c in classified:
+            tail = tails.get(c.ei)
+            if tail is None:
+                tail = tails[c.ei] = f"{c.ei!r},{c.z!r},{c.label.value}\n"
+            yield f"{c.window_index},{tail}"
+
+    _write_csv(outdir / "classified.csv", "window_index,ei,z,label", classified_rows())
     hist = zscore_histogram(classified)
     _write_artifact(outdir / "histogram.json", (json.dumps(hist), "\n"))
     return ["classified.csv", "histogram.json"], classified

@@ -22,9 +22,9 @@ from .errors import NotAConversationError
 from .netbuild import InteractionNetwork
 
 
-# Score rows are built once per conversation and user, then only read: plain
-# slots classes, cheaper to build than frozen ones.
-@dataclass(slots=True)
+# Built once per distinct conversation shape and shared by every window of
+# that shape (see ensemble.conversation_metrics), so it is frozen.
+@dataclass(frozen=True, slots=True)
 class EngagementMetrics:
     n: int
     total_weight: int
@@ -34,6 +34,8 @@ class EngagementMetrics:
     ei: float
 
 
+# Built once per user and window, then only read: a plain slots class, cheaper
+# to build than a frozen one.
 @dataclass(slots=True)
 class NodeEngagement:
     user: int

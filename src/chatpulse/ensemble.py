@@ -68,17 +68,27 @@ class WindowMetrics:
 
 
 def conversation_metrics(ensemble: NetworkEnsemble) -> list[WindowMetrics]:
-    """Score every conversation network once, in window order.
+    """Score every conversation network, in window order.
 
-    The result feeds classification, rankings, series and period comparison.
-    Each window keeps its network until its nodes are first read.
+    A network's metrics depend only on its participant count and the
+    multiset of its edge weights, its shape. Each distinct shape is scored
+    once, and the windows of one shape share its ``EngagementMetrics``; the
+    floats are those of scoring each window, since ``gini`` sorts the
+    weights and the key fixes every operand. The result feeds
+    classification, rankings, series and period comparison. Each window
+    keeps its network until its nodes are first read.
     """
-    return [
-        WindowMetrics(
-            net.window_start, net.window_index, engagement_index(net), network=net
+    scored: dict[tuple[int, ...], EngagementMetrics] = {}
+    windows = []
+    for net in ensemble.conversations:
+        shape = (len(net.nodes), *sorted(net.edges.values()))
+        metrics = scored.get(shape)
+        if metrics is None:
+            metrics = scored[shape] = engagement_index(net)
+        windows.append(
+            WindowMetrics(net.window_start, net.window_index, metrics, network=net)
         )
-        for net in ensemble.conversations
-    ]
+    return windows
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,6 +9,7 @@ edges and is not a conversation. Transitions never span window boundaries.
 from __future__ import annotations
 
 import json
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
@@ -213,7 +214,8 @@ def load_ensemble(path: str | Path) -> NetworkEnsemble:
     """Read an ensemble JSONL file.
 
     A line holds a window's start, index, nodes and edges; every metric
-    downstream works from nodes and edges alone.
+    downstream works from nodes and edges alone. The nodes are listed in
+    strictly ascending order, as :func:`dump_ensemble` writes them.
     """
     path = Path(path)
     networks: list[InteractionNetwork] = []
@@ -242,7 +244,12 @@ def load_ensemble(path: str | Path) -> NetworkEnsemble:
                     f"{path}: line {line_no}: window start, index, node IDs"
                     " and weights must be integers"
                 )
-            if endpoints != set(obj["nodes"]):
+            nodes = obj["nodes"]
+            if any(map(operator.ge, nodes, nodes[1:])):
+                raise SchemaError(
+                    f"{path}: line {line_no}: nodes are not strictly ascending"
+                )
+            if endpoints != set(nodes):
                 raise SchemaError(
                     f"{path}: line {line_no}: nodes do not match edge endpoints"
                 )
@@ -250,7 +257,7 @@ def load_ensemble(path: str | Path) -> NetworkEnsemble:
                 InteractionNetwork(
                     window_start=obj["w"],
                     window_index=obj["i"],
-                    nodes=frozenset(obj["nodes"]),
+                    nodes=frozenset(nodes),
                     edges=edges,
                 )
             )

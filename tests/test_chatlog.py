@@ -349,6 +349,50 @@ def test_quoted_and_spaced_csv_values_accepted(tmp_path, body):
     assert (log.users, log.timestamps) == ((1,), (2,))
 
 
+# --- byte-order marks -------------------------------------------------------
+
+BOM = "\ufeff"
+
+
+def test_transcript_with_leading_bom_parses_as_without(tmp_path):
+    assert parse_transcript(BOM + FIXTURE) == parse_transcript(FIXTURE)
+    outputs = []
+    for name, text in (("plain", FIXTURE), ("bom", BOM + FIXTURE)):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / f"out-{name}"
+        assert main(["parse", str(path), "--out", str(out), "--salt", "ab"]) == EXIT_OK
+        outputs.append((out / "log.csv").read_bytes() + (out / "mapping.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_only_the_first_line_loses_a_bom():
+    # a second mark, or one on a later line, is text: it hides the header
+    with pytest.raises(ParseError, match="line 1: not a header line"):
+        parse_transcript(BOM + BOM + FIXTURE)
+    later = f"{FIXTURE}\n{BOM}3/7/18, 10:30 - Sender 1: body"
+    assert len(parse_transcript(later).log) == 25
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_log_with_leading_bom_loads_as_without(tmp_path, fmt):
+    path = tmp_path / f"log.{fmt}"
+    text = dump_log(MessageLog((0, 1, 0), (100, 160, 220)), fmt)
+    path.write_text(BOM + text, encoding="utf-8")
+    log = load_log(path)
+    assert (log.users, log.timestamps) == ((0, 1, 0), (100, 160, 220))
+    path.write_text(BOM + BOM + text, encoding="utf-8")
+    with pytest.raises(SchemaError, match="missing header|line 1: invalid JSON"):
+        load_log(path)
+
+
+def test_mapping_with_leading_bom_reads_as_without(tmp_path):
+    anon = anonymize(parse_transcript(FIXTURE), salt=b"bom")
+    path = tmp_path / "mapping.csv"
+    path.write_text(BOM + dump_mapping(anon.mapping), encoding="utf-8")
+    assert read_mapping(path) == anon.mapping
+
+
 BAD_JSONL = {
     '{"u":0}': "line 1: expected keys 'u' and 't'",
     '{"t":5}': "line 1: expected keys 'u' and 't'",

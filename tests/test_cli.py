@@ -413,34 +413,46 @@ def count_scoring(monkeypatch) -> dict[str, int]:
     return calls
 
 
+def distinct_shapes(ensemble_path) -> int:
+    """Conversation shapes, (n, sorted edge weights), read from an ensemble file."""
+    shapes = set()
+    for line in ensemble_path.read_text().splitlines():
+        net = json.loads(line)
+        if len(net["nodes"]) >= 2:
+            shapes.add((len(net["nodes"]), *sorted(w for _, _, w in net["edges"])))
+    return len(shapes)
+
+
 def test_report_scores_each_conversation_once(tmp_path, monkeypatch):
     calls = count_scoring(monkeypatch)
     log = simulate(tmp_path)
     out = tmp_path / "report"
     assert run("report", log, "--out", out, "--split", "2018-08-01T02:00") == EXIT_OK
     conversations = len((out / "metrics.csv").read_text().splitlines()) - 1
-    assert conversations > 0
-    assert calls == {"engagement_index": conversations, "node_centralities": conversations}
+    shapes = distinct_shapes(out / "ensemble.jsonl")
+    assert 0 < shapes < conversations  # windows of one shape share a score
+    assert calls == {"engagement_index": shapes, "node_centralities": conversations}
 
 
 def test_step_commands_score_node_rows_only_where_read(tmp_path, monkeypatch):
     log = simulate(tmp_path, users=12)
     assert run("build", log, "--out", tmp_path) == EXIT_OK
     ens = tmp_path / "ensemble.jsonl"
+    shapes = distinct_shapes(ens)
     calls = count_scoring(monkeypatch)
     assert run("metrics", ens, "--out", tmp_path / "m") == EXIT_OK
     conversations = len((tmp_path / "m" / "metrics.csv").read_text().splitlines()) - 1
-    assert calls == {"engagement_index": conversations, "node_centralities": conversations}
+    assert calls == {"engagement_index": shapes, "node_centralities": conversations}
 
     calls.update(engagement_index=0, node_centralities=0)
     assert run("classify", ens, "--out", tmp_path / "c") == EXIT_OK
-    assert calls == {"engagement_index": conversations, "node_centralities": 0}
+    assert calls == {"engagement_index": shapes, "node_centralities": 0}
 
     calls.update(engagement_index=0, node_centralities=0)
     assert run("series", ens, "--out", tmp_path / "s", "--user", 0) == EXIT_OK
     holding = len((tmp_path / "s" / "series_0.csv").read_text().splitlines()) - 1
     assert 0 < holding < conversations
-    assert calls == {"engagement_index": conversations, "node_centralities": holding}
+    assert calls == {"engagement_index": shapes, "node_centralities": holding}
 
 
 def failing_runs(tmp_path) -> dict[int, list]:

@@ -18,6 +18,7 @@ from chatpulse import (
     slice_windows,
 )
 from chatpulse.chatlog import utc_timestamp
+from chatpulse.cli import EXIT_SCHEMA, main
 
 from conftest import make_log, random_log
 from oracles import brute_pair_counts
@@ -224,6 +225,20 @@ def test_bad_ensemble_lines_rejected(tmp_path, line):
     path.write_text(line + "\n")
     with pytest.raises(SchemaError):
         load_ensemble(path)
+
+
+@pytest.mark.parametrize("nodes", ["[2,1,1]", "[1,1,2]", "[2,1]", "[1,2,2]"])
+def test_ensemble_nodes_must_ascend_strictly(tmp_path, nodes):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(
+        '{"w":0,"i":0,"nodes":[1,2],"edges":[[1,2,1]]}\n'
+        f'{{"w":600,"i":1,"nodes":{nodes},"edges":[[1,2,3]]}}\n'
+    )
+    with pytest.raises(SchemaError) as err:
+        load_ensemble(path)
+    assert str(err.value) == f"{path}: line 2: nodes are not strictly ascending"
+    argv = ["metrics", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_SCHEMA
 
 
 def test_ensemble_ordering_validated(tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tempfile
+from dataclasses import astuple
 from datetime import datetime, timezone
 from pathlib import Path
 from zoneinfo import ZoneInfo
@@ -22,9 +23,11 @@ from chatpulse import (
     conversation_metrics,
     dump_ensemble,
     dump_log,
+    engagement_index,
     ensemble_stats,
     load_ensemble,
     load_log,
+    node_centralities,
     parse_transcript,
     period_means,
     rank_users,
@@ -88,6 +91,83 @@ def test_mean_centrality_is_the_window_ei(rows):
     for w in scored(rows):
         mean = math.fsum(ne.ei_centrality for ne in w.nodes) / len(w.nodes)
         assert math.isclose(mean, w.metrics.ei, rel_tol=1e-12)
+
+
+# Windows of one shape, (n, sorted edge weights), share one score. About six
+# messages a window over a dozen windows make shapes repeat within a draw.
+repeating_shapes = chats(DELTA_T // 3, min_size=20)
+
+
+def reprs(row) -> list[str]:
+    return list(map(repr, astuple(row)))
+
+
+@given(repeating_shapes)
+def test_shared_scores_equal_scoring_each_window_alone(rows):
+    ens = build_ensemble(log_of(rows), WindowSpec(DELTA_T))
+    nets = ens.conversations
+    wms = conversation_metrics(ens)
+    assert [w.window_index for w in wms] == [net.window_index for net in nets]
+    for w, net in zip(wms, nets):
+        alone = engagement_index(net)
+        assert reprs(w.metrics) == reprs(alone)
+        assert list(map(reprs, w.nodes)) == list(
+            map(reprs, node_centralities(net, alone))
+        )
+
+
+@given(repeating_shapes)
+def test_memoized_float_keys_are_strictly_positive(rows):
+    # classified.csv formats once per ei and centralities.csv once per
+    # centrality; a dict merges 0.0 and -0.0, whose reprs differ
+    for w in scored(rows):
+        assert w.metrics.ei > 0
+        assert all(ne.ei_centrality > 0 for ne in w.nodes)
+
+
+def unshared_csvs(ensemble_path) -> dict[str, str]:
+    """The scored CSVs formatted row by row, each window scored alone."""
+    metrics = ["window_start,window_index,n,total_weight,equality,intensity,ei\n"]
+    central = ["window_start,user_id,strength,ei_centrality\n"]
+    eis = []
+    for net in load_ensemble(ensemble_path).conversations:
+        m = engagement_index(net)
+        metrics.append(
+            f"{net.window_start},{net.window_index},{m.n},{m.total_weight},"
+            f"{m.equality!r},{m.intensity!r},{m.ei!r}\n"
+        )
+        for ne in node_centralities(net, m):
+            central.append(
+                f"{net.window_start},{ne.user},{ne.strength},{ne.ei_centrality!r}\n"
+            )
+        eis.append((net.window_index, m.ei))
+    mean = math.fsum(ei for _, ei in eis) / len(eis)
+    std = math.sqrt(math.fsum((ei - mean) ** 2 for _, ei in eis) / len(eis))
+    classified = ["window_index,ei,z,label\n"]
+    for index, ei in eis:
+        z = (ei - mean) / std
+        label = "HIGH" if z >= 1.0 else "LOW" if z <= -1.0 else "MEDIUM"
+        classified.append(f"{index},{ei!r},{z!r},{label}\n")
+    return {
+        "metrics.csv": "".join(metrics),
+        "centralities.csv": "".join(central),
+        "classified.csv": "".join(classified),
+    }
+
+
+@given(repeating_shapes)
+def test_csv_text_equals_formatting_every_row(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        log = out / "log.csv"
+        log.write_text(dump_log(log_of(rows)))
+        ens = out / "ensemble.jsonl"
+        assert main(["build", str(log), "--out", tmp]) == EXIT_OK
+        assert main(["metrics", str(ens), "--out", tmp]) == EXIT_OK
+        # a degenerate or one-window ensemble has no classes
+        assume(main(["classify", str(ens), "--out", tmp]) == EXIT_OK)
+        for name, text in unshared_csvs(ens).items():
+            assert (out / name).read_text() == text, name
 
 
 @given(messages, st.sampled_from(["csv", "jsonl"]))
