@@ -8,10 +8,17 @@ with.
 
 from __future__ import annotations
 
+import json
 import math
+import operator
 import re
 from collections import Counter
 from datetime import datetime
+from pathlib import Path
+
+from chatpulse import SchemaError
+from chatpulse.chatlog import utf8_lines
+from chatpulse.netbuild import InteractionNetwork, NetworkEnsemble
 
 
 def gini_pairwise(weights) -> float:
@@ -125,3 +132,55 @@ def strptime_first_line(line: str, profile: str, zone) -> int | str:
             continue
         return int(local.replace(tzinfo=zone).timestamp())
     return f"unparseable timestamp {token!r}"
+
+
+def load_ensemble_direct(path) -> NetworkEnsemble:
+    """An ensemble JSONL file read as ``load_ensemble`` read it before its
+    scanner fast path: ``json.loads`` per line, then each check in turn."""
+    path = Path(path)
+    networks: list[InteractionNetwork] = []
+    for line_no, line in enumerate(utf8_lines(path, SchemaError), 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: line {line_no}: invalid JSON") from exc
+        try:
+            edges = {}
+            for u, v, w in obj["edges"]:
+                if not (u < v) or w <= 0:
+                    raise SchemaError(
+                        f"{path}: line {line_no}: bad edge [{u},{v},{w}]"
+                    )
+                edges[(u, v)] = w
+            if len(edges) != len(obj["edges"]):
+                raise SchemaError(f"{path}: line {line_no}: duplicate edge")
+            endpoints = {u for pair in edges for u in pair}
+            # compare types: a bool or 1.0 would pass as the int 1 otherwise
+            values = (obj["w"], obj["i"], *obj["nodes"], *endpoints, *edges.values())
+            if not set(map(type, values)) <= {int}:
+                raise SchemaError(
+                    f"{path}: line {line_no}: window start, index, node IDs"
+                    " and weights must be integers"
+                )
+            nodes = obj["nodes"]
+            if any(map(operator.ge, nodes, nodes[1:])):
+                raise SchemaError(
+                    f"{path}: line {line_no}: nodes are not strictly ascending"
+                )
+            if endpoints != set(nodes):
+                raise SchemaError(
+                    f"{path}: line {line_no}: nodes do not match edge endpoints"
+                )
+            networks.append(
+                InteractionNetwork(
+                    window_start=obj["w"],
+                    window_index=obj["i"],
+                    nodes=frozenset(nodes),
+                    edges=edges,
+                )
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"{path}: line {line_no}: malformed network") from exc
+    return NetworkEnsemble(tuple(networks))

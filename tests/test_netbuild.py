@@ -202,29 +202,63 @@ def test_ensemble_round_trip_through_jsonl(tmp_path):
         assert edges == sorted(edges)
 
 
-@pytest.mark.parametrize(
-    "line",
-    [
-        '{"w":0,"i":0,"nodes":[0,1],"edges":[[1,0,2]]}',  # u > v
-        '{"w":0,"i":0,"nodes":[0,1],"edges":[[0,1,0]]}',  # zero weight
-        '{"w":0,"i":0,"nodes":[0,1,5],"edges":[[0,1,2]]}',  # phantom node
-        '{"w":0,"i":0,"edges":[[0,1,2]]}',  # missing nodes
-        "not json",
-        '{"w":0,"i":0,"nodes":[0,1],"edges":[[0,1,2],[0,1,5]]}',  # duplicate edge
-        '{"w":0,"i":0,"nodes":[0,1],"edges":[[0,1,true]]}',  # bool weight
-        '{"w":0,"i":0,"nodes":[0,1],"edges":[[0,1,1.5]]}',  # float weight
-        '{"w":0,"i":0,"nodes":[false,1],"edges":[[false,1,2]]}',  # bool node ID
-        '{"w":0,"i":0,"nodes":[0,1.0],"edges":[[0,1,2]]}',  # float node ID
-        '{"w":0.5,"i":0,"nodes":[0,1],"edges":[[0,1,2]]}',  # float window start
-        '{"w":0,"i":0,"nodes":[0,1],"edges":[[0,1,1]]}\n'
-        '{"w":600,"i":7,"nodes":[0,1],"edges":[[0,1,1]]}',  # length 600/7
-    ],
+VALID_LINE = '{"w":0,"i":0,"nodes":[0,1],"edges":[[0,1,2]]}'
+INTEGERS = (
+    "window start, index, node IDs and weights must be integers"
 )
+# each line's exact diagnostic, as per-line json.loads and the checks give it
+BAD_ENSEMBLE = {
+    '{"w":0,"i":0,"nodes":[0,1],"edges":[[1,0,2]]}':  # u > v
+        "{path}: line 1: bad edge [1,0,2]",
+    '{"w":0,"i":0,"nodes":[0,1],"edges":[[0,1,0]]}':  # zero weight
+        "{path}: line 1: bad edge [0,1,0]",
+    '{"w":0,"i":0,"nodes":[0,1,5],"edges":[[0,1,2]]}':  # phantom node
+        "{path}: line 1: nodes do not match edge endpoints",
+    '{"w":0,"i":0,"edges":[[0,1,2]]}':  # missing nodes
+        "{path}: line 1: malformed network",
+    "not json": "{path}: line 1: invalid JSON",
+    '{"w":0,"i":0,"nodes":[0,1],"edges":[[0,1,2],[0,1,5]]}':  # duplicate edge
+        "{path}: line 1: duplicate edge",
+    '{"w":0,"i":0,"nodes":[0,1],"edges":[[0,1,true]]}':  # bool weight
+        f"{{path}}: line 1: {INTEGERS}",
+    '{"w":0,"i":0,"nodes":[0,1],"edges":[[0,1,1.5]]}':  # float weight
+        f"{{path}}: line 1: {INTEGERS}",
+    '{"w":0,"i":0,"nodes":[false,1],"edges":[[false,1,2]]}':  # bool node ID
+        f"{{path}}: line 1: {INTEGERS}",
+    '{"w":0,"i":0,"nodes":[0,1.0],"edges":[[0,1,2]]}':  # float node ID
+        f"{{path}}: line 1: {INTEGERS}",
+    '{"w":0.5,"i":0,"nodes":[0,1],"edges":[[0,1,2]]}':  # float window start
+        f"{{path}}: line 1: {INTEGERS}",
+    '{"w":0,"i":0,"nodes":[0,1],"edges":[[0,1,1]]}\n'
+    '{"w":600,"i":7,"nodes":[0,1],"edges":[[0,1,1]]}':  # length 600/7
+        "window indices 0, 7 at starts 0, 600 give no whole window length",
+    f"{VALID_LINE}\n{VALID_LINE} {{}}":  # Extra data after the object
+        "{path}: line 2: invalid JSON",
+    f"\ufeff{VALID_LINE}": "{path}: line 1: invalid JSON",  # BOM
+    # splitlines cuts at U+2028, even inside a JSON string
+    f'{VALID_LINE}\n\n{VALID_LINE[:-1]},"x":"a\u2028b"}}':
+        "{path}: line 3: invalid JSON",
+    '{"w":0,"i":0,"nodes":[0,1],"edges":[[0,1,NaN]]}':  # NaN weight
+        f"{{path}}: line 1: {INTEGERS}",
+}
+
+
+@pytest.mark.parametrize("line", list(BAD_ENSEMBLE))
 def test_bad_ensemble_lines_rejected(tmp_path, line):
     path = tmp_path / "bad.jsonl"
-    path.write_text(line + "\n")
-    with pytest.raises(SchemaError):
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
         load_ensemble(path)
+    assert str(err.value) == BAD_ENSEMBLE[line].format(path=path)
+
+
+@pytest.mark.parametrize("line", [f"  {VALID_LINE}  ", f"\t{VALID_LINE}\t"])
+def test_ensemble_line_padded_with_json_whitespace_loads(tmp_path, line):
+    path = tmp_path / "padded.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    (net,) = load_ensemble(path).networks
+    assert (net.window_start, net.window_index) == (0, 0)
+    assert net.nodes == {0, 1} and net.edges == {(0, 1): 2}
 
 
 @pytest.mark.parametrize("nodes", ["[2,1,1]", "[1,1,2]", "[2,1]", "[1,2,2]"])

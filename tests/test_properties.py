@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import tempfile
 from dataclasses import astuple
@@ -27,6 +28,7 @@ from chatpulse import (
     ensemble_stats,
     load_ensemble,
     load_log,
+    network_from_senders,
     node_centralities,
     parse_transcript,
     period_means,
@@ -37,7 +39,12 @@ from chatpulse.chatlog import READ_CHUNK, utf8_lines
 from chatpulse.cli import EXIT_OK, main
 
 from conftest import make_log
-from oracles import STRPTIME_PROFILES, scope_means_direct, strptime_first_line
+from oracles import (
+    STRPTIME_PROFILES,
+    load_ensemble_direct,
+    scope_means_direct,
+    strptime_first_line,
+)
 
 DELTA_T = 600
 BASE = 1_533_081_600  # 2018-08-01T00:00Z
@@ -197,6 +204,99 @@ def test_ensemble_round_trip(rows):
     assert networks_of(loaded) == networks_of(ens)
     assert dump_ensemble(loaded) == text
 
+
+
+# values of the wrong kind for any field, each as json.dumps writes it
+ODD_VALUES = st.sampled_from(
+    [1.0, 0.5, -1, 0, True, False, None, "1", "", float("nan"), [], [1], {}]
+)
+# JSON whitespace, other whitespace, line breaks, brackets and a BOM
+ODD_CHARS = st.sampled_from(
+    [" ", "\t", "\r", "\n", "\x0c", "\u3000", "\u2028", "\ufeff",
+     "[", "]", "{", "}", ",", '"']
+)
+
+
+@st.composite
+def mutated_line(draw, index):
+    """One canonical ensemble line for window ``index``, then mutated."""
+    net = network_from_senders(
+        draw(st.lists(st.integers(0, 5), max_size=8)),
+        window_start=DELTA_T * index, window_index=index,
+    )
+    obj = {
+        "w": net.window_start, "i": net.window_index, "nodes": sorted(net.nodes),
+        "edges": [[u, v, w] for (u, v), w in sorted(net.edges.items())],
+    }
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(
+            ["field", "node", "extra", "edge", "dup", "swap", "key"]
+        ))
+        edges = obj.get("edges")
+        if kind == "field":
+            obj[draw(st.sampled_from(["w", "i", "nodes", "edges"]))] = draw(ODD_VALUES)
+        elif kind == "node" and isinstance(obj.get("nodes"), list) and obj["nodes"]:
+            at = draw(st.integers(0, len(obj["nodes"]) - 1))
+            obj["nodes"][at] = draw(ODD_VALUES)
+        elif kind == "extra" and isinstance(obj.get("nodes"), list):
+            obj["nodes"].append(draw(st.integers(0, 6)))
+        elif kind == "edge" and isinstance(edges, list) and edges:
+            edge = draw(st.sampled_from(edges))
+            if isinstance(edge, list) and edge:
+                edge[draw(st.integers(0, len(edge) - 1))] = draw(ODD_VALUES)
+        elif kind == "dup" and isinstance(edges, list) and edges:
+            edges.append(list(draw(st.sampled_from(edges))))
+        elif kind == "swap" and isinstance(edges, list) and edges:
+            edge = draw(st.sampled_from(edges))
+            if isinstance(edge, list):
+                edge.reverse()
+        elif kind == "key":
+            key = draw(st.sampled_from(["w", "i", "nodes", "edges", "x"]))
+            if obj.pop(key, None) is None:
+                obj[key] = draw(ODD_VALUES)
+    keys = draw(st.permutations(list(obj)))
+    separators = draw(st.sampled_from([(",", ":"), (", ", ": ")]))
+    text = json.dumps({k: obj[k] for k in keys}, separators=separators)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:at] + draw(ODD_CHARS) + text[at:]
+        else:
+            text = text[:at] + text[at + 1:]  # drops a bracket, key or digit
+    return text
+
+
+@st.composite
+def mutated_ensembles(draw):
+    count = draw(st.integers(1, 4))
+    lines = [draw(mutated_line(index)) for index in range(count)]
+    blanks = draw(st.lists(st.integers(0, count), max_size=2))
+    for at in sorted(blanks, reverse=True):
+        lines.insert(at, draw(st.sampled_from(["", " ", "\t"])))
+    return "\n".join(lines) + "\n"
+
+
+def load_outcome(load, path):
+    """``load``'s networks, with the types of every value, or its error."""
+    try:
+        ens = load(path)
+    except Exception as exc:  # noqa: BLE001 - the two loaders must agree
+        return type(exc).__name__, str(exc)
+    return repr([
+        (n.window_start, n.window_index, sorted(n.nodes), list(n.edges.items()))
+        for n in ens.networks
+    ])
+
+
+@settings(max_examples=400)
+@given(mutated_ensembles())
+def test_load_ensemble_agrees_with_per_line_json_loads(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ensemble.jsonl"
+        path.write_text(text, encoding="utf-8")
+        assert load_outcome(load_ensemble, path) == load_outcome(
+            load_ensemble_direct, path
+        )
 
 # every line boundary str.splitlines knows, a BOM, and characters of one to
 # four UTF-8 bytes
