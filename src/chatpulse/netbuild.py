@@ -210,57 +210,70 @@ def dump_ensemble(ensemble: NetworkEnsemble) -> str:
     return "".join(lines)
 
 
+# json.loads skips the whitespace around a value and reads the value with
+# this scanner; a line that holds the value alone needs only the scanner.
+_scan_json = json.JSONDecoder().scan_once
+_INT = {int}
+
+
 def load_ensemble(path: str | Path) -> NetworkEnsemble:
     """Read an ensemble JSONL file.
 
     A line holds a window's start, index, nodes and edges; every metric
     downstream works from nodes and edges alone. The nodes are listed in
-    strictly ascending order, as :func:`dump_ensemble` writes them.
+    strictly ascending order, as :func:`dump_ensemble` writes them. Each line
+    is read as ``json.loads`` reads it: any line the scanner alone does not
+    read to its end goes through ``json.loads``, so both accept and reject
+    the same lines.
     """
     path = Path(path)
     networks: list[InteractionNetwork] = []
     for line_no, line in enumerate(utf8_lines(path, SchemaError), 1):
-        if not line.strip():
-            continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: line {line_no}: invalid JSON") from exc
+            obj, end = _scan_json(line, 0)
+        except (StopIteration, ValueError):
+            end = -1
+        if end != len(line):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"{path}: line {line_no}: invalid JSON") from exc
         try:
+            raw_edges = obj["edges"]
             edges = {}
-            for u, v, w in obj["edges"]:
+            for u, v, w in raw_edges:
                 if not (u < v) or w <= 0:
                     raise SchemaError(
                         f"{path}: line {line_no}: bad edge [{u},{v},{w}]"
                     )
                 edges[(u, v)] = w
-            if len(edges) != len(obj["edges"]):
+            if len(edges) != len(raw_edges):
                 raise SchemaError(f"{path}: line {line_no}: duplicate edge")
-            endpoints = {u for pair in edges for u in pair}
-            # compare types: a bool or 1.0 would pass as the int 1 otherwise
-            values = (obj["w"], obj["i"], *obj["nodes"], *endpoints, *edges.values())
-            if not set(map(type, values)) <= {int}:
+            start, index, nodes = obj["w"], obj["i"], obj["nodes"]
+            endpoints = set(chain.from_iterable(edges))
+            # compare types: a bool or 1.0 would pass as the int 1 otherwise;
+            # the nodes go first, so a nodes value that is no list is malformed
+            if not (
+                set(map(type, chain(nodes, endpoints, edges.values()))) <= _INT
+                and type(start) is int
+                and type(index) is int
+            ):
                 raise SchemaError(
                     f"{path}: line {line_no}: window start, index, node IDs"
                     " and weights must be integers"
                 )
-            nodes = obj["nodes"]
             if any(map(operator.ge, nodes, nodes[1:])):
                 raise SchemaError(
                     f"{path}: line {line_no}: nodes are not strictly ascending"
                 )
-            if endpoints != set(nodes):
+            node_set = frozenset(nodes)
+            if endpoints != node_set:
                 raise SchemaError(
                     f"{path}: line {line_no}: nodes do not match edge endpoints"
                 )
-            networks.append(
-                InteractionNetwork(
-                    window_start=obj["w"],
-                    window_index=obj["i"],
-                    nodes=frozenset(nodes),
-                    edges=edges,
-                )
-            )
+            networks.append(InteractionNetwork(start, index, node_set, edges))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"{path}: line {line_no}: malformed network") from exc
     return NetworkEnsemble(tuple(networks))

@@ -206,9 +206,11 @@ def test_ensemble_round_trip(rows):
 
 
 
-# values of the wrong kind for any field, each as json.dumps writes it
-ODD_VALUES = st.sampled_from(
-    [1.0, 0.5, -1, 0, True, False, None, "1", "", float("nan"), [], [1], {}]
+# values of the wrong kind for any field; the containers are built afresh,
+# as a mutation may append to them
+ODD_VALUES = st.one_of(
+    st.sampled_from([1.0, 0.5, -1, 0, True, False, None, "1", "", float("nan")]),
+    st.builds(list), st.builds(lambda: [1]), st.builds(dict),
 )
 # JSON whitespace, other whitespace, line breaks, brackets and a BOM
 ODD_CHARS = st.sampled_from(
@@ -245,7 +247,7 @@ def mutated_line(draw, index):
             if isinstance(edge, list) and edge:
                 edge[draw(st.integers(0, len(edge) - 1))] = draw(ODD_VALUES)
         elif kind == "dup" and isinstance(edges, list) and edges:
-            edges.append(list(draw(st.sampled_from(edges))))
+            edges.append(draw(st.sampled_from(edges)))
         elif kind == "swap" and isinstance(edges, list) and edges:
             edge = draw(st.sampled_from(edges))
             if isinstance(edge, list):
