@@ -227,22 +227,34 @@ def _midnight_epoch(zone: ZoneInfo, year: int, month: int, day: int) -> int | No
     return (local.toordinal() - _EPOCH_ORDINAL) * 86400 - offset // _SECOND
 
 
+# A date's first header times go through datetime. Checking its offset costs
+# about what 30 reads from its midnight save, so a date is checked on its
+# 64th time and one with fewer messages never pays for the check.
+_CHECK_AFTER = 64
+
+
 def _cached_epoch(
-    zone: ZoneInfo, midnights: dict[tuple[int, int, int], int | None],
+    zone: ZoneInfo,
+    midnights: dict[tuple[int, int, int], int | None],
+    reads: dict[tuple[int, int, int], int],
     *token_fields: str,
 ) -> int:
     """``_local_epoch(zone, None, *token_fields)``, added to the midnight of
-    its date when that date keeps one offset.
+    its date once that date is checked and keeps one offset.
 
-    ``midnights`` maps each date already read to :func:`_midnight_epoch`.
+    ``midnights`` maps each checked date to :func:`_midnight_epoch`, and
+    ``reads`` counts the times read on each date until it is checked, on
+    its ``_CHECK_AFTER``-th time.
     """
-    y, mo, d, h, mi, s = _clock(*token_fields)
-    try:
-        base = midnights[y, mo, d]
-    except KeyError:
-        base = midnights[y, mo, d] = _midnight_epoch(zone, y, mo, d)
-    if base is None:  # the offset changes on this date
-        return _local_epoch(zone, None, *token_fields)
+    y, mo, d, h, mi, s = clock = _clock(*token_fields)
+    key = y, mo, d
+    if key not in midnights:
+        reads[key] = count = reads.get(key, 0) + 1
+        if count >= _CHECK_AFTER:
+            midnights[key] = _midnight_epoch(zone, y, mo, d)
+    base = midnights.get(key)
+    if base is None:  # not checked yet, or the offset changes on this date
+        return int(datetime(*clock, tzinfo=zone).timestamp())
     if h > 23 or mi > 59 or s > 59:
         raise ValueError(f"time {h}:{mi}:{s} out of range")
     return base + h * 3600 + mi * 60 + s
@@ -298,6 +310,7 @@ def parse_transcript(
     last_token: str | None = None
     last_epoch = 0  # fold=0 reading of last_token
     midnights: dict[tuple[int, int, int], int | None] = {}
+    reads: dict[tuple[int, int, int], int] = {}
 
     if isinstance(lines, str):
         lines = lines.splitlines()
@@ -323,7 +336,7 @@ def parse_transcript(
         try:
             if token != last_token:
                 last_epoch = _cached_epoch(
-                    zone, midnights, *match.group("ts", *_TIME_FIELDS)
+                    zone, midnights, reads, *match.group("ts", *_TIME_FIELDS)
                 )
                 last_token = token
             ts = last_epoch

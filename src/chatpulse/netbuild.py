@@ -254,7 +254,7 @@ def load_ensemble(path: str | Path) -> NetworkEnsemble:
             start, index, nodes = obj["w"], obj["i"], obj["nodes"]
             endpoints = set(chain.from_iterable(edges))
             # compare types: a bool or 1.0 would pass as the int 1 otherwise;
-            # the nodes go first, so a nodes value that is no list is malformed
+            # nodes that cannot be iterated are malformed, whatever the start
             if not (
                 set(map(type, chain(nodes, endpoints, edges.values()))) <= _INT
                 and type(start) is int

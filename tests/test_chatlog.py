@@ -26,6 +26,7 @@ from chatpulse import (
     read_mapping,
 )
 from chatpulse.chatlog import (
+    _CHECK_AFTER,
     READ_CHUNK,
     _cached_epoch,
     _local_epoch,
@@ -196,13 +197,31 @@ def test_bad_us_header_time_is_parse_error(line, token):
     assert str(err.value) == f"line 2: unparseable timestamp {token!r}"
 
 
-@pytest.mark.parametrize(
-    "token", ["3/7/18, 24:00", "3/7/18, 23:60", "29/2/18, 10:00", "3/13/18, 10:00"]
-)
-def test_time_out_of_range_on_a_date_already_read_is_parse_error(token):
+# header lines whose time is out of range, each with its token
+BAD_TIMES = {
+    "3/7/18, 24:00 - Ann: hi": "3/7/18, 24:00",
+    "3/7/18, 23:60 - Ann: hi": "3/7/18, 23:60",
+    "29/2/18, 10:00 - Ann: hi": "29/2/18, 10:00",
+    "3/13/18, 10:00 - Ann: hi": "3/13/18, 10:00",
+    "[3/7/18, 23:59:60] Ann: hi": "3/7/18, 23:59:60",
+    "[3/7/18, 24:00:00] Ann: hi": "3/7/18, 24:00:00",
+}
+
+
+@pytest.mark.parametrize("line", list(BAD_TIMES))
+@pytest.mark.parametrize("earlier", [1, _CHECK_AFTER])
+def test_time_out_of_range_after_a_date_was_read_is_parse_error(line, earlier):
+    # after _CHECK_AFTER times, 3/7/18 is read from its midnight
+    bracket = line.startswith("[")
+    times = [f"{i // 60:02d}:{i % 60:02d}" for i in range(earlier)]
+    header = "[3/7/18, {}:00] Ann: ok" if bracket else "3/7/18, {} - Ann: ok"
+    text = "\n".join([header.format(t) for t in times] + [line])
+    profile = "whatsapp-bracket" if bracket else "whatsapp-en-dash"
     with pytest.raises(ParseError) as err:
-        parse_transcript(f"3/7/18, 23:31 - Ann: ok\n{token} - Ann: hi")
-    assert str(err.value) == f"line 2: unparseable timestamp {token!r}"
+        parse_transcript(text, profile=profile)
+    assert str(err.value) == (
+        f"line {earlier + 1}: unparseable timestamp {BAD_TIMES[line]!r}"
+    )
 
 
 OFFSET_ZONES = [
@@ -245,16 +264,17 @@ def test_cached_epochs_equal_local_epoch_every_minute(tz):
     changes = offset_change_dates(zone)
     days = {d + timedelta(days=k) for d in changes for k in (-1, 0, 1)}
     days |= {date(2018, 6, 15), date(1, 1, 1), date(1, 1, 2), date(9999, 12, 31)}
-    midnights = {}
+    midnights, reads = {}, {}
     mismatches = []
     for day in sorted(days):
         for fields in [minute_fields(day, m) for m in range(1440)] + [
             minute_fields(day, 1439, "59")
         ]:
-            cached = _cached_epoch(zone, midnights, *fields)
+            cached = _cached_epoch(zone, midnights, reads, *fields)
             if cached != _local_epoch(zone, None, *fields):
                 mismatches.append(fields)
     assert mismatches == []
+    assert set(midnights) == {(day.year, day.month, day.day) for day in days}
     assert bool(changes) == (tz != "Asia/Kathmandu")
     # a date keeps a midnight exactly when its offset does not change
     assert {
