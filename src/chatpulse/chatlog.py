@@ -229,7 +229,7 @@ def _midnight_epoch(zone: ZoneInfo, year: int, month: int, day: int) -> int | No
 
 # A date's first header times go through datetime. Checking its offset costs
 # about what 30 reads from its midnight save, so a date is checked on its
-# 64th time and one with fewer messages never pays for the check.
+# 64th time and one with fewer times never pays for the check.
 _CHECK_AFTER = 64
 
 

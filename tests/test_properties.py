@@ -205,7 +205,6 @@ def test_ensemble_round_trip(rows):
     assert dump_ensemble(loaded) == text
 
 
-
 # values of the wrong kind for any field; the containers are built afresh,
 # as a mutation may append to them
 ODD_VALUES = st.one_of(
@@ -299,6 +298,7 @@ def test_load_ensemble_agrees_with_per_line_json_loads(text):
         assert load_outcome(load_ensemble, path) == load_outcome(
             load_ensemble_direct, path
         )
+
 
 # every line boundary str.splitlines knows, a BOM, and characters of one to
 # four UTF-8 bytes
