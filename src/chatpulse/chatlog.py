@@ -19,8 +19,8 @@ import re
 import secrets
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from datetime import date, datetime, time, timedelta, timezone
-from itertools import accumulate, chain, islice, repeat
+from datetime import datetime, timezone
+from itertools import accumulate, chain, islice
 from pathlib import Path
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
@@ -103,7 +103,7 @@ class ExportProfile:
 
     ``header`` matches a message or notice line. Its named groups are ``ts``
     (the whole time token, quoted in diagnostics), ``rest`` (what follows
-    it) and the seven ``_TIME_FIELDS`` that :func:`_clock` reads. A
+    it) and the seven ``_TIME_FIELDS`` that :func:`_local_epoch` reads. A
     field the locale never writes is an empty group. No auto-detection:
     pick one explicitly.
     """
@@ -112,7 +112,7 @@ class ExportProfile:
 
 
 # the named groups of every header regex that hold the time, in the order
-# _clock takes them
+# _local_epoch takes them
 _TIME_FIELDS = ("day", "month", "year", "hour", "minute", "second", "meridiem")
 
 _DATE = r"(?P<day>\d{1,2})/(?P<month>\d{1,2})/(?P<year>\d{2,4})"
@@ -151,19 +151,25 @@ def _clean_line(line: str) -> str:
     return _INVISIBLE_MARKS.sub("", line)
 
 
-def _clock(
-    token: str, day: str, month: str, year: str, hour: str, minute: str,
+def _local_epoch(
+    zone: ZoneInfo, earliest: int | None, token: str,
+    day: str, month: str, year: str, hour: str, minute: str,
     second: str | None, meridiem: str,
-) -> tuple[int, int, int, int, int, int]:
-    """Year, month, day, hour, minute and second of the header time ``token``.
+) -> int:
+    """Epoch seconds of the header time ``token`` read in ``zone``.
 
     The fields are the parts of ``token`` a header regex captured. A
     two-digit year pivots as ``%y`` does (69-99 is 19xx, 00-68 is 20xx), a
     four-digit one is read as is, and any other length is an error. Seconds
     are 0 when absent or empty. With a meridiem (``A`` or ``P``, any case)
     the hour is on the 12-hour clock and must be 1-12. Raises ``ValueError``
-    for those errors and for a token with digits outside ASCII; the caller
-    range-checks the date and the 24-hour time it returns.
+    for a field out of range, such as 31/2 or a minute of 60, and for a
+    token with digits outside ASCII.
+
+    A local time repeated by a DST fall-back reads as its first occurrence
+    unless that falls before ``earliest``; then it reads as the second
+    (``fold=1``). A local time skipped by a spring-forward gap keeps the
+    ``fold=0`` reading, the offset in force before the gap.
     """
     if not token.isascii():
         raise ValueError("non-ASCII digits")
@@ -177,87 +183,15 @@ def _clock(
         if not 1 <= h <= 12:
             raise ValueError(f"hour {h} on a 12-hour clock")
         h = h % 12 + (12 if meridiem in "Pp" else 0)
-    return y, int(month), int(day), h, int(minute), int(second) if second else 0
-
-
-def _local_epoch(zone: ZoneInfo, earliest: int | None, *token_fields: str) -> int:
-    """Epoch seconds of the header time ``token_fields`` read in ``zone``.
-
-    ``token_fields`` are the arguments of :func:`_clock`. Raises
-    ``ValueError`` where :func:`_clock` does and for a field out of range,
-    such as 31/2 or a minute of 60.
-
-    A local time repeated by a DST fall-back reads as its first occurrence
-    unless that falls before ``earliest``; then it reads as the second
-    (``fold=1``). A local time skipped by a spring-forward gap keeps the
-    ``fold=0`` reading, the offset in force before the gap.
-    """
-    local = datetime(*_clock(*token_fields), tzinfo=zone)
+    local = datetime(
+        y, int(month), int(day), h, int(minute),
+        int(second) if second else 0, tzinfo=zone,
+    )
     ts = int(local.timestamp())
     if earliest is not None and ts < earliest:
         # fold=1 is later only for a repeated time, earlier in a gap
         ts = max(ts, int(local.replace(fold=1).timestamp()))
     return ts
-
-
-# every quarter hour and the last second of a day, each at both folds
-_DAY_PROBES = tuple(
-    time(h, m, s, fold=fold)
-    for h, m, s in [(h, m, 0) for h in range(24) for m in (0, 15, 30, 45)]
-    + [(23, 59, 59)]
-    for fold in (0, 1)
-)
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
-_SECOND = timedelta(seconds=1)
-
-
-def _midnight_epoch(zone: ZoneInfo, year: int, month: int, day: int) -> int | None:
-    """Epoch seconds of local midnight on a date, if ``zone`` keeps one UTC
-    offset all that day, else ``None``.
-
-    The offset is read at every quarter hour and at 23:59:59, each at both
-    folds. Raises ``ValueError`` for a date that does not exist.
-    """
-    local = date(year, month, day)
-    probes = map(datetime.combine, repeat(local), _DAY_PROBES)
-    offsets = set(map(zone.utcoffset, probes))
-    if len(offsets) != 1:
-        return None
-    (offset,) = offsets
-    return (local.toordinal() - _EPOCH_ORDINAL) * 86400 - offset // _SECOND
-
-
-# A date's first header times go through datetime. Checking its offset costs
-# about what 30 reads from its midnight save, so a date is checked on its
-# 64th time and one with fewer times never pays for the check.
-_CHECK_AFTER = 64
-
-
-def _cached_epoch(
-    zone: ZoneInfo,
-    midnights: dict[tuple[int, int, int], int | None],
-    reads: dict[tuple[int, int, int], int],
-    *token_fields: str,
-) -> int:
-    """``_local_epoch(zone, None, *token_fields)``, added to the midnight of
-    its date once that date is checked and keeps one offset.
-
-    ``midnights`` maps each checked date to :func:`_midnight_epoch`, and
-    ``reads`` counts the times read on each date until it is checked, on
-    its ``_CHECK_AFTER``-th time.
-    """
-    y, mo, d, h, mi, s = clock = _clock(*token_fields)
-    key = y, mo, d
-    if key not in midnights:
-        reads[key] = count = reads.get(key, 0) + 1
-        if count >= _CHECK_AFTER:
-            midnights[key] = _midnight_epoch(zone, y, mo, d)
-    base = midnights.get(key)
-    if base is None:  # not checked yet, or the offset changes on this date
-        return int(datetime(*clock, tzinfo=zone).timestamp())
-    if h > 23 or mi > 59 or s > 59:
-        raise ValueError(f"time {h}:{mi}:{s} out of range")
-    return base + h * 3600 + mi * 60 + s
 
 
 def _resolve_zone(tz: str | ZoneInfo) -> ZoneInfo:
@@ -309,8 +243,6 @@ def parse_transcript(
     # headers have minute precision, so a time token often repeats the last
     last_token: str | None = None
     last_epoch = 0  # fold=0 reading of last_token
-    midnights: dict[tuple[int, int, int], int | None] = {}
-    reads: dict[tuple[int, int, int], int] = {}
 
     if isinstance(lines, str):
         lines = lines.splitlines()
@@ -335,8 +267,8 @@ def parse_transcript(
         earliest = None if prev_ts is None else prev_ts - slack
         try:
             if token != last_token:
-                last_epoch = _cached_epoch(
-                    zone, midnights, reads, *match.group("ts", *_TIME_FIELDS)
+                last_epoch = _local_epoch(
+                    zone, None, *match.group("ts", *_TIME_FIELDS)
                 )
                 last_token = token
             ts = last_epoch

@@ -6,8 +6,6 @@ import json
 import logging
 import sys
 import tracemalloc
-from datetime import date, datetime, timedelta, timezone
-from zoneinfo import ZoneInfo
 
 import pytest
 
@@ -25,15 +23,7 @@ from chatpulse import (
     parse_transcript,
     read_mapping,
 )
-from chatpulse.chatlog import (
-    _CHECK_AFTER,
-    READ_CHUNK,
-    _cached_epoch,
-    _local_epoch,
-    read_utf8,
-    utc_timestamp,
-    utf8_lines,
-)
+from chatpulse.chatlog import READ_CHUNK, read_utf8, utc_timestamp, utf8_lines
 from chatpulse.cli import EXIT_OK, main
 
 
@@ -195,122 +185,6 @@ def test_bad_us_header_time_is_parse_error(line, token):
     with pytest.raises(ParseError) as err:
         parse_transcript(f"8/1/18, 9:00 AM - Ann: ok\n{line}", profile="whatsapp-us-dash")
     assert str(err.value) == f"line 2: unparseable timestamp {token!r}"
-
-
-# header lines whose time is out of range, each with its token
-BAD_TIMES = {
-    "3/7/18, 24:00 - Ann: hi": "3/7/18, 24:00",
-    "3/7/18, 23:60 - Ann: hi": "3/7/18, 23:60",
-    "29/2/18, 10:00 - Ann: hi": "29/2/18, 10:00",
-    "3/13/18, 10:00 - Ann: hi": "3/13/18, 10:00",
-    "[3/7/18, 23:59:60] Ann: hi": "3/7/18, 23:59:60",
-    "[3/7/18, 24:00:00] Ann: hi": "3/7/18, 24:00:00",
-}
-
-
-@pytest.mark.parametrize("line", list(BAD_TIMES))
-@pytest.mark.parametrize("earlier", [1, _CHECK_AFTER])
-def test_time_out_of_range_after_a_date_was_read_is_parse_error(line, earlier):
-    # after _CHECK_AFTER times, 3/7/18 is read from its midnight
-    bracket = line.startswith("[")
-    times = [f"{i // 60:02d}:{i % 60:02d}" for i in range(earlier)]
-    header = "[3/7/18, {}:00] Ann: ok" if bracket else "3/7/18, {} - Ann: ok"
-    text = "\n".join([header.format(t) for t in times] + [line])
-    profile = "whatsapp-bracket" if bracket else "whatsapp-en-dash"
-    with pytest.raises(ParseError) as err:
-        parse_transcript(text, profile=profile)
-    assert str(err.value) == (
-        f"line {earlier + 1}: unparseable timestamp {BAD_TIMES[line]!r}"
-    )
-
-
-OFFSET_ZONES = [
-    "America/Sao_Paulo", "Europe/London",
-    "Australia/Lord_Howe",  # a 30-minute DST shift
-    "Asia/Kathmandu",  # +05:45, no DST
-]
-
-
-def offset_change_dates(zone, years=(2018, 2019)):
-    """Local dates on which ``zone``'s UTC offset changes, found by scanning
-    the years hour by hour in UTC; each date is read at the new offset."""
-    def offset(t):
-        return datetime.fromtimestamp(t, zone).utcoffset()
-
-    t = int(datetime(years[0], 1, 1, tzinfo=timezone.utc).timestamp())
-    stop = int(datetime(years[-1] + 1, 1, 1, tzinfo=timezone.utc).timestamp())
-    dates = set()
-    for t in range(t, stop, 3600):
-        lo, hi = t, t + 3600
-        if offset(lo) == offset(hi):
-            continue
-        while hi - lo > 1:  # to the first second of the new offset
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if offset(mid) == offset(lo) else (lo, mid)
-        dates.add(datetime.fromtimestamp(hi, zone).date())
-    return dates
-
-
-def minute_fields(day, minute, second=None):
-    return (
-        "t", str(day.day), str(day.month), f"{day.year:04d}",
-        f"{minute // 60:02d}", f"{minute % 60:02d}", second, "",
-    )
-
-
-@pytest.mark.parametrize("tz", OFFSET_ZONES)
-def test_cached_epochs_equal_local_epoch_every_minute(tz):
-    zone = ZoneInfo(tz)
-    changes = offset_change_dates(zone)
-    days = {d + timedelta(days=k) for d in changes for k in (-1, 0, 1)}
-    days |= {date(2018, 6, 15), date(1, 1, 1), date(1, 1, 2), date(9999, 12, 31)}
-    midnights, reads = {}, {}
-    mismatches = []
-    for day in sorted(days):
-        for fields in [minute_fields(day, m) for m in range(1440)] + [
-            minute_fields(day, 1439, "59")
-        ]:
-            cached = _cached_epoch(zone, midnights, reads, *fields)
-            if cached != _local_epoch(zone, None, *fields):
-                mismatches.append(fields)
-    assert mismatches == []
-    assert set(midnights) == {(day.year, day.month, day.day) for day in days}
-    assert bool(changes) == (tz != "Asia/Kathmandu")
-    # a date keeps a midnight exactly when its offset does not change
-    assert {
-        date(*key) for key, base in midnights.items() if base is None
-    } == changes
-
-
-def parsed_or_error(text, tz):
-    try:
-        return parse_transcript(text, tz=tz).log.timestamps
-    except ParseError as exc:
-        return type(exc), str(exc)
-
-
-@pytest.mark.parametrize("tz", OFFSET_ZONES)
-def test_backward_time_rereads_like_local_epoch(tz):
-    # each minute read after the time 59 minutes later: in a repeated hour
-    # the second occurrence is taken, elsewhere the order is refused
-    zone = ZoneInfo(tz)
-    mismatches = []
-    for day in sorted(offset_change_dates(zone)) or [date(2018, 6, 15)]:
-        for minute in range(1440 - 59):
-            later = minute_fields(day, minute + 59)
-            fields = minute_fields(day, minute)
-            first = _local_epoch(zone, None, *later)
-            second = _local_epoch(zone, first, *fields)
-            expected = (first, second) if second >= first else (
-                OrderingError,
-                f"line 2: timestamp moves backward by {first - second}s (slack=0s)",
-            )
-            text = "".join(
-                f"{f[1]}/{f[2]}/{f[3]}, {f[4]}:{f[5]} - Ann: hi\n" for f in (later, fields)
-            )
-            if parsed_or_error(text, tz) != expected:
-                mismatches.append(text)
-    assert mismatches == []
 
 
 def test_en_dash_separator_accepted():
