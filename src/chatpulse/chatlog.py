@@ -19,7 +19,7 @@ import re
 import secrets
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from itertools import accumulate, chain, islice
 from pathlib import Path
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
@@ -184,14 +184,23 @@ def _local_epoch(
             raise ValueError(f"hour {h} on a 12-hour clock")
         h = h % 12 + (12 if meridiem in "Pp" else 0)
     local = datetime(
-        y, int(month), int(day), h, int(minute),
-        int(second) if second else 0, tzinfo=zone,
+        y, int(month), int(day), h, int(minute), int(second) if second else 0
     )
-    ts = int(local.timestamp())
+    ts = _zone_epoch(zone, local)
     if earliest is not None and ts < earliest:
         # fold=1 is later only for a repeated time, earlier in a gap
-        ts = max(ts, int(local.replace(fold=1).timestamp()))
+        ts = max(ts, _zone_epoch(zone, local.replace(fold=1)))
     return ts
+
+
+_NAIVE_EPOCH = datetime(1970, 1, 1)
+_SECOND = timedelta(seconds=1)
+
+
+def _zone_epoch(zone: ZoneInfo, local: datetime) -> int:
+    """``int(local.replace(tzinfo=zone).timestamp())`` for a naive ``local``,
+    computed without the aware datetime and the float."""
+    return (local - _NAIVE_EPOCH - zone.utcoffset(local)) // _SECOND
 
 
 def _resolve_zone(tz: str | ZoneInfo) -> ZoneInfo:

@@ -6,6 +6,8 @@ import json
 import logging
 import sys
 import tracemalloc
+from datetime import date, datetime, timezone
+from zoneinfo import ZoneInfo
 
 import pytest
 
@@ -23,7 +25,13 @@ from chatpulse import (
     parse_transcript,
     read_mapping,
 )
-from chatpulse.chatlog import READ_CHUNK, read_utf8, utc_timestamp, utf8_lines
+from chatpulse.chatlog import (
+    READ_CHUNK,
+    _local_epoch,
+    read_utf8,
+    utc_timestamp,
+    utf8_lines,
+)
 from chatpulse.cli import EXIT_OK, main
 
 
@@ -138,6 +146,59 @@ def test_dst_spring_forward_gap_keeps_offset_before_the_gap():
     # Sao Paulo skipped 2018-11-04 00:00-00:59; 00:30 reads at UTC-3
     log = parse_transcript("4/11/18, 00:30 - Alice: hi", tz="America/Sao_Paulo").log
     assert log.timestamps[0] == 1541302200
+
+
+OFFSET_ZONES = [
+    "America/Sao_Paulo", "Europe/London",
+    "Australia/Lord_Howe",  # a 30-minute DST shift
+    "Asia/Kathmandu",  # +05:45, no DST
+]
+
+
+def offset_change_dates(zone, years=(2018, 2019)):
+    """Local dates on which ``zone``'s UTC offset changes, found by scanning
+    the years hour by hour in UTC; each date is read at the new offset."""
+    def offset(t):
+        return datetime.fromtimestamp(t, zone).utcoffset()
+
+    t = int(datetime(years[0], 1, 1, tzinfo=timezone.utc).timestamp())
+    stop = int(datetime(years[-1] + 1, 1, 1, tzinfo=timezone.utc).timestamp())
+    dates = set()
+    for t in range(t, stop, 3600):
+        lo, hi = t, t + 3600
+        if offset(lo) == offset(hi):
+            continue
+        while hi - lo > 1:  # to the first second of the new offset
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if offset(mid) == offset(lo) else (lo, mid)
+        dates.add(datetime.fromtimestamp(hi, zone).date())
+    return dates
+
+
+@pytest.mark.parametrize("tz", OFFSET_ZONES)
+def test_local_epoch_matches_aware_timestamp_every_minute(tz):
+    # _local_epoch reads the zone's offset for a naive time; it must give
+    # what the aware time's timestamp gives, for both readings of a time
+    zone = ZoneInfo(tz)
+    changes = offset_change_dates(zone)
+    assert bool(changes) == (tz != "Asia/Kathmandu")
+    days = changes | {date(2018, 6, 15), date(1, 1, 1), date(9999, 12, 31)}
+    mismatches = []
+    for day in sorted(days):
+        for minute in range(1440):
+            hour, minute = divmod(minute, 60)
+            fields = (
+                "t", str(day.day), str(day.month), f"{day.year:04d}",
+                f"{hour:02d}", f"{minute:02d}", "59", "",
+            )
+            aware = datetime(*day.timetuple()[:3], hour, minute, 59, tzinfo=zone)
+            first = int(aware.timestamp())
+            # an earliest after the first reading asks for the fold=1 one
+            expected = first, max(first, int(aware.replace(fold=1).timestamp()))
+            got = _local_epoch(zone, None, *fields), _local_epoch(zone, first + 1, *fields)
+            if got != expected:
+                mismatches.append((fields, got, expected))
+    assert mismatches == []
 
 
 def test_same_minute_ties_are_fine_and_ordered_by_file():
