@@ -365,6 +365,7 @@ def _cmd_report(args, outdir: Path) -> list[str]:
 
     files = _emit_ensemble(outdir, ens)
     wms = _scored(args, ens)
+    del ens  # each network is freed once its window's node rows are built
     files += _emit_metrics(outdir, wms)
     classify_files, classified = _emit_classify(
         outdir, wms, _STD_MODES[args.std], low, high

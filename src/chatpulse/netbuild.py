@@ -90,14 +90,14 @@ def slice_windows(log: MessageLog, spec: WindowSpec) -> list[WindowSlice]:
 class InteractionNetwork:
     """One window's weighted undirected simple graph of sender transitions.
 
-    ``nodes`` holds interacting participants only: a sender who spoke but
-    never next to a different sender is not a node and does not count as a
-    participant.
+    ``nodes`` holds interacting participants only, in ascending order: a
+    sender who spoke but never next to a different sender is not a node and
+    does not count as a participant.
     """
 
     window_start: int
     window_index: int
-    nodes: frozenset[int]
+    nodes: tuple[int, ...]
     edges: dict[tuple[int, int], int]
 
     @property
@@ -118,7 +118,7 @@ class InteractionNetwork:
 
     def strengths(self) -> dict[int, int]:
         """Weighted degree per interacting node, in ascending user order."""
-        acc = dict.fromkeys(sorted(self.nodes), 0)
+        acc = dict.fromkeys(self.nodes, 0)
         for (u, v), w in self.edges.items():
             acc[u] += w
             acc[v] += w
@@ -133,7 +133,7 @@ def network_from_senders(
     return InteractionNetwork(
         window_start=window_start,
         window_index=window_index,
-        nodes=frozenset(chain.from_iterable(edges)),
+        nodes=tuple(sorted(set(chain.from_iterable(edges)))),
         edges=edges,
     )
 
@@ -201,7 +201,7 @@ def dump_ensemble(ensemble: NetworkEnsemble) -> str:
     """
     lines = []
     for net in ensemble.networks:
-        nodes = ",".join(map(str, sorted(net.nodes)))
+        nodes = ",".join(map(str, net.nodes))
         edges = ",".join([f"[{u},{v},{w}]" for (u, v), w in sorted(net.edges.items())])
         lines.append(
             f'{{"w":{net.window_start},"i":{net.window_index},'
@@ -252,11 +252,11 @@ def load_ensemble(path: str | Path) -> NetworkEnsemble:
             if len(edges) != len(raw_edges):
                 raise SchemaError(f"{path}: line {line_no}: duplicate edge")
             start, index, nodes = obj["w"], obj["i"], obj["nodes"]
-            endpoints = set(chain.from_iterable(edges))
-            # compare types: a bool or 1.0 would pass as the int 1 otherwise;
-            # nodes that cannot be iterated are malformed, whatever the start
+            # compare types: a bool or 1.0 would pass as the int 1 otherwise,
+            # so each raw edge is read, not the deduplicated endpoints; nodes
+            # that cannot be iterated are malformed, whatever the start
             if not (
-                set(map(type, chain(nodes, endpoints, edges.values()))) <= _INT
+                set(map(type, chain(nodes, *raw_edges))) <= _INT
                 and type(start) is int
                 and type(index) is int
             ):
@@ -268,12 +268,11 @@ def load_ensemble(path: str | Path) -> NetworkEnsemble:
                 raise SchemaError(
                     f"{path}: line {line_no}: nodes are not strictly ascending"
                 )
-            node_set = frozenset(nodes)
-            if endpoints != node_set:
+            if set(chain.from_iterable(edges)) != set(nodes):
                 raise SchemaError(
                     f"{path}: line {line_no}: nodes do not match edge endpoints"
                 )
-            networks.append(InteractionNetwork(start, index, node_set, edges))
+            networks.append(InteractionNetwork(start, index, tuple(nodes), edges))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"{path}: line {line_no}: malformed network") from exc
     return NetworkEnsemble(tuple(networks))

@@ -135,8 +135,8 @@ def strptime_first_line(line: str, profile: str, zone) -> int | str:
 
 
 def load_ensemble_direct(path) -> NetworkEnsemble:
-    """An ensemble JSONL file read as ``load_ensemble`` read it before its
-    scanner fast path: ``json.loads`` per line, then each check in turn."""
+    """An ensemble JSONL file read without ``load_ensemble``'s scanner fast
+    path: ``json.loads`` per line, then each check in turn."""
     path = Path(path)
     networks: list[InteractionNetwork] = []
     for line_no, line in enumerate(utf8_lines(path, SchemaError), 1):
@@ -157,8 +157,12 @@ def load_ensemble_direct(path) -> NetworkEnsemble:
             if len(edges) != len(obj["edges"]):
                 raise SchemaError(f"{path}: line {line_no}: duplicate edge")
             endpoints = {u for pair in edges for u in pair}
-            # compare types: a bool or 1.0 would pass as the int 1 otherwise
-            values = (obj["w"], obj["i"], *obj["nodes"], *endpoints, *edges.values())
+            # compare types: a bool or 1.0 would pass as the int 1 otherwise,
+            # so every raw edge value is read, duplicates included
+            values = (
+                obj["w"], obj["i"], *obj["nodes"],
+                *(x for edge in obj["edges"] for x in edge),
+            )
             if not set(map(type, values)) <= {int}:
                 raise SchemaError(
                     f"{path}: line {line_no}: window start, index, node IDs"
@@ -177,7 +181,7 @@ def load_ensemble_direct(path) -> NetworkEnsemble:
                 InteractionNetwork(
                     window_start=obj["w"],
                     window_index=obj["i"],
-                    nodes=frozenset(nodes),
+                    nodes=tuple(nodes),
                     edges=edges,
                 )
             )

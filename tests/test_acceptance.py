@@ -50,7 +50,7 @@ def report(num: int, description: str, ok: bool) -> None:
 
 
 def net_from_edges(edges) -> InteractionNetwork:
-    nodes = frozenset(u for pair in edges for u in pair)
+    nodes = tuple(sorted({u for pair in edges for u in pair}))
     return InteractionNetwork(
         window_start=0, window_index=0, nodes=nodes, edges=dict(edges)
     )
@@ -122,7 +122,7 @@ def test_criterion_5_construction_oracle():
         net = network_from_senders(seq)
         expected = brute_pair_counts(seq)
         ok &= net.edges == expected
-        ok &= net.nodes == frozenset(u for p in expected for u in p)
+        ok &= net.nodes == tuple(sorted({u for p in expected for u in p}))
         ok &= net.total_weight == sum(expected.values())
         ok &= net.n == len(net.nodes)
     report(5, "network_from_senders matches the adjacent-pair enumerator on "

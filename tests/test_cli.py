@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from chatpulse import engagement
+from chatpulse import cli, engagement
 from chatpulse.cli import (
     EXIT_INSUFFICIENT,
     EXIT_IO,
@@ -20,6 +20,7 @@ from chatpulse.cli import (
     EXIT_USAGE,
     main,
 )
+from chatpulse.netbuild import InteractionNetwork
 
 TRANSCRIPT = "\n".join(
     [
@@ -512,6 +513,29 @@ def test_report_garbage_does_not_grow_with_the_log(tmp_path):
     finally:
         gc.enable()
     assert unreachable[1] == unreachable[2]
+
+
+def test_report_frees_its_networks_once_scored(tmp_path, monkeypatch):
+    # centralities.csv reads every window's node rows, and a window drops its
+    # network when they are built; so by classification no network is left
+    log = simulate(tmp_path)
+    gc.collect()
+    # networks other tests left alive, held so that their ids stay theirs
+    before = [o for o in gc.get_objects() if isinstance(o, InteractionNetwork)]
+    known = {id(o) for o in before}
+    live = []
+    emit_classify = cli._emit_classify
+
+    def counting(*args, **kwargs):
+        live.append(sum(
+            isinstance(o, InteractionNetwork) and id(o) not in known
+            for o in gc.get_objects()
+        ))
+        return emit_classify(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_emit_classify", counting)
+    assert run("report", log, "--out", tmp_path / "report") == EXIT_OK
+    assert live == [0]
 
 
 def test_second_main_call_leaves_no_argparse_garbage(tmp_path):

@@ -20,7 +20,7 @@ from oracles import centralities_direct, gini_pairwise, random_conversation_edge
 
 
 def net_from_edges(edges) -> InteractionNetwork:
-    nodes = frozenset(u for pair in edges for u in pair)
+    nodes = tuple(sorted({u for pair in edges for u in pair}))
     return InteractionNetwork(
         window_start=0, window_index=0, nodes=nodes, edges=dict(edges)
     )

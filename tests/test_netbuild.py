@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 
@@ -104,7 +105,7 @@ def test_single_transition_makes_one_edge():
 def test_monologue_is_not_a_conversation():
     net = network_from_senders([0, 0, 0])
     assert net.edges == {}
-    assert net.nodes == frozenset()
+    assert net.nodes == ()
     assert not net.is_conversation
 
 
@@ -122,7 +123,7 @@ def test_matches_brute_force_oracle_on_random_sequences():
         net = network_from_senders(seq)
         expected = brute_pair_counts(seq)
         assert net.edges == expected
-        assert net.nodes == frozenset(u for p in expected for u in p)
+        assert net.nodes == tuple(sorted({u for p in expected for u in p}))
         assert net.total_weight == sum(expected.values())
 
 
@@ -194,10 +195,8 @@ def test_ensemble_round_trip_through_jsonl(tmp_path):
         assert (a.window_start, a.window_index) == (b.window_start, b.window_index)
         assert a.nodes == b.nodes and a.edges == b.edges
     # canonical form: u < v on every edge, edges sorted within the line
-    import json as _json
-
     for line in path.read_text().splitlines():
-        edges = _json.loads(line)["edges"]
+        edges = json.loads(line)["edges"]
         assert all(u < v for u, v, _ in edges)
         assert edges == sorted(edges)
 
@@ -206,6 +205,8 @@ VALID_LINE = '{"w":0,"i":0,"nodes":[0,1],"edges":[[0,1,2]]}'
 INTEGERS = (
     "window start, index, node IDs and weights must be integers"
 )
+BOOL_ENDPOINT = '{"w":0,"i":0,"nodes":[0,1,2],"edges":[[0,1,1],[false,2,1]]}'
+FLOAT_ENDPOINT = '{"w":0,"i":0,"nodes":[0,1,2],"edges":[[0,2,1],[1,2.0,1]]}'
 # each line's exact diagnostic, as per-line json.loads and the checks give it
 BAD_ENSEMBLE = {
     '{"w":0,"i":0,"nodes":[0,1],"edges":[[1,0,2]]}':  # u > v
@@ -227,6 +228,9 @@ BAD_ENSEMBLE = {
         f"{{path}}: line 1: {INTEGERS}",
     '{"w":0,"i":0,"nodes":[0,1.0],"edges":[[0,1,2]]}':  # float node ID
         f"{{path}}: line 1: {INTEGERS}",
+    # an endpoint equal to an int endpoint of another edge is still typed
+    BOOL_ENDPOINT: f"{{path}}: line 1: {INTEGERS}",
+    FLOAT_ENDPOINT: f"{{path}}: line 1: {INTEGERS}",
     '{"w":0.5,"i":0,"nodes":[0,1],"edges":[[0,1,2]]}':  # float window start
         f"{{path}}: line 1: {INTEGERS}",
     '{"w":0,"i":0,"nodes":[0,1],"edges":[[0,1,1]]}\n'
@@ -252,13 +256,23 @@ def test_bad_ensemble_lines_rejected(tmp_path, line):
     assert str(err.value) == BAD_ENSEMBLE[line].format(path=path)
 
 
+@pytest.mark.parametrize("line", [BOOL_ENDPOINT, FLOAT_ENDPOINT])
+def test_non_int_endpoint_exits_schema_code(tmp_path, capsys, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    argv = ["metrics", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_SCHEMA
+    [err] = capsys.readouterr().err.splitlines()
+    assert json.loads(err)["detail"] == f"{path}: line 1: {INTEGERS}"
+
+
 @pytest.mark.parametrize("line", [f"  {VALID_LINE}  ", f"\t{VALID_LINE}\t"])
 def test_ensemble_line_padded_with_json_whitespace_loads(tmp_path, line):
     path = tmp_path / "padded.jsonl"
     path.write_text(line + "\n", encoding="utf-8")
     (net,) = load_ensemble(path).networks
     assert (net.window_start, net.window_index) == (0, 0)
-    assert net.nodes == {0, 1} and net.edges == {(0, 1): 2}
+    assert net.nodes == (0, 1) and net.edges == {(0, 1): 2}
 
 
 @pytest.mark.parametrize("nodes", ["[2,1,1]", "[1,1,2]", "[2,1]", "[1,2,2]"])

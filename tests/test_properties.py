@@ -284,7 +284,7 @@ def load_outcome(load, path):
     except Exception as exc:  # noqa: BLE001 - the two loaders must agree
         return type(exc).__name__, str(exc)
     return repr([
-        (n.window_start, n.window_index, sorted(n.nodes), list(n.edges.items()))
+        (n.window_start, n.window_index, n.nodes, list(n.edges.items()))
         for n in ens.networks
     ])
 

@@ -44,7 +44,7 @@ def test_pipeline_closure_reproduces_ground_truth_exactly():
             net = built[truth.window_index]
             assert net.window_start == truth.window_start
             assert net.edges == truth.edges
-            assert net.nodes == frozenset(truth.nodes)
+            assert net.nodes == truth.nodes
             if truth.metrics is not None:
                 metrics = engagement_index(net)
                 assert metrics.ei == pytest.approx(truth.metrics["ei"], abs=1e-12)
