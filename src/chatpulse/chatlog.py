@@ -10,19 +10,16 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import hmac
 import io
 import json
-import logging
 import operator
 import re
-import secrets
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import accumulate, chain, islice
 from pathlib import Path
-from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
+from typing import TYPE_CHECKING
 
 from .errors import (
     ChatpulseError,
@@ -33,7 +30,10 @@ from .errors import (
     SchemaError,
 )
 
-logger = logging.getLogger(__name__)
+# zoneinfo, hmac, secrets and logging serve only parse and the re-sort
+# warning, so they are imported where used, not by every command.
+if TYPE_CHECKING:
+    from zoneinfo import ZoneInfo
 
 # WhatsApp sprinkles direction marks and narrow no-break spaces into exports.
 _INVISIBLE_MARKS = re.compile("[‎‏‪-‮]")
@@ -97,20 +97,6 @@ class AnonymizedLog:
     salt: bytes
 
 
-@dataclass(frozen=True)
-class ExportProfile:
-    """Grammar for one export locale, named by its ``PROFILES`` key.
-
-    ``header`` matches a message or notice line. Its named groups are ``ts``
-    (the whole time token, quoted in diagnostics), ``rest`` (what follows
-    it) and the seven ``_TIME_FIELDS`` that :func:`_local_epoch` reads. A
-    field the locale never writes is an empty group. No auto-detection:
-    pick one explicitly.
-    """
-
-    header: re.Pattern[str]
-
-
 # the named groups of every header regex that hold the time, in the order
 # _local_epoch takes them
 _TIME_FIELDS = ("day", "month", "year", "hour", "minute", "second", "meridiem")
@@ -121,24 +107,26 @@ _TIME = r"(?P<hour>\d{1,2}):(?P<minute>\d{2})"
 _NO_SECOND = "(?P<second>)"
 _NO_MERIDIEM = "(?P<meridiem>)"  # 24-hour clock
 
-PROFILES: dict[str, ExportProfile] = {
+# The header pattern of each export locale, which parse_transcript compiles.
+# A header matches a message or notice line. Its named groups are ``ts`` (the
+# whole time token, quoted in diagnostics), ``rest`` (what follows it) and the
+# seven _TIME_FIELDS that _local_epoch reads. A field the locale never writes
+# is an empty group. No auto-detection: pick one explicitly.
+PROFILES: dict[str, str] = {
     # `D/M/YY, HH:MM - Sender Name: body`; the separator dash may be an
     # ASCII hyphen or U+2013 depending on the exporting device.
-    "whatsapp-en-dash": ExportProfile(re.compile(
-        rf"^(?P<ts>{_DATE}, {_TIME}){_NO_SECOND}{_NO_MERIDIEM} [-–] (?P<rest>.*)$"
-    )),
+    "whatsapp-en-dash":
+        rf"^(?P<ts>{_DATE}, {_TIME}){_NO_SECOND}{_NO_MERIDIEM} [-–] (?P<rest>.*)$",
     # `M/D/YY, H:MM AM - Sender: body` (US date order, 12-hour clock; the
     # space before the meridiem is optional).
-    "whatsapp-us-dash": ExportProfile(re.compile(
+    "whatsapp-us-dash":
         rf"^(?P<ts>{_US_DATE}, {_TIME}{_NO_SECOND} ?(?P<meridiem>[AaPp])[Mm])"
-        r" [-–] (?P<rest>.*)$"
-    )),
+        r" [-–] (?P<rest>.*)$",
     # `[D/M/YY, HH:MM:SS] Sender: body` (bracketed, usually iOS; the seconds
     # are optional).
-    "whatsapp-bracket": ExportProfile(re.compile(
+    "whatsapp-bracket":
         rf"^\[(?P<ts>{_DATE}, {_TIME}(?::(?P<second>\d{{2}}))?){_NO_MERIDIEM}\]"
-        r" (?P<rest>.*)$"
-    )),
+        r" (?P<rest>.*)$",
 }
 
 DEFAULT_PROFILE = "whatsapp-en-dash"
@@ -204,6 +192,8 @@ def _zone_epoch(zone: ZoneInfo, local: datetime) -> int:
 
 
 def _resolve_zone(tz: str | ZoneInfo) -> ZoneInfo:
+    from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
+
     if isinstance(tz, ZoneInfo):
         return tz
     try:
@@ -240,7 +230,7 @@ def parse_transcript(
         raise ParameterError(
             f"unknown export profile {profile!r}; available: {sorted(PROFILES)}"
         )
-    prof = PROFILES[profile]
+    header = re.compile(PROFILES[profile])
     zone = _resolve_zone(tz)
 
     users: list[int] = []
@@ -257,7 +247,7 @@ def parse_transcript(
         lines = lines.splitlines()
     for line_no, raw in enumerate(_without_bom(lines), start=1):
         line = _clean_line(raw)
-        match = prof.header.match(line)
+        match = header.match(line)
         if match is None:
             if not seen_any:
                 raise ParseError(
@@ -306,6 +296,8 @@ def parse_transcript(
 
 def sender_digest(salt: bytes, sender: str) -> str:
     """Keyed hash (HMAC-SHA256, hex) of a sender display name."""
+    import hmac
+
     return hmac.new(salt, sender.encode("utf-8"), hashlib.sha256).hexdigest()
 
 
@@ -334,6 +326,8 @@ def anonymize(
     kept and only unseen senders receive fresh IDs.
     """
     if salt is None:
+        import secrets
+
         salt = secrets.token_bytes(16)
     mapping: dict[str, int] = dict(prior_mapping) if prior_mapping else {}
     _check_prior_mapping(mapping)
@@ -512,6 +506,9 @@ def load_log(path: str | Path) -> MessageLog:
                 add_user(user)
                 add_stamp(ts)
     else:
+        # one int per user-ID spelling: int() makes a new object for every
+        # row above 256, and int() and the sign check run once per spelling
+        known: dict[str, int] = {}
         with _open_csv(path) as fh:
             reader = csv.reader(fh)
             try:
@@ -527,12 +524,14 @@ def load_log(path: str | Path) -> MessageLog:
                             f" got {len(row)}"
                         )
                     raw_user, raw_ts = row
-                    try:
-                        user = int(raw_user)
-                    except ValueError as exc:
-                        raise SchemaError(
-                            f"{source}: line {line_no}: bad user ID {raw_user!r}"
-                        ) from exc
+                    user = known.get(raw_user)
+                    if user is None:
+                        try:
+                            new_user = int(raw_user)
+                        except ValueError as exc:
+                            raise SchemaError(
+                                f"{source}: line {line_no}: bad user ID {raw_user!r}"
+                            ) from exc
                     try:
                         add_stamp(int(raw_ts))
                     except ValueError as exc:
@@ -540,15 +539,22 @@ def load_log(path: str | Path) -> MessageLog:
                             f"{source}: line {line_no}: unparsable timestamp"
                             f" {raw_ts!r}"
                         ) from exc
-                    if user < 0:
-                        raise SchemaError(
-                            f"{source}: line {line_no}: negative user ID {user}"
-                        )
+                    if user is None:
+                        if new_user < 0:
+                            raise SchemaError(
+                                f"{source}: line {line_no}: negative user ID"
+                                f" {new_user}"
+                            )
+                        user = known[raw_user] = new_user
                     add_user(user)
             except csv.Error as exc:
                 raise _csv_error(source, reader, exc) from exc
     if any(map(operator.gt, stamps, stamps[1:])):
-        logger.warning("%s: rows out of order; re-sorting by (timestamp, row)", source)
+        import logging
+
+        logging.getLogger(__name__).warning(
+            "%s: rows out of order; re-sorting by (timestamp, row)", source
+        )
         order = sorted(range(len(stamps)), key=stamps.__getitem__)  # stable
         users = [users[i] for i in order]
         stamps = [stamps[i] for i in order]

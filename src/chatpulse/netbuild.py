@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import operator
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -54,9 +55,10 @@ class WindowSlice(NamedTuple):
     hi: int
 
 
-def slice_windows(log: MessageLog, spec: WindowSpec) -> list[WindowSlice]:
+def slice_windows(log: MessageLog, spec: WindowSpec) -> Iterator[WindowSlice]:
     """Cut the in-range rows into windows floor((t - origin) / delta_t).
 
+    Yields the windows in order, each once, so no list of them is held.
     Empty windows are omitted, but indices stay gap-aware: index arithmetic is
     anchored to the origin, not to the previous nonempty window.
     """
@@ -65,7 +67,7 @@ def slice_windows(log: MessageLog, spec: WindowSpec) -> list[WindowSlice]:
     first = 0 if lo is None else bisect_left(stamps, lo)
     end = len(stamps) if hi is None else bisect_left(stamps, hi)
     if first >= end:
-        return []
+        return
     delta = spec.delta_t
     if spec.alignment == ALIGN_WALL:
         anchor = lo if lo is not None else stamps[first]
@@ -73,15 +75,13 @@ def slice_windows(log: MessageLog, spec: WindowSpec) -> list[WindowSlice]:
     else:
         origin = stamps[first]
 
-    slices: list[WindowSlice] = []
     row = first
     while row < end:
         index = (stamps[row] - origin) // delta
         start = origin + index * delta
         stop = bisect_left(stamps, start + delta, row + 1, end)
-        slices.append(WindowSlice(start, index, row, stop))
+        yield WindowSlice(start, index, row, stop)
         row = stop
-    return slices
 
 
 # Built once per window, then only read: a plain slots class, cheaper to build

@@ -388,6 +388,14 @@ BAD_CSV = {
     "user_id,timestamp\ntrue,100\n": "line 2: bad user ID 'true'",
     "user_id,timestamp\n0,true\n": "line 2: unparsable timestamp 'true'",
     'user_id,timestamp\n"1\n",100\n-2,5\n': "line 3: negative user ID -2",
+    # after rows that repeat one ID, so its spelling is already known
+    "user_id,timestamp\n301,100\n301,160\n301,220\n-301,280\n":
+        "line 5: negative user ID -301",
+    "user_id,timestamp\n301,100\n301,160\n301,220\n30l,280\n":
+        "line 5: bad user ID '30l'",
+    "user_id,timestamp\n301,100\n301,160\n301,x\n": "line 4: unparsable timestamp 'x'",
+    # the timestamp is checked before the sign
+    "user_id,timestamp\n-1,x\n": "line 2: unparsable timestamp 'x'",
 }
 
 
@@ -408,6 +416,24 @@ def test_quoted_and_spaced_csv_values_accepted(tmp_path, body):
     path.write_text(body)
     log = load_log(path)
     assert (log.users, log.timestamps) == ((1,), (2,))
+
+
+def test_csv_rows_of_one_user_id_share_one_int(tmp_path):
+    # int() shares its cached objects only up to 256
+    path = tmp_path / "log.csv"
+    users = [301, 4000, 70_000] * 4
+    path.write_text(
+        "user_id,timestamp\n" + "".join(f"{u},{t}\n" for t, u in enumerate(users))
+    )
+    log = load_log(path)
+    assert log.users == tuple(users)
+    assert len({id(u) for u in log.users}) == len(set(log.users)) == 3
+
+
+def test_csv_user_id_spellings_load_as_one_value(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_text("user_id,timestamp\n301,100\n 301,160\n0301,220\n301,280\n")
+    assert load_log(path).users == (301, 301, 301, 301)
 
 
 # --- byte-order marks -------------------------------------------------------

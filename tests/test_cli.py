@@ -7,9 +7,11 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import chatpulse
 from chatpulse import cli, engagement
 from chatpulse.cli import (
     EXIT_INSUFFICIENT,
@@ -664,3 +666,25 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+PARSE_ONLY_MODULES = ("hmac", "logging", "secrets", "zoneinfo")
+
+
+def test_start_up_and_report_import_no_parse_only_module(tmp_path):
+    log = simulate(tmp_path)
+    # -S: no site-packages .pth file preloads a module
+    code = f"""
+import sys
+sys.path.insert(0, {str(Path(chatpulse.__file__).parents[1])!r})
+from chatpulse import cli
+loaded = lambda: sorted(set({PARSE_ONLY_MODULES!r}) & set(sys.modules))
+print(loaded())
+print(cli.main(["report", {str(log)!r}, "--out", {str(tmp_path / "run")!r}]))
+print(loaded())
+"""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", str(EXIT_OK), "[]"]

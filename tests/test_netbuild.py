@@ -29,7 +29,9 @@ T2330 = utc_timestamp("2018-07-03T23:30:00Z")
 
 def test_events_in_same_ten_minute_bin():
     log = make_log([(0, T2330 + 60), (1, T2330 + 9 * 60)])  # 23:31 and 23:39
-    slices = slice_windows(log, WindowSpec(delta_t=600))
+    stream = slice_windows(log, WindowSpec(delta_t=600))
+    assert iter(stream) is stream  # yielded, not held as a list
+    slices = list(stream)
     assert len(slices) == 1
     assert slices[0].start == T2330
 
@@ -46,7 +48,7 @@ def test_bin_boundary_splits_windows():
 def test_bin_counts_match_direct_histogram():
     log = random_log(seed=3, users=8, count=900, horizon=3 * 86400, start=T2330)
     delta = 600
-    slices = slice_windows(log, WindowSpec(delta_t=delta))
+    slices = list(slice_windows(log, WindowSpec(delta_t=delta)))
     origin = (log.timestamps[0] // delta) * delta
     expected = Counter((t - origin) // delta for t in log.timestamps)
     assert {s.index: s.hi - s.lo for s in slices} == dict(expected)
@@ -59,12 +61,12 @@ def test_bin_counts_match_direct_histogram():
 def test_empty_range_is_empty_result_not_error():
     log = make_log([(0, 100), (1, 200)])
     spec = WindowSpec(delta_t=600, time_range=(10_000, 20_000))
-    assert slice_windows(log, spec) == []
+    assert list(slice_windows(log, spec)) == []
 
 
 def test_window_indices_are_gap_aware():
     log = make_log([(0, 0), (1, 30), (0, 3000), (1, 3030)])
-    slices = slice_windows(log, WindowSpec(delta_t=600))
+    slices = list(slice_windows(log, WindowSpec(delta_t=600)))
     assert [s.index for s in slices] == [0, 5]
     assert [s.start for s in slices] == [0, 3000]
 
