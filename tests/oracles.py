@@ -8,6 +8,8 @@ with.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import operator
@@ -16,7 +18,7 @@ from collections import Counter
 from datetime import datetime
 from pathlib import Path
 
-from chatpulse import SchemaError
+from chatpulse import MessageLog, SchemaError
 from chatpulse.chatlog import utf8_lines
 from chatpulse.netbuild import InteractionNetwork, NetworkEnsemble
 
@@ -188,3 +190,42 @@ def load_ensemble_direct(path) -> NetworkEnsemble:
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"{path}: line {line_no}: malformed network") from exc
     return NetworkEnsemble(tuple(networks))
+
+
+def load_log_csv_direct(path) -> MessageLog:
+    """A CSV log read whole, then row by row with ``csv.reader`` alone: no
+    block reader, no shared user-ID ints. Diagnostics are ``load_log``'s."""
+    path = Path(path)
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
+    rows: list[tuple[int, int]] = []
+    try:
+        if next(reader, None) != ["user_id", "timestamp"]:
+            raise SchemaError(f"{path}: missing header user_id,timestamp")
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != 2:
+                raise SchemaError(
+                    f"{path}: line {line_no}: expected 2 columns, got {len(row)}"
+                )
+            try:
+                user = int(row[0])
+            except ValueError as exc:
+                raise SchemaError(
+                    f"{path}: line {line_no}: bad user ID {row[0]!r}"
+                ) from exc
+            try:
+                ts = int(row[1])
+            except ValueError as exc:
+                raise SchemaError(
+                    f"{path}: line {line_no}: unparsable timestamp {row[1]!r}"
+                ) from exc
+            if user < 0:
+                raise SchemaError(f"{path}: line {line_no}: negative user ID {user}")
+            rows.append((user, ts))
+    except csv.Error as exc:
+        raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from exc
+    rows.sort(key=lambda row: row[1])  # stable, as load_log re-sorts
+    return MessageLog(tuple(u for u, _ in rows), tuple(t for _, t in rows))

@@ -397,9 +397,20 @@ BAD_CSV = {
     # the timestamp is checked before the sign
     "user_id,timestamp\n-1,x\n": "line 2: unparsable timestamp 'x'",
 }
+# a bad row after several blocks of good ones: the block reader gives the
+# file to the row reader, which counts lines from the start
+LATE_3_COLUMNS = (
+    "user_id,timestamp\n"
+    + "".join(f"{i % 7},{1_533_081_600 + i}\n" for i in range(4998))
+    + "1,1533086600,3\n"
+)
+BAD_CSV[LATE_3_COLUMNS] = "line 5000: expected 2 columns, got 3"
+BAD_CSV_IDS = {LATE_3_COLUMNS: "3-columns-at-line-5000"}
 
 
-@pytest.mark.parametrize("body", list(BAD_CSV))
+@pytest.mark.parametrize(
+    "body", [pytest.param(body, id=BAD_CSV_IDS.get(body)) for body in BAD_CSV]
+)
 def test_bad_csv_rejected(tmp_path, body):
     path = tmp_path / "log.csv"
     path.write_text(body)
@@ -419,15 +430,15 @@ def test_quoted_and_spaced_csv_values_accepted(tmp_path, body):
 
 
 def test_csv_rows_of_one_user_id_share_one_int(tmp_path):
-    # int() shares its cached objects only up to 256
-    path = tmp_path / "log.csv"
+    # int() and json.loads share their cached objects only up to 256
     users = [301, 4000, 70_000] * 4
-    path.write_text(
-        "user_id,timestamp\n" + "".join(f"{u},{t}\n" for t, u in enumerate(users))
-    )
-    log = load_log(path)
-    assert log.users == tuple(users)
-    assert len({id(u) for u in log.users}) == len(set(log.users)) == 3
+    log = MessageLog(tuple(users), tuple(range(len(users))))
+    for fmt in ("csv", "jsonl"):
+        path = tmp_path / f"log.{fmt}"
+        path.write_text(dump_log(log, fmt))
+        loaded = load_log(path)
+        assert loaded.users == tuple(users)
+        assert len({id(u) for u in loaded.users}) == len(set(users)) == 3, fmt
 
 
 def test_csv_user_id_spellings_load_as_one_value(tmp_path):

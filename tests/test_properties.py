@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import tempfile
@@ -18,7 +19,9 @@ from chatpulse import (
     DegenerateEnsembleError,
     EngagementClass,
     InsufficientDataError,
+    MessageLog,
     ParseError,
+    SchemaError,
     WindowSpec,
     build_ensemble,
     conversation_metrics,
@@ -35,6 +38,7 @@ from chatpulse import (
     rank_users,
     zscore_classify,
 )
+from chatpulse import chatlog
 from chatpulse.chatlog import READ_CHUNK, utf8_lines
 from chatpulse.cli import EXIT_OK, main
 
@@ -42,6 +46,7 @@ from conftest import make_log
 from oracles import (
     STRPTIME_PROFILES,
     load_ensemble_direct,
+    load_log_csv_direct,
     scope_means_direct,
     strptime_first_line,
 )
@@ -317,6 +322,100 @@ def test_utf8_lines_equal_splitlines(pieces, shift):
         path.write_bytes(text.encode("utf-8"))
         lines = list(utf8_lines(path, ParseError))
         assert lines == path.read_text(encoding="utf-8").splitlines()
+
+
+# rows of one to 13 digits a field, in any timestamp order
+CSV_ROWS = st.lists(
+    st.tuples(st.sampled_from([0, 7, 301, 4000, 70_000]), st.integers(0, 10**12)),
+    max_size=30,
+)
+# spellings that int() or csv.reader read, or that one of them rejects
+ODD_FIELDS = st.sampled_from([
+    b"", b"007", b" 12", b"12 ", b"+12", b"1_000", b"-5", b"1.5", b"x",
+    b"1234567890123456789", b"12345678901234567890123", b"1\x002", b"\xd9\xa1",
+])
+
+
+@st.composite
+def quirky_csv_logs(draw) -> bytes:
+    """A canonical CSV log, as dump_log writes it, with at most one quirk."""
+    rows = draw(CSV_ROWS.filter(bool))
+    lines = [b"user_id,timestamp"] + [b"%d,%d" % row for row in rows]
+    end = b"\n"
+    quirk = draw(st.sampled_from([
+        None, "crlf", "quoted", "bom", "blank", "3+1 columns", "user ID",
+        "timestamp", "late non-UTF-8", "no final newline", "header only", "empty",
+    ]))
+    at = draw(st.integers(1, len(lines)))  # a row, or the end of the file
+    row = min(at, len(lines) - 1)
+    if quirk == "crlf":
+        end = b"\r\n"
+    elif quirk == "quoted" and row:
+        fields = lines[row].split(b",")
+        column = draw(st.integers(0, 1))
+        fields[column] = b'"%s"' % fields[column]
+        lines[row] = b",".join(fields)
+    elif quirk == "bom":
+        lines[0] = b"\xef\xbb\xbf" + lines[0]
+    elif quirk == "blank":
+        lines.insert(at, draw(st.sampled_from([b"", b" ", b","])))
+    elif quirk == "3+1 columns" and row + 1 < len(lines):
+        # the commas still add up to one a line
+        lines[row], lines[row + 1] = (
+            lines[row] + b"," + lines[row + 1].split(b",")[0],
+            lines[row + 1].split(b",")[1],
+        )
+    elif quirk in ("user ID", "timestamp") and row:
+        fields = lines[row].split(b",")
+        fields[quirk == "timestamp"] = draw(ODD_FIELDS)
+        lines[row] = b",".join(fields)
+    elif quirk == "late non-UTF-8" and row:
+        lines[row] += b"\xff"
+    elif quirk == "header only":
+        del lines[1:]
+    text = end.join(lines) + end
+    if quirk == "no final newline":
+        text = text[: -len(end)]
+    elif quirk == "empty":
+        text = b""
+    return text
+
+
+def log_outcome(load, path):
+    """``load``'s columns, or its error message."""
+    try:
+        log = load(path)
+    except SchemaError as exc:
+        return str(exc)
+    return log.users, log.timestamps
+
+
+@settings(max_examples=600)
+@given(quirky_csv_logs(), st.integers(8, 64))
+def test_load_log_agrees_with_csv_reader(text, block):
+    # blocks of a few rows, so that rows and quirks cross block edges
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chatlog, "CSV_BLOCK", block)
+        path = Path(tmp) / "log.csv"
+        path.write_bytes(text)
+        assert log_outcome(load_log, path) == log_outcome(load_log_csv_direct, path)
+
+
+def no_csv_reader(*args, **kwargs):
+    raise AssertionError("csv.reader called")
+
+
+@given(CSV_ROWS, st.integers(8, 64))
+def test_dump_log_csv_loads_without_csv_reader(rows, block):
+    rows = sorted(rows, key=lambda row: row[1])
+    log = MessageLog(tuple(u for u, _ in rows), tuple(t for _, t in rows))
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chatlog, "CSV_BLOCK", block)
+        mp.setattr(csv, "reader", no_csv_reader)
+        path = Path(tmp) / "log.csv"
+        path.write_text(dump_log(log))
+        loaded = load_log(path)
+    assert (loaded.users, loaded.timestamps) == (log.users, log.timestamps)
 
 
 def scored_csvs(rows, tmp: Path, name: str, start=BASE) -> tuple[str, str]:
