@@ -416,14 +416,17 @@ def read_utf8(path: Path, error: type[ChatpulseError]) -> str:
         raise error(f"{path}: not UTF-8 text (byte {exc.start})") from exc
 
 
-READ_CHUNK = 1 << 16  # bytes utf8_lines reads at a time
+# Bytes read at a time. The CSV block reader's temporaries grow with the
+# block: with 64 KiB blocks, `report` on perfbench's c9 logs peaked about
+# 2 MiB higher than with 16 KiB on each of ten seeds.
+READ_CHUNK = 1 << 14
 
 
-def _line_blocks(fh, size: int = READ_CHUNK) -> Iterator[bytes]:
+def _line_blocks(fh) -> Iterator[bytes]:
     """A binary file in blocks of whole lines, each ending just after a
     ``b"\\n"`` except the last, so a UTF-8 sequence never spans two."""
     pending: list[bytes] = []
-    while chunk := fh.read(size):
+    while chunk := fh.read(READ_CHUNK):
         cut = chunk.rfind(b"\n") + 1
         if cut:
             pending.append(chunk[:cut])
@@ -487,7 +490,6 @@ def _open_csv(path: Path) -> io.TextIOWrapper:
     return open(path, encoding="utf-8-sig", newline="")
 
 
-CSV_BLOCK = 1 << 14  # bytes _canonical_columns reads at a time
 _CANONICAL_HEADER = (",".join(LOG_CSV_HEADER) + "\n").encode()
 _MAX_DIGITS = 18  # a longer field goes through csv.reader and int(str)
 
@@ -518,9 +520,11 @@ def _canonical_columns(path: Path) -> tuple[tuple[int, ...], tuple[int, ...]] | 
     known: dict[bytes, int] = {}  # one int per user-ID spelling, as in load_log
     with open(path, "rb") as fh:
         fh.seek(len(_CANONICAL_HEADER))
-        for block in _line_blocks(fh, CSV_BLOCK):
+        for block in _line_blocks(fh):
             if not block:
                 continue
+            if not block.endswith(b"\n"):  # a last line with no line end
+                return None
             # with the digits gone, a canonical block is ",\n" once per row
             seps = block.translate(None, b"0123456789")
             if seps.count(b",\n") * 2 != len(seps):

@@ -396,6 +396,9 @@ BAD_CSV = {
     "user_id,timestamp\n301,100\n301,160\n301,x\n": "line 4: unparsable timestamp 'x'",
     # the timestamp is checked before the sign
     "user_id,timestamp\n-1,x\n": "line 2: unparsable timestamp 'x'",
+    # a last line of digits alone, with no line end
+    "user_id,timestamp\n1,5\n7": "line 3: expected 2 columns, got 1",
+    "user_id,timestamp\n12345": "line 2: expected 2 columns, got 1",
 }
 # a bad row after several blocks of good ones: the block reader gives the
 # file to the row reader, which counts lines from the start

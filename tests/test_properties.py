@@ -344,7 +344,8 @@ def quirky_csv_logs(draw) -> bytes:
     end = b"\n"
     quirk = draw(st.sampled_from([
         None, "crlf", "quoted", "bom", "blank", "3+1 columns", "user ID",
-        "timestamp", "late non-UTF-8", "no final newline", "header only", "empty",
+        "timestamp", "late non-UTF-8", "no final newline", "1 column, no final newline",
+        "header only", "empty",
     ]))
     at = draw(st.integers(1, len(lines)))  # a row, or the end of the file
     row = min(at, len(lines) - 1)
@@ -376,6 +377,9 @@ def quirky_csv_logs(draw) -> bytes:
     text = end.join(lines) + end
     if quirk == "no final newline":
         text = text[: -len(end)]
+    elif quirk == "1 column, no final newline":
+        # the last row cut to its user ID: no comma left in the last line
+        text = end.join(lines[:-1] + [lines[-1].split(b",")[0]])
     elif quirk == "empty":
         text = b""
     return text
@@ -395,7 +399,7 @@ def log_outcome(load, path):
 def test_load_log_agrees_with_csv_reader(text, block):
     # blocks of a few rows, so that rows and quirks cross block edges
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(chatlog, "CSV_BLOCK", block)
+        mp.setattr(chatlog, "READ_CHUNK", block)
         path = Path(tmp) / "log.csv"
         path.write_bytes(text)
         assert log_outcome(load_log, path) == log_outcome(load_log_csv_direct, path)
@@ -410,7 +414,7 @@ def test_dump_log_csv_loads_without_csv_reader(rows, block):
     rows = sorted(rows, key=lambda row: row[1])
     log = MessageLog(tuple(u for u, _ in rows), tuple(t for _, t in rows))
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(chatlog, "CSV_BLOCK", block)
+        mp.setattr(chatlog, "READ_CHUNK", block)
         mp.setattr(csv, "reader", no_csv_reader)
         path = Path(tmp) / "log.csv"
         path.write_text(dump_log(log))
