@@ -8,19 +8,17 @@ columns.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import json
 import operator
 import re
 from collections.abc import Collection, Iterable, Iterator
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import accumulate, chain, islice
 from pathlib import Path
-from typing import TYPE_CHECKING
 
+from ._record import FrozenRecord
 from .errors import (
     ChatpulseError,
     MappingConflictError,
@@ -31,8 +29,12 @@ from .errors import (
 )
 
 # zoneinfo, hmac, secrets and logging serve only parse and the re-sort
-# warning, so they are imported where used, not by every command.
+# warning, and csv only files not in dump_log's form, so they are imported
+# where used, not by every command. Type checkers read this constant as true;
+# importing it from typing would cost every command that module.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    import csv
     from zoneinfo import ZoneInfo
 
 # WhatsApp sprinkles direction marks and narrow no-break spaces into exports.
@@ -42,8 +44,7 @@ LOG_CSV_HEADER = ["user_id", "timestamp"]
 MAPPING_CSV_HEADER = ["hashed_sender", "user_id"]
 
 
-@dataclass(frozen=True)
-class MessageLog:
+class MessageLog(FrozenRecord):
     """Chronologically ordered metadata log for one group conversation.
 
     The log is two integer columns; row ``i`` is message ``i``, so a
@@ -51,32 +52,31 @@ class MessageLog:
     timestamps never decrease.
     """
 
-    users: tuple[int, ...]
-    timestamps: tuple[int, ...]
+    __slots__ = ("users", "timestamps")
 
-    def __post_init__(self) -> None:
-        users, stamps = self.users, self.timestamps
-        if len(users) != len(stamps):
+    def __init__(self, users: tuple[int, ...], timestamps: tuple[int, ...]) -> None:
+        if len(users) != len(timestamps):
             raise ValueError(
-                f"{len(users)} user IDs but {len(stamps)} timestamps"
+                f"{len(users)} user IDs but {len(timestamps)} timestamps"
             )
         if users and min(users) < 0:
             raise ValueError(f"negative user ID {min(users)}")
-        if any(map(operator.gt, stamps, stamps[1:])):
+        if any(map(operator.gt, timestamps, timestamps[1:])):
             seq = next(
-                i for i in range(1, len(stamps)) if stamps[i] < stamps[i - 1]
+                i for i in range(1, len(timestamps))
+                if timestamps[i] < timestamps[i - 1]
             )
             raise ValueError(
                 f"timestamps decrease at seq={seq} "
-                f"({stamps[seq]} < {stamps[seq - 1]})"
+                f"({timestamps[seq]} < {timestamps[seq - 1]})"
             )
+        self._fill(users, timestamps)
 
     def __len__(self) -> int:
         return len(self.users)
 
 
-@dataclass(frozen=True)
-class ParsedTranscript:
+class ParsedTranscript(FrozenRecord):
     """Parse result: the metadata log plus the sender table behind its IDs.
 
     ``senders[i]`` is the display name that first-appearance ID ``i`` stands
@@ -84,17 +84,24 @@ class ParsedTranscript:
     the pipeline sees display names.
     """
 
-    log: MessageLog
-    senders: tuple[str, ...]
+    __slots__ = ("log", "senders")
+
+    def __init__(self, log: MessageLog, senders: tuple[str, ...]) -> None:
+        self._fill(log, senders)
 
 
-@dataclass(frozen=True)
-class AnonymizedLog:
+class AnonymizedLog(FrozenRecord):
     """Salted relabeling of a parsed transcript plus its mapping table."""
 
-    log: MessageLog
-    mapping: dict[str, int]  # hex keyed-hash of sender -> user ID
-    salt: bytes
+    __slots__ = ("log", "mapping", "salt")
+
+    def __init__(
+        self,
+        log: MessageLog,
+        mapping: dict[str, int],  # hex keyed-hash of sender -> user ID
+        salt: bytes,
+    ) -> None:
+        self._fill(log, mapping, salt)
 
 
 # the named groups of every header regex that hold the time, in the order
@@ -355,6 +362,8 @@ def anonymize(
 
 def dump_mapping(mapping: dict[str, int]) -> str:
     """Serialize a keyed-hash mapping table as CSV, ordered by user ID."""
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(MAPPING_CSV_HEADER)
@@ -368,6 +377,8 @@ def _csv_error(source, reader, exc: csv.Error) -> SchemaError:
 
 
 def read_mapping(path: str | Path) -> dict[str, int]:
+    import csv
+
     with _open_csv(Path(path)) as fh:
         reader = csv.reader(fh)
         try:
@@ -408,14 +419,6 @@ def _row_from_jsonl(line: str, line_no: int, source: str) -> tuple[int, int]:
     return user, ts
 
 
-def read_utf8(path: Path, error: type[ChatpulseError]) -> str:
-    """Read a whole text file, raising ``error`` when it is not UTF-8."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text (byte {exc.start})") from exc
-
-
 # Bytes read at a time. The CSV block reader's temporaries grow with the
 # block: with 64 KiB blocks, `report` on perfbench's c9 logs peaked about
 # 2 MiB higher than with 16 KiB on each of ten seeds.
@@ -444,7 +447,7 @@ def utf8_lines(path: str | Path, error: type[ChatpulseError]) -> Iterator[str]:
     each block of whole lines is decoded alone and split, and the lines of
     the blocks add up to those of the whole text. The whole file is checked
     before this returns: one that is not UTF-8 raises ``error`` naming the
-    first bad byte, as :func:`read_utf8` does.
+    first bad byte.
     """
     path = Path(path)
     _check_utf8(path, error)
@@ -455,7 +458,8 @@ def _check_utf8(path: Path, error: type[ChatpulseError]) -> None:
     """Raise ``error`` naming the first bad byte unless the file is UTF-8.
 
     The file is read ``READ_CHUNK`` bytes at a time, as :func:`utf8_lines`
-    reads it, and the message is the one :func:`read_utf8` gives.
+    reads it. The byte is counted from the start of the file, as in a
+    ``UnicodeDecodeError`` from decoding the whole file.
     """
     with open(path, "rb") as fh:
         offset = 0
@@ -586,6 +590,8 @@ def load_log(path: str | Path) -> MessageLog:
     elif (columns := _canonical_columns(path)) is not None:
         users, stamps = columns
     else:
+        import csv
+
         # one int per user-ID spelling: int() makes a new object for every
         # row above 256, and int() and the sign check run once per spelling
         known: dict[str, int] = {}
@@ -629,16 +635,19 @@ def load_log(path: str | Path) -> MessageLog:
                     add_user(user)
             except csv.Error as exc:
                 raise _csv_error(source, reader, exc) from exc
-    if any(map(operator.gt, stamps, stamps[1:])):
+    users, stamps = tuple(users), tuple(stamps)
+    try:
+        return MessageLog(users, stamps)
+    except ValueError:  # the readers reject negative IDs: rows out of order
         import logging
 
         logging.getLogger(__name__).warning(
             "%s: rows out of order; re-sorting by (timestamp, row)", source
         )
-        order = sorted(range(len(stamps)), key=stamps.__getitem__)  # stable
-        users = [users[i] for i in order]
-        stamps = [stamps[i] for i in order]
-    return MessageLog(tuple(users), tuple(stamps))
+    order = sorted(range(len(stamps)), key=stamps.__getitem__)  # stable
+    return MessageLog(
+        tuple([users[i] for i in order]), tuple([stamps[i] for i in order])
+    )
 
 
 def dump_log(log: MessageLog, fmt: str = "csv") -> str:

@@ -15,32 +15,34 @@ have no metrics; callers treat them as excluded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import _kernels
+from ._record import FrozenRecord, Record
 from .errors import NotAConversationError
 from .netbuild import InteractionNetwork
 
 
 # Built once per distinct conversation shape and shared by every window of
 # that shape (see ensemble.conversation_metrics), so it is frozen.
-@dataclass(frozen=True, slots=True)
-class EngagementMetrics:
-    n: int
-    total_weight: int
-    gini: float
-    equality: float
-    intensity: float
-    ei: float
+class EngagementMetrics(FrozenRecord):
+    __slots__ = ("n", "total_weight", "gini", "equality", "intensity", "ei")
+
+    def __init__(
+        self, n: int, total_weight: int, gini: float, equality: float,
+        intensity: float, ei: float,
+    ) -> None:
+        self._fill(n, total_weight, gini, equality, intensity, ei)
 
 
-# Built once per user and window, then only read: a plain slots class, cheaper
-# to build than a frozen one.
-@dataclass(slots=True)
-class NodeEngagement:
-    user: int
-    strength: int
-    ei_centrality: float
+# Built once per user and window, then only read: a plain record, cheaper to
+# build than a frozen one.
+class NodeEngagement(Record):
+    __slots__ = ("user", "strength", "ei_centrality")
+
+    def __init__(self, user: int, strength: int, ei_centrality: float) -> None:
+        self.user = user
+        self.strength = strength
+        self.ei_centrality = ei_centrality
 
 
 def gini(values) -> float:

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import FrozenRecord, Record
 from .engagement import (
     EngagementMetrics, NodeEngagement, engagement_index, node_centralities,
 )
@@ -91,11 +91,11 @@ def conversation_metrics(ensemble: NetworkEnsemble) -> list[WindowMetrics]:
     return windows
 
 
-@dataclass(frozen=True, slots=True)
-class EnsembleStats:
-    mean_ei: float
-    std_ei: float
-    count: int
+class EnsembleStats(FrozenRecord):
+    __slots__ = ("mean_ei", "std_ei", "count")
+
+    def __init__(self, mean_ei: float, std_ei: float, count: int) -> None:
+        self._fill(mean_ei, std_ei, count)
 
 
 def ensemble_stats(
@@ -116,12 +116,16 @@ def ensemble_stats(
     return EnsembleStats(mean_ei=mean, std_ei=math.sqrt(var), count=k)
 
 
-@dataclass(slots=True)
-class ClassifiedNetwork:
-    window_index: int
-    ei: float
-    z: float
-    label: EngagementClass
+class ClassifiedNetwork(Record):
+    __slots__ = ("window_index", "ei", "z", "label")
+
+    def __init__(
+        self, window_index: int, ei: float, z: float, label: EngagementClass
+    ) -> None:
+        self.window_index = window_index
+        self.ei = ei
+        self.z = z
+        self.label = label
 
 
 def zscore_classify(
@@ -207,10 +211,15 @@ def scope_means(windows, scopes, avg: str) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class UserRanking:
-    scope: EngagementClass
-    entries: tuple[tuple[int, float], ...]  # (user, mean ei centrality), descending
+class UserRanking(FrozenRecord):
+    __slots__ = ("scope", "entries")
+
+    def __init__(
+        self,
+        scope: EngagementClass,
+        entries: tuple[tuple[int, float], ...],  # (user, mean ei centrality), descending
+    ) -> None:
+        self._fill(scope, entries)
 
 
 def rank_users(

@@ -11,13 +11,13 @@ from __future__ import annotations
 import json
 import operator
 from bisect import bisect_left
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import NamedTuple
 
 from . import _kernels
+from ._record import FrozenRecord, Record
 from .chatlog import MessageLog, utf8_lines
 from .errors import ParameterError, SchemaError
 
@@ -25,34 +25,34 @@ ALIGN_WALL = "wall"
 ALIGN_FIRST = "first"
 
 
-@dataclass(frozen=True)
-class WindowSpec:
+class WindowSpec(FrozenRecord):
     """How to cut a log into half-open [start, start + delta_t) windows."""
 
-    delta_t: int = 600
-    alignment: str = ALIGN_WALL
-    time_range: tuple[int | None, int | None] = (None, None)
+    __slots__ = ("delta_t", "alignment", "time_range")
 
-    def __post_init__(self) -> None:
-        if self.delta_t <= 0:
-            raise ParameterError(f"delta_t must be positive, got {self.delta_t}")
-        if self.alignment not in (ALIGN_WALL, ALIGN_FIRST):
+    def __init__(
+        self,
+        delta_t: int = 600,
+        alignment: str = ALIGN_WALL,
+        time_range: tuple[int | None, int | None] = (None, None),
+    ) -> None:
+        if delta_t <= 0:
+            raise ParameterError(f"delta_t must be positive, got {delta_t}")
+        if alignment not in (ALIGN_WALL, ALIGN_FIRST):
             raise ParameterError(
                 f"alignment must be {ALIGN_WALL!r} or {ALIGN_FIRST!r},"
-                f" got {self.alignment!r}"
+                f" got {alignment!r}"
             )
-        lo, hi = self.time_range
+        lo, hi = time_range
         if lo is not None and hi is not None and hi <= lo:
             raise ParameterError(f"empty time range [{lo}, {hi})")
+        self._fill(delta_t, alignment, time_range)
 
 
-class WindowSlice(NamedTuple):
-    """One nonempty window: its start, index and rows ``lo:hi`` of the log."""
-
-    start: int
-    index: int
-    lo: int
-    hi: int
+WindowSlice = namedtuple("WindowSlice", ["start", "index", "lo", "hi"])
+WindowSlice.__doc__ = (
+    "One nonempty window: its start, index and rows ``lo:hi`` of the log."
+)
 
 
 def slice_windows(log: MessageLog, spec: WindowSpec) -> Iterator[WindowSlice]:
@@ -84,10 +84,9 @@ def slice_windows(log: MessageLog, spec: WindowSpec) -> Iterator[WindowSlice]:
         row = stop
 
 
-# Built once per window, then only read: a plain slots class, cheaper to build
+# Built once per window, then only read: a plain record, cheaper to build
 # than a frozen one.
-@dataclass(slots=True)
-class InteractionNetwork:
+class InteractionNetwork(Record):
     """One window's weighted undirected simple graph of sender transitions.
 
     ``nodes`` holds interacting participants only, in ascending order: a
@@ -95,10 +94,19 @@ class InteractionNetwork:
     does not count as a participant.
     """
 
-    window_start: int
-    window_index: int
-    nodes: tuple[int, ...]
-    edges: dict[tuple[int, int], int]
+    __slots__ = ("window_start", "window_index", "nodes", "edges")
+
+    def __init__(
+        self,
+        window_start: int,
+        window_index: int,
+        nodes: tuple[int, ...],
+        edges: dict[tuple[int, int], int],
+    ) -> None:
+        self.window_start = window_start
+        self.window_index = window_index
+        self.nodes = nodes
+        self.edges = edges
 
     @property
     def n(self) -> int:
@@ -138,8 +146,7 @@ def network_from_senders(
     )
 
 
-@dataclass(frozen=True)
-class NetworkEnsemble:
+class NetworkEnsemble(FrozenRecord):
     """Ordered sequence of per-window networks for one group.
 
     Window starts strictly increase, and the first two windows fix the window
@@ -148,26 +155,26 @@ class NetworkEnsemble:
     ensembles are checked alike.
     """
 
-    networks: tuple[InteractionNetwork, ...]
+    __slots__ = ("networks",)
 
-    def __post_init__(self) -> None:
-        nets = self.networks
-        for prev, net in zip(nets, nets[1:]):
+    def __init__(self, networks: tuple[InteractionNetwork, ...]) -> None:
+        self._fill(networks)
+        for prev, net in zip(networks, networks[1:]):
             if net.window_start <= prev.window_start:
                 raise SchemaError(
                     f"window starts not strictly increasing at {net.window_start}"
                 )
-        if len(nets) < 2:
+        if len(networks) < 2:
             return
-        w0, i0 = nets[0].window_start, nets[0].window_index
-        span, steps = nets[1].window_start - w0, nets[1].window_index - i0
+        w0, i0 = networks[0].window_start, networks[0].window_index
+        span, steps = networks[1].window_start - w0, networks[1].window_index - i0
         if steps <= 0 or span % steps:
             raise SchemaError(
-                f"window indices {i0}, {nets[1].window_index} at starts {w0},"
-                f" {nets[1].window_start} give no whole window length"
+                f"window indices {i0}, {networks[1].window_index} at starts {w0},"
+                f" {networks[1].window_start} give no whole window length"
             )
         length = span // steps
-        for net in nets[2:]:
+        for net in networks[2:]:
             if net.window_start - w0 != (net.window_index - i0) * length:
                 raise SchemaError(
                     f"window index {net.window_index} inconsistent with start "

@@ -15,8 +15,8 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
 
+from ._record import FrozenRecord
 from .chatlog import MessageLog
 from .errors import ParameterError
 from .netbuild import WindowSpec
@@ -33,35 +33,49 @@ REGIME_KINDS = (
 DEFAULT_START = 1_533_081_600
 
 
-@dataclass(frozen=True)
-class Regime:
+class Regime(FrozenRecord):
     """One generation recipe. `users` counts background users; the
     planted-dropout regime adds `dropouts` extra IDs on top that fall
     silent from `split_window` on."""
 
-    kind: str
-    users: int
-    rate: int
-    windows: int
-    seed: int = 0
-    dropouts: int = 0
-    split_window: int | None = None
+    __slots__ = (
+        "kind", "users", "rate", "windows", "seed", "dropouts", "split_window"
+    )
+
+    def __init__(
+        self,
+        kind: str,
+        users: int,
+        rate: int,
+        windows: int,
+        seed: int = 0,
+        dropouts: int = 0,
+        split_window: int | None = None,
+    ) -> None:
+        self._fill(kind, users, rate, windows, seed, dropouts, split_window)
 
 
-@dataclass(frozen=True)
-class WindowTruth:
-    window_start: int
-    window_index: int
-    nodes: tuple[int, ...]
-    edges: dict[tuple[int, int], int]
-    metrics: dict[str, float] | None  # None for non-conversation windows
+class WindowTruth(FrozenRecord):
+    __slots__ = ("window_start", "window_index", "nodes", "edges", "metrics")
+
+    def __init__(
+        self,
+        window_start: int,
+        window_index: int,
+        nodes: tuple[int, ...],
+        edges: dict[tuple[int, int], int],
+        metrics: dict[str, float] | None,  # None for non-conversation windows
+    ) -> None:
+        self._fill(window_start, window_index, nodes, edges, metrics)
 
 
-@dataclass(frozen=True)
-class SynthResult:
-    regime: Regime
-    log: MessageLog
-    truth: tuple[WindowTruth, ...]
+class SynthResult(FrozenRecord):
+    __slots__ = ("regime", "log", "truth")
+
+    def __init__(
+        self, regime: Regime, log: MessageLog, truth: tuple[WindowTruth, ...]
+    ) -> None:
+        self._fill(regime, log, truth)
 
     @property
     def dropout_users(self) -> tuple[int, ...]:

@@ -10,16 +10,20 @@ a property of the method, not an artifact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import FrozenRecord
 from .ensemble import AVG_ZERO, EngagementClass, check_avg, scope_means
 from .errors import InsufficientDataError, ParameterError
 
 
-@dataclass(frozen=True)
-class UserSeries:
-    user: int
-    points: tuple[tuple[int, float], ...]  # (window_start, ei centrality)
+class UserSeries(FrozenRecord):
+    __slots__ = ("user", "points")
+
+    def __init__(
+        self,
+        user: int,
+        points: tuple[tuple[int, float], ...],  # (window_start, ei centrality)
+    ) -> None:
+        self._fill(user, points)
 
 
 def user_series(windows, user: int) -> UserSeries:
@@ -38,19 +42,24 @@ def user_series(windows, user: int) -> UserSeries:
     return UserSeries(user=user, points=points)
 
 
-@dataclass(frozen=True, slots=True)
-class ComparisonRow:
-    user: int
-    whole: float
-    p1: float
-    p2: float
-    diff: float
+class ComparisonRow(FrozenRecord):
+    __slots__ = ("user", "whole", "p1", "p2", "diff")
+
+    def __init__(
+        self, user: int, whole: float, p1: float, p2: float, diff: float
+    ) -> None:
+        self._fill(user, whole, p1, p2, diff)
 
 
-@dataclass(frozen=True)
-class PeriodComparison:
-    split: int
-    rows: tuple[ComparisonRow, ...]  # descending by whole-period value
+class PeriodComparison(FrozenRecord):
+    __slots__ = ("split", "rows")
+
+    def __init__(
+        self,
+        split: int,
+        rows: tuple[ComparisonRow, ...],  # descending by whole-period value
+    ) -> None:
+        self._fill(split, rows)
 
 
 def period_means(

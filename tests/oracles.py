@@ -18,7 +18,7 @@ from collections import Counter
 from datetime import datetime
 from pathlib import Path
 
-from chatpulse import MessageLog, SchemaError
+from chatpulse import ChatpulseError, MessageLog, SchemaError
 from chatpulse.chatlog import utf8_lines
 from chatpulse.netbuild import InteractionNetwork, NetworkEnsemble
 
@@ -190,6 +190,14 @@ def load_ensemble_direct(path) -> NetworkEnsemble:
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"{path}: line {line_no}: malformed network") from exc
     return NetworkEnsemble(tuple(networks))
+
+
+def read_utf8(path: Path, error: type[ChatpulseError]) -> str:
+    """Read a whole text file, raising ``error`` when it is not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start})") from exc
 
 
 def load_log_csv_direct(path) -> MessageLog:

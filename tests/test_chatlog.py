@@ -7,6 +7,7 @@ import logging
 import sys
 import tracemalloc
 from datetime import date, datetime, timezone
+from types import SimpleNamespace
 from zoneinfo import ZoneInfo
 
 import pytest
@@ -25,14 +26,15 @@ from chatpulse import (
     parse_transcript,
     read_mapping,
 )
+from chatpulse import chatlog
 from chatpulse.chatlog import (
     READ_CHUNK,
     _local_epoch,
-    read_utf8,
     utc_timestamp,
     utf8_lines,
 )
 from chatpulse.cli import EXIT_OK, main
+from oracles import read_utf8
 
 
 def test_two_lines_same_sender():
@@ -365,12 +367,28 @@ def test_round_trip_is_byte_identical(tmp_path):
 
 def test_out_of_order_rows_resorted_with_warning(tmp_path, caplog):
     path = tmp_path / "log.csv"
-    path.write_text("user_id,timestamp\n0,300\n1,100\n2,200\n")
+    path.write_text("user_id,timestamp\n0,300\n1,100\n2,200\n3,100\n")
     with caplog.at_level(logging.WARNING):
         log = load_log(path)
-    assert "re-sorting" in caplog.text
-    assert log.timestamps == (100, 200, 300)
-    assert log.users == (1, 2, 0)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}: rows out of order; re-sorting by (timestamp, row)"
+    ]
+    assert log.timestamps == (100, 100, 200, 300)
+    assert log.users == (1, 3, 2, 0)  # ties keep their row order
+
+
+def test_ordered_log_is_checked_for_order_once(tmp_path, monkeypatch):
+    path = tmp_path / "log.csv"
+    path.write_text("user_id,timestamp\n0,100\n1,100\n2,200\n0,300\n")
+    compared = []
+
+    def gt(a, b):
+        compared.append((a, b))
+        return a > b
+
+    monkeypatch.setattr(chatlog, "operator", SimpleNamespace(gt=gt))
+    assert load_log(path).timestamps == (100, 100, 200, 300)
+    assert compared == [(100, 100), (100, 200), (200, 300)]
 
 
 # body -> the SchemaError text after "<path>: "; line numbers count CSV records

@@ -6,7 +6,6 @@ import csv
 import json
 import math
 import tempfile
-from dataclasses import astuple
 from datetime import datetime, timezone
 from pathlib import Path
 from zoneinfo import ZoneInfo
@@ -110,8 +109,13 @@ def test_mean_centrality_is_the_window_ei(rows):
 repeating_shapes = chats(DELTA_T // 3, min_size=20)
 
 
-def reprs(row) -> list[str]:
-    return list(map(repr, astuple(row)))
+METRIC_FIELDS = ("n", "total_weight", "gini", "equality", "intensity", "ei")
+NODE_FIELDS = ("user", "strength", "ei_centrality")
+
+
+def reprs(row, fields) -> list[str]:
+    """The reprs of ``row``'s fields, named in declaration order."""
+    return [repr(getattr(row, name)) for name in fields]
 
 
 @given(repeating_shapes)
@@ -122,10 +126,10 @@ def test_shared_scores_equal_scoring_each_window_alone(rows):
     assert [w.window_index for w in wms] == [net.window_index for net in nets]
     for w, net in zip(wms, nets):
         alone = engagement_index(net)
-        assert reprs(w.metrics) == reprs(alone)
-        assert list(map(reprs, w.nodes)) == list(
-            map(reprs, node_centralities(net, alone))
-        )
+        assert reprs(w.metrics, METRIC_FIELDS) == reprs(alone, METRIC_FIELDS)
+        assert [reprs(ne, NODE_FIELDS) for ne in w.nodes] == [
+            reprs(ne, NODE_FIELDS) for ne in node_centralities(net, alone)
+        ]
 
 
 @given(repeating_shapes)
