@@ -19,6 +19,7 @@ from .chatlog import (
     dump_log,
     dump_mapping,
     load_log,
+    log_lines,
     parse_transcript,
     read_mapping,
     utf8_lines,
@@ -60,9 +61,11 @@ from .netbuild import (
     WindowSpec,
     build_ensemble,
     dump_ensemble,
+    ensemble_lines,
     load_ensemble,
     network_from_senders,
     slice_windows,
+    window_networks,
 )
 from .synth import Regime, SynthResult, WindowTruth, dump_ground_truth, generate
 from .temporal import (

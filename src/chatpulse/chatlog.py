@@ -650,15 +650,35 @@ def load_log(path: str | Path) -> MessageLog:
     )
 
 
+# rows joined into one string per yield: one yield per row costs more time
+# than the batch's text costs memory
+LOG_BATCH = 4096
+
+
+def log_lines(log: MessageLog, fmt: str = "csv") -> Iterator[str]:
+    """A log's canonical text, in joined batches of up to ``LOG_BATCH`` rows.
+
+    An unknown ``fmt`` raises here, not when the first batch is read.
+    """
+    if fmt not in ("csv", "jsonl"):
+        raise SchemaError(f"unknown log format {fmt!r}")
+    return _log_batches(log.users, log.timestamps, fmt == "csv")
+
+
+def _log_batches(users, stamps, csv_form: bool) -> Iterator[str]:
+    if csv_form:
+        yield ",".join(LOG_CSV_HEADER) + "\n"
+    for lo in range(0, len(users), LOG_BATCH):
+        pairs = zip(users[lo:lo + LOG_BATCH], stamps[lo:lo + LOG_BATCH])
+        if csv_form:
+            yield "".join([f"{u},{t}\n" for u, t in pairs])
+        else:
+            yield "".join([f'{{"u":{u},"t":{t}}}\n' for u, t in pairs])
+
+
 def dump_log(log: MessageLog, fmt: str = "csv") -> str:
     """Serialize a log to its canonical textual form."""
-    pairs = zip(log.users, log.timestamps)
-    if fmt == "csv":
-        header = ",".join(LOG_CSV_HEADER) + "\n"
-        return header + "".join([f"{u},{t}\n" for u, t in pairs])
-    if fmt == "jsonl":
-        return "".join([f'{{"u":{u},"t":{t}}}\n' for u, t in pairs])
-    raise SchemaError(f"unknown log format {fmt!r}")
+    return "".join(log_lines(log, fmt))
 
 
 def utc_timestamp(text: str) -> int:

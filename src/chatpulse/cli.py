@@ -28,10 +28,11 @@ from . import __version__
 from .chatlog import (
     DEFAULT_PROFILE,
     PROFILES,
+    MessageLog,
     anonymize,
-    dump_log,
     dump_mapping,
     load_log,
+    log_lines,
     parse_transcript,
     read_mapping,
     utc_timestamp,
@@ -60,8 +61,9 @@ from .netbuild import (
     NetworkEnsemble,
     WindowSpec,
     build_ensemble,
-    dump_ensemble,
+    ensemble_lines,
     load_ensemble,
+    window_networks,
 )
 from .synth import REGIME_KINDS, Regime, dump_ground_truth, generate
 from .temporal import period_compare, user_series
@@ -77,11 +79,19 @@ _STD_MODES = {"pop": STD_POPULATION, "sample": STD_SAMPLE}
 
 
 def _write_artifact(path: Path, chunks) -> None:
-    """Stream text chunks (newlines included) to a temp file, then rename."""
+    """Stream text chunks (newlines included) to a temp file, then rename.
+
+    If a chunk or a write fails part-way, the temp file is deleted and any
+    artifact already at ``path`` is left as it was.
+    """
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.writelines(chunks)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -145,14 +155,14 @@ def _when(text: str | None) -> int | None:
         raise ParameterError(f"bad ISO date/datetime {text!r}") from exc
 
 
-def _build(args) -> NetworkEnsemble:
+def _log_and_spec(args) -> tuple[MessageLog, WindowSpec]:
     log = load_log(args.input)
     spec = WindowSpec(
         delta_t=args.interval * 60,
         alignment=args.align,
         time_range=(_when(args.from_when), _when(args.to_when)),
     )
-    return build_ensemble(log, spec)
+    return log, spec
 
 
 def _scored(args, ens: NetworkEnsemble | None = None) -> list[WindowMetrics]:
@@ -163,8 +173,8 @@ def _scored(args, ens: NetworkEnsemble | None = None) -> list[WindowMetrics]:
 # ---------------------------------------------------------------------------
 # artifact emitters (shared between the step commands and `report`)
 
-def _emit_ensemble(outdir: Path, ens) -> list[str]:
-    _write_artifact(outdir / "ensemble.jsonl", (dump_ensemble(ens),))
+def _emit_ensemble(outdir: Path, networks) -> list[str]:
+    _write_artifact(outdir / "ensemble.jsonl", ensemble_lines(networks))
     return ["ensemble.jsonl"]
 
 
@@ -305,13 +315,14 @@ def _cmd_parse(args, outdir: Path) -> list[str]:
     args.salt = anon.salt.hex()  # the manifest records the salt actually used
 
     log_name = f"log.{args.format}"
-    _write_artifact(outdir / log_name, (dump_log(anon.log, args.format),))
+    _write_artifact(outdir / log_name, log_lines(anon.log, args.format))
     _write_artifact(outdir / "mapping.csv", (dump_mapping(anon.mapping),))
     return [log_name, "mapping.csv"]
 
 
 def _cmd_build(args, outdir: Path) -> list[str]:
-    return _emit_ensemble(outdir, _build(args))
+    # each network is written as it is built; no ensemble is held
+    return _emit_ensemble(outdir, window_networks(*_log_and_spec(args)))
 
 
 def _cmd_metrics(args, outdir: Path) -> list[str]:
@@ -354,16 +365,16 @@ def _cmd_simulate(args, outdir: Path) -> list[str]:
     )
     result = generate(regime, WindowSpec(delta_t=args.interval * 60))
     log_name = f"log.{args.format}"
-    _write_artifact(outdir / log_name, (dump_log(result.log, args.format),))
+    _write_artifact(outdir / log_name, log_lines(result.log, args.format))
     _write_artifact(outdir / "ground_truth.jsonl", (dump_ground_truth(result),))
     return [log_name, "ground_truth.jsonl"]
 
 
 def _cmd_report(args, outdir: Path) -> list[str]:
-    ens = _build(args)
+    ens = build_ensemble(*_log_and_spec(args))
     low, high = _parse_thresholds(args.thresholds)
 
-    files = _emit_ensemble(outdir, ens)
+    files = _emit_ensemble(outdir, ens.networks)
     wms = _scored(args, ens)
     del ens  # each network is freed once its window's node rows are built
     files += _emit_metrics(outdir, wms)

@@ -12,7 +12,7 @@ import json
 import operator
 from bisect import bisect_left
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import chain
 from pathlib import Path
 
@@ -189,32 +189,44 @@ class NetworkEnsemble(FrozenRecord):
         return len(self.networks)
 
 
-def build_ensemble(log: MessageLog, spec: WindowSpec) -> NetworkEnsemble:
-    """One network per nonempty window; deterministic for a fixed log + spec."""
+def window_networks(
+    log: MessageLog, spec: WindowSpec
+) -> Iterator[InteractionNetwork]:
+    """One network per nonempty window, yielded in window order as it is built.
+
+    The windows come from :func:`slice_windows`, so their starts strictly
+    increase and their indices agree with one window length, as
+    :class:`NetworkEnsemble` checks.
+    """
     users = log.users
-    networks = tuple(
-        network_from_senders(
+    for w in slice_windows(log, spec):
+        yield network_from_senders(
             users[w.lo:w.hi], window_start=w.start, window_index=w.index
         )
-        for w in slice_windows(log, spec)
-    )
-    return NetworkEnsemble(networks)
 
 
-def dump_ensemble(ensemble: NetworkEnsemble) -> str:
-    """Serialize as JSONL, one network per line, edges in (u < v) order.
+def build_ensemble(log: MessageLog, spec: WindowSpec) -> NetworkEnsemble:
+    """One network per nonempty window; deterministic for a fixed log + spec."""
+    return NetworkEnsemble(tuple(window_networks(log, spec)))
+
+
+def ensemble_lines(networks: Iterable[InteractionNetwork]) -> Iterator[str]:
+    """Each network's JSONL line, newline included, edges in (u < v) order.
 
     Every value is an int, so each line is written as compact JSON directly.
     """
-    lines = []
-    for net in ensemble.networks:
+    for net in networks:
         nodes = ",".join(map(str, net.nodes))
         edges = ",".join([f"[{u},{v},{w}]" for (u, v), w in sorted(net.edges.items())])
-        lines.append(
+        yield (
             f'{{"w":{net.window_start},"i":{net.window_index},'
             f'"nodes":[{nodes}],"edges":[{edges}]}}\n'
         )
-    return "".join(lines)
+
+
+def dump_ensemble(ensemble: NetworkEnsemble) -> str:
+    """Serialize as JSONL, one network per line (see :func:`ensemble_lines`)."""
+    return "".join(ensemble_lines(ensemble.networks))
 
 
 # json.loads skips the whitespace around a value and reads the value with
@@ -231,10 +243,12 @@ def load_ensemble(path: str | Path) -> NetworkEnsemble:
     strictly ascending order, as :func:`dump_ensemble` writes them. Each line
     is read as ``json.loads`` reads it: any line the scanner alone does not
     read to its end goes through ``json.loads``, so both accept and reject
-    the same lines.
+    the same lines. Every network that holds a pair keys its edge with one
+    shared ``(u, v)`` tuple, as ``load_log`` shares one int per user ID.
     """
     path = Path(path)
     networks: list[InteractionNetwork] = []
+    keys: dict[tuple[int, int], tuple[int, int]] = {}
     for line_no, line in enumerate(utf8_lines(path, SchemaError), 1):
         try:
             obj, end = _scan_json(line, 0)
@@ -255,7 +269,8 @@ def load_ensemble(path: str | Path) -> NetworkEnsemble:
                     raise SchemaError(
                         f"{path}: line {line_no}: bad edge [{u},{v},{w}]"
                     )
-                edges[(u, v)] = w
+                key = (u, v)
+                edges[keys.setdefault(key, key)] = w
             if len(edges) != len(raw_edges):
                 raise SchemaError(f"{path}: line {line_no}: duplicate edge")
             start, index, nodes = obj["w"], obj["i"], obj["nodes"]

@@ -14,12 +14,17 @@ from __future__ import annotations
 
 import json
 import math
-import random
 
 from ._record import FrozenRecord
 from .chatlog import MessageLog
 from .errors import ParameterError
 from .netbuild import WindowSpec
+
+# only simulate draws from random, so generate imports it; type checkers
+# read this constant as true
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import random
 
 REGIME_KINDS = (
     "round-robin",
@@ -174,6 +179,8 @@ def _truth_metrics(
 
 def generate(regime: Regime, spec: WindowSpec | None = None) -> SynthResult:
     """Generate a log plus exact expected per-window networks and metrics."""
+    import random
+
     _validate(regime)
     spec = spec or WindowSpec()
     delta = spec.delta_t

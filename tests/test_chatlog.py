@@ -23,6 +23,7 @@ from chatpulse import (
     dump_log,
     dump_mapping,
     load_log,
+    log_lines,
     parse_transcript,
     read_mapping,
 )
@@ -619,3 +620,23 @@ def test_parse_memory_stays_below_half_the_decoded_text(tmp_path):
     assert code == EXIT_OK
     assert (tmp_path / "out" / "log.csv").read_text().count("\n") == 20_001
     assert peak < text_size / 2
+
+
+def test_unknown_log_format_raises_when_called():
+    # not at the first next(): a bad format fails before an artifact is opened
+    log = MessageLog((0, 1), (100, 160))
+    for writer in (log_lines, dump_log):
+        with pytest.raises(SchemaError, match="unknown log format 'xml'"):
+            writer(log, "xml")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_log_lines_batch_rows(monkeypatch, fmt):
+    log = MessageLog((0, 1, 0, 2, 1), (100, 160, 220, 280, 340))
+    whole = dump_log(log, fmt)
+    monkeypatch.setattr(chatlog, "LOG_BATCH", 2)
+    header = ["user_id,timestamp\n"] if fmt == "csv" else []
+    rows = whole.splitlines(keepends=True)[len(header):]
+    assert list(log_lines(log, fmt)) == header + [
+        rows[0] + rows[1], rows[2] + rows[3], rows[4]
+    ]

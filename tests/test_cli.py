@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import chatpulse
-from chatpulse import cli, engagement
+from chatpulse import chatlog, cli, engagement
 from chatpulse.cli import (
     EXIT_INSUFFICIENT,
     EXIT_IO,
@@ -82,6 +82,49 @@ def test_parse_writes_log_and_mapping(tmp_path):
     assert manifest["command"] == "parse"
     assert manifest["parameters"]["salt"] == "ab" * 16
     assert str(export) in manifest["inputs"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_parse_log_is_the_same_across_batch_edges(tmp_path, monkeypatch, fmt):
+    export = tmp_path / "chat.txt"
+    export.write_text(TRANSCRIPT)
+
+    def parsed_log(name):
+        out = tmp_path / name
+        argv = ("parse", export, "--out", out, "--salt", "ab" * 16, "--format", fmt)
+        assert run(*argv) == EXIT_OK
+        return (out / f"log.{fmt}").read_bytes()
+
+    whole = parsed_log("default")
+    for batch in (1, 2):  # seven rows, so the last batch of two holds one
+        monkeypatch.setattr(chatlog, "LOG_BATCH", batch)
+        assert parsed_log(f"batch-{batch}") == whole
+
+
+def test_build_from_past_the_last_row_writes_an_empty_ensemble(tmp_path):
+    log = simulate(tmp_path)
+    out = tmp_path / "build"
+    assert run("build", log, "--out", out, "--from", "2030-01-01") == EXIT_OK
+    assert (out / "ensemble.jsonl").read_bytes() == b""
+
+
+def failing_chunks():
+    yield "window_start,user_id\n"
+    raise RuntimeError("chunk failed")
+
+
+@pytest.mark.parametrize(
+    "chunks, error",
+    [(failing_chunks, RuntimeError), (lambda: ["ok\n", b"not text"], TypeError)],
+    ids=["iterator-raises", "write-raises"],
+)
+def test_failed_artifact_write_keeps_the_old_file(tmp_path, chunks, error):
+    path = tmp_path / "centralities.csv"
+    path.write_text("old\n")
+    with pytest.raises(error):
+        cli._write_artifact(path, chunks())
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["centralities.csv"]
 
 
 ENS_DEFAULTS = {"input": "ENS", "out": "OUT"}
@@ -671,7 +714,8 @@ def test_module_entry_point_runs():
 # parse, the re-sort warning and the line-at-a-time CSV reader import these
 # where they run; chatpulse imports dataclasses and inspect nowhere
 UNUSED_AT_START_UP = (
-    "csv", "dataclasses", "hmac", "inspect", "logging", "secrets", "zoneinfo"
+    "csv", "dataclasses", "hmac", "inspect", "logging", "random", "secrets",
+    "zoneinfo",
 )
 
 

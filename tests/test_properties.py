@@ -198,6 +198,29 @@ def test_log_round_trip(rows, fmt):
     assert dump_log(loaded, fmt) == text
 
 
+# --from bounds inside the generated rows, at their start, and past them all
+FROM_WHEN = st.sampled_from([None, "2018-08-01", "2018-08-01T02:00", "2030-01-01"])
+
+
+@given(messages, st.sampled_from([1, 10, 60]), st.sampled_from(["wall", "first"]),
+       FROM_WHEN)
+def test_build_writes_the_dumped_ensemble(rows, interval, align, from_when):
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "log.csv"
+        log.write_text(dump_log(log_of(rows)))
+        argv = ["build", str(log), "--out", tmp,
+                "--interval", str(interval), "--align", align]
+        if from_when is not None:
+            argv += ["--from", from_when]
+        assert main(argv) == EXIT_OK
+        streamed = (Path(tmp) / "ensemble.jsonl").read_text()
+        lo = None if from_when is None else chatlog.utc_timestamp(from_when)
+        spec = WindowSpec(interval * 60, align, (lo, None))
+        assert streamed == dump_ensemble(build_ensemble(load_log(log), spec))
+        if from_when == "2030-01-01":
+            assert streamed == ""
+
+
 def networks_of(ens):
     return [(n.window_start, n.window_index, n.nodes, n.edges) for n in ens.networks]
 
