@@ -101,13 +101,6 @@ def test_parse_log_is_the_same_across_batch_edges(tmp_path, monkeypatch, fmt):
         assert parsed_log(f"batch-{batch}") == whole
 
 
-def test_build_from_past_the_last_row_writes_an_empty_ensemble(tmp_path):
-    log = simulate(tmp_path)
-    out = tmp_path / "build"
-    assert run("build", log, "--out", out, "--from", "2030-01-01") == EXIT_OK
-    assert (out / "ensemble.jsonl").read_bytes() == b""
-
-
 def failing_chunks():
     yield "window_start,user_id\n"
     raise RuntimeError("chunk failed")

@@ -11,7 +11,7 @@ from pathlib import Path
 from zoneinfo import ZoneInfo
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chatpulse import (
@@ -204,6 +204,7 @@ FROM_WHEN = st.sampled_from([None, "2018-08-01", "2018-08-01T02:00", "2030-01-01
 
 @given(messages, st.sampled_from([1, 10, 60]), st.sampled_from(["wall", "first"]),
        FROM_WHEN)
+@example([(0, 0), (1, 60)], 10, "wall", "2030-01-01")
 def test_build_writes_the_dumped_ensemble(rows, interval, align, from_when):
     with tempfile.TemporaryDirectory() as tmp:
         log = Path(tmp) / "log.csv"
