@@ -58,7 +58,6 @@ from .errors import (
     SchemaError,
 )
 from .netbuild import (
-    NetworkEnsemble,
     WindowSpec,
     build_ensemble,
     ensemble_lines,
@@ -156,18 +155,24 @@ def _when(text: str | None) -> int | None:
 
 
 def _log_and_spec(args) -> tuple[MessageLog, WindowSpec]:
-    log = load_log(args.input)
     spec = WindowSpec(
         delta_t=args.interval * 60,
         alignment=args.align,
         time_range=(_when(args.from_when), _when(args.to_when)),
     )
-    return log, spec
+    return load_log(args.input), spec
 
 
-def _scored(args, ens: NetworkEnsemble | None = None) -> list[WindowMetrics]:
-    """Score every conversation once; the step commands read ``args.input``."""
-    return conversation_metrics(load_ensemble(args.input) if ens is None else ens)
+def _scored(args) -> list[WindowMetrics]:
+    """Score every conversation of the ensemble at ``args.input`` once."""
+    return conversation_metrics(load_ensemble(args.input))
+
+
+def _classified(args, wms):
+    """Classify the scored windows by ``--thresholds`` and ``--std``."""
+    low, high = _parse_thresholds(args.thresholds)
+    stats = ensemble_stats(wms, std=_STD_MODES[args.std])
+    return zscore_classify(wms, stats, low=low, high=high)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +226,7 @@ def _emit_metrics(outdir: Path, wms) -> list[str]:
     return ["metrics.csv", "centralities.csv"]
 
 
-def _emit_classify(outdir: Path, wms, std: str, low: float, high: float):
-    stats = ensemble_stats(wms, std=std)
-    classified = zscore_classify(wms, stats, low=low, high=high)
-
+def _emit_classify(outdir: Path, classified) -> list[str]:
     def classified_rows():
         # z and the label are functions of ei for fixed stats and thresholds;
         # ei is strictly positive, so no key is -0.0
@@ -238,7 +240,7 @@ def _emit_classify(outdir: Path, wms, std: str, low: float, high: float):
     _write_csv(outdir / "classified.csv", "window_index,ei,z,label", classified_rows())
     hist = zscore_histogram(classified)
     _write_artifact(outdir / "histogram.json", (json.dumps(hist), "\n"))
-    return ["classified.csv", "histogram.json"], classified
+    return ["classified.csv", "histogram.json"]
 
 
 def _emit_rankings(outdir: Path, wms, classified, top_k: int, avg: str):
@@ -330,18 +332,12 @@ def _cmd_metrics(args, outdir: Path) -> list[str]:
 
 
 def _cmd_classify(args, outdir: Path) -> list[str]:
-    wms = _scored(args)
-    low, high = _parse_thresholds(args.thresholds)
-    files, _ = _emit_classify(outdir, wms, _STD_MODES[args.std], low, high)
-    return files
+    return _emit_classify(outdir, _classified(args, _scored(args)))
 
 
 def _cmd_rank(args, outdir: Path) -> list[str]:
     wms = _scored(args)
-    low, high = _parse_thresholds(args.thresholds)
-    stats = ensemble_stats(wms, std=_STD_MODES[args.std])
-    classified = zscore_classify(wms, stats, low=low, high=high)
-    return _emit_rankings(outdir, wms, classified, args.top_k, args.avg)
+    return _emit_rankings(outdir, wms, _classified(args, wms), args.top_k, args.avg)
 
 
 def _cmd_series(args, outdir: Path) -> list[str]:
@@ -349,8 +345,8 @@ def _cmd_series(args, outdir: Path) -> list[str]:
 
 
 def _cmd_compare(args, outdir: Path) -> list[str]:
-    wms = _scored(args)
-    return _emit_compare(outdir, wms, _when(args.split), args.top_k, args.avg)
+    split = _when(args.split)  # read before the ensemble is loaded
+    return _emit_compare(outdir, _scored(args), split, args.top_k, args.avg)
 
 
 def _cmd_simulate(args, outdir: Path) -> list[str]:
@@ -371,20 +367,20 @@ def _cmd_simulate(args, outdir: Path) -> list[str]:
 
 
 def _cmd_report(args, outdir: Path) -> list[str]:
+    # every flag is read before the first artifact is written
+    _parse_thresholds(args.thresholds)
+    split = _when(args.split)
     ens = build_ensemble(*_log_and_spec(args))
-    low, high = _parse_thresholds(args.thresholds)
 
     files = _emit_ensemble(outdir, ens.networks)
-    wms = _scored(args, ens)
+    wms = conversation_metrics(ens)
     del ens  # each network is freed once its window's node rows are built
     files += _emit_metrics(outdir, wms)
-    classify_files, classified = _emit_classify(
-        outdir, wms, _STD_MODES[args.std], low, high
-    )
-    files += classify_files
+    classified = _classified(args, wms)
+    files += _emit_classify(outdir, classified)
     files += _emit_rankings(outdir, wms, classified, args.top_k, args.avg)
-    if args.split is not None:
-        files += _emit_compare(outdir, wms, _when(args.split), None, args.avg)
+    if split is not None:
+        files += _emit_compare(outdir, wms, split, None, args.avg)
     return files
 
 
@@ -407,10 +403,6 @@ _POSITIVE = _int_at_least(1)
 _NON_NEGATIVE = _int_at_least(0)
 
 
-def _add_out(sp) -> None:
-    sp.add_argument("--out", required=True, help="output directory")
-
-
 def _add_window_flags(sp) -> None:
     sp.add_argument("--interval", type=_POSITIVE, default=10, metavar="MINUTES",
                     help="window length in minutes (default 10)")
@@ -427,6 +419,11 @@ def _add_class_flags(sp) -> None:
                     help="z-score class boundaries (default -1,1)")
     sp.add_argument("--std", choices=sorted(_STD_MODES), default="pop",
                     help="standard deviation mode (default pop)")
+
+
+def _add_avg(sp) -> None:
+    sp.add_argument("--avg", choices=[AVG_ZERO, AVG_PRESENT], default=AVG_ZERO,
+                    help="absent users count as zero, or average over appearances")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -448,11 +445,20 @@ def _build_parser() -> _Parser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    # the manifest records each command's flags in the order they are added
 
-    sp = sub.add_parser("parse", help="parse a transcript export into an anonymized log")
-    sp.add_argument("input", help="transcript text export")
-    _add_out(sp)
+    def command(name, handler, summary, input_help="ensemble.jsonl"):
+        """A subcommand with its handler, positional input (if any) and --out."""
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(handler=handler)
+        if input_help is not None:
+            sp.add_argument("input", help=input_help)
+        sp.add_argument("--out", required=True, help="output directory")
+        return sp
+
+    # the manifest records each command's flags in the order they are added
+    sp = command("parse", _cmd_parse,
+                 "parse a transcript export into an anonymized log",
+                 input_help="transcript text export")
     sp.add_argument("--profile", default=DEFAULT_PROFILE, choices=list(PROFILES))
     sp.add_argument("--tz", default="UTC", help="timezone of the export (default UTC)")
     sp.add_argument("--slack", type=int, default=0, metavar="SECONDS",
@@ -462,52 +468,33 @@ def _build_parser() -> _Parser:
                     help="anonymization salt; generated when omitted")
     sp.add_argument("--mapping-in", default=None, metavar="PATH",
                     help="prior mapping.csv whose IDs must be preserved")
-    sp.set_defaults(handler=_cmd_parse)
 
-    sp = sub.add_parser("build", help="slice a log into windows and build networks")
-    sp.add_argument("input", help="canonical log (csv or jsonl)")
-    _add_out(sp)
+    sp = command("build", _cmd_build, "slice a log into windows and build networks",
+                 input_help="canonical log (csv or jsonl)")
     _add_window_flags(sp)
-    sp.set_defaults(handler=_cmd_build)
 
-    sp = sub.add_parser("metrics", help="per-window engagement metrics and centralities")
-    sp.add_argument("input", help="ensemble.jsonl")
-    _add_out(sp)
-    sp.set_defaults(handler=_cmd_metrics)
+    command("metrics", _cmd_metrics, "per-window engagement metrics and centralities")
 
-    sp = sub.add_parser("classify", help="z-score classes per conversation network")
-    sp.add_argument("input", help="ensemble.jsonl")
-    _add_out(sp)
+    sp = command("classify", _cmd_classify, "z-score classes per conversation network")
     _add_class_flags(sp)
-    sp.set_defaults(handler=_cmd_classify)
 
-    sp = sub.add_parser("rank", help="user rankings per engagement class")
-    sp.add_argument("input", help="ensemble.jsonl")
-    _add_out(sp)
+    sp = command("rank", _cmd_rank, "user rankings per engagement class")
     sp.add_argument("--top-k", type=_POSITIVE, default=10)
-    sp.add_argument("--avg", choices=[AVG_ZERO, AVG_PRESENT], default=AVG_ZERO,
-                    help="absent users count as zero, or average over appearances")
+    _add_avg(sp)
     _add_class_flags(sp)
-    sp.set_defaults(handler=_cmd_rank)
 
-    sp = sub.add_parser("series", help="per-user engagement time series")
-    sp.add_argument("input", help="ensemble.jsonl")
-    _add_out(sp)
+    sp = command("series", _cmd_series, "per-user engagement time series")
     sp.add_argument("--user", type=_NON_NEGATIVE, action="append", required=True,
                     help="user ID (repeatable)")
-    sp.set_defaults(handler=_cmd_series)
 
-    sp = sub.add_parser("compare", help="period-over-period engagement differences")
-    sp.add_argument("input", help="ensemble.jsonl")
-    _add_out(sp)
+    sp = command("compare", _cmd_compare, "period-over-period engagement differences")
     sp.add_argument("--split", required=True, metavar="ISO",
                     help="boundary date; the boundary belongs to the second period")
     sp.add_argument("--top-k", type=_POSITIVE, default=None)
-    sp.add_argument("--avg", choices=[AVG_ZERO, AVG_PRESENT], default=AVG_ZERO)
-    sp.set_defaults(handler=_cmd_compare)
+    _add_avg(sp)
 
-    sp = sub.add_parser("simulate", help="generate a synthetic log with ground truth")
-    _add_out(sp)
+    sp = command("simulate", _cmd_simulate,
+                 "generate a synthetic log with ground truth", input_help=None)
     sp.add_argument("--regime", required=True, choices=REGIME_KINDS)
     sp.add_argument("--users", type=int, required=True)
     sp.add_argument("--rate", type=int, required=True, help="messages per window")
@@ -517,18 +504,15 @@ def _build_parser() -> _Parser:
     sp.add_argument("--split-window", type=int, default=None)
     sp.add_argument("--interval", type=_POSITIVE, default=10, metavar="MINUTES")
     sp.add_argument("--format", choices=["csv", "jsonl"], default="csv")
-    sp.set_defaults(handler=_cmd_simulate)
 
-    sp = sub.add_parser("report", help="full pipeline: build, metrics, classify, rank")
-    sp.add_argument("input", help="canonical log (csv or jsonl)")
-    _add_out(sp)
+    sp = command("report", _cmd_report, "full pipeline: build, metrics, classify, rank",
+                 input_help="canonical log (csv or jsonl)")
     _add_window_flags(sp)
     _add_class_flags(sp)
-    sp.add_argument("--avg", choices=[AVG_ZERO, AVG_PRESENT], default=AVG_ZERO)
+    _add_avg(sp)
     sp.add_argument("--top-k", type=_POSITIVE, default=10)
     sp.add_argument("--split", default=None, metavar="ISO",
                     help="also emit period comparison artifacts")
-    sp.set_defaults(handler=_cmd_report)
 
     return parser
 

@@ -59,7 +59,7 @@ def engagement_index(net: InteractionNetwork) -> EngagementMetrics:
     """All scalar engagement metrics for one conversation network."""
     if not net.is_conversation:
         raise NotAConversationError(
-            f"window {net.window_index} has {net.n} interacting participants;"
+            f"window {net.window_index} has {len(net.nodes)} interacting participants;"
             " metrics need at least two"
         )
     weights = net.edges.values()

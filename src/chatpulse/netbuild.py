@@ -91,7 +91,8 @@ class InteractionNetwork(Record):
 
     ``nodes`` holds interacting participants only, in ascending order: a
     sender who spoke but never next to a different sender is not a node and
-    does not count as a participant.
+    does not count as a participant. ``edges`` maps each pair ``(u, v)``,
+    ``u < v``, to its transition count.
     """
 
     __slots__ = ("window_start", "window_index", "nodes", "edges")
@@ -109,20 +110,8 @@ class InteractionNetwork(Record):
         self.edges = edges
 
     @property
-    def n(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def total_weight(self) -> int:
-        return sum(self.edges.values())
-
-    @property
     def is_conversation(self) -> bool:
         return len(self.nodes) >= 2
-
-    def weight(self, u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        return self.edges.get(key, 0)
 
     def strengths(self) -> dict[int, int]:
         """Weighted degree per interacting node, in ascending user order."""

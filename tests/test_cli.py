@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -375,12 +376,69 @@ def test_out_of_range_flags_exit_before_any_artifact(tmp_path, capsys, argv, nam
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["report", "--help"], ["--version"]])
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["report", "LOG", "--split", "not-a-date"], "not-a-date"),
+        (["compare", "ENS", "--split", "not-a-date"], "not-a-date"),
+        (["report", "LOG", "--thresholds=1,-1"], "--thresholds"),
+        (["report", "LOG", "--from", "not-a-date"], "not-a-date"),
+        (["build", "LOG", "--to", "not-a-date"], "not-a-date"),
+    ],
+)
+def test_bad_flag_values_exit_before_any_input_is_read(
+    tmp_path, capsys, monkeypatch, argv, named
+):
+    log = simulate(tmp_path)
+    assert run("build", log, "--out", tmp_path / "built") == EXIT_OK
+    paths = {"LOG": log, "ENS": tmp_path / "built" / "ensemble.jsonl"}
+
+    def unexpected_load(path):
+        raise AssertionError(f"{path} loaded before the flags were read")
+
+    monkeypatch.setattr(cli, "load_log", unexpected_load)
+    monkeypatch.setattr(cli, "load_ensemble", unexpected_load)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(*[paths.get(a, a) for a in argv], "--out", out) == EXIT_USAGE
+    [line] = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "parameter" and named in err["detail"]
+    assert list(out.iterdir()) == []
+
+
+# each subcommand's positional input and its help text; simulate has none
+INPUT_HELP = {
+    "parse": "transcript text export",
+    "build": "canonical log (csv or jsonl)",
+    "metrics": "ensemble.jsonl",
+    "classify": "ensemble.jsonl",
+    "rank": "ensemble.jsonl",
+    "series": "ensemble.jsonl",
+    "compare": "ensemble.jsonl",
+    "simulate": None,
+    "report": "canonical log (csv or jsonl)",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["report", "--help"], ["--version"]]
+    + [[command, "--help"] for command in INPUT_HELP if command != "report"],
+)
 def test_help_and_version_exit_zero(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run(*argv)
     assert exc.value.code == 0
-    assert capsys.readouterr().out.strip()
+    out = capsys.readouterr().out
+    assert out.strip()
+    if argv[0] in INPUT_HELP:
+        assert "--out" in out
+        input_line = re.search(r"^ +input +(.*)$", out, re.M)
+        if INPUT_HELP[argv[0]] is None:
+            assert input_line is None
+        else:
+            assert input_line.group(1) == INPUT_HELP[argv[0]]
 
 
 def test_report_on_round_robin_gives_equality_one_everywhere(tmp_path):
@@ -430,6 +488,32 @@ def test_pipeline_composition_matches_report(tmp_path):
         assert series[f"series_{user}.csv"].decode() == (
             "window_start,ei_centrality\n" + expected
         )
+
+
+def test_step_commands_classify_and_rank_as_report_does(tmp_path):
+    # non-default thresholds, deviation and averaging, read the same way by
+    # the step commands and by report
+    log = simulate(tmp_path)
+    stepwise = tmp_path / "stepwise"
+    assert run("build", log, "--out", stepwise) == EXIT_OK
+    ens = stepwise / "ensemble.jsonl"
+    flags = ("--thresholds=-0.5,0.5", "--std", "sample")
+    assert run("classify", ens, "--out", stepwise, *flags) == EXIT_OK
+    assert run("rank", ens, "--out", stepwise, *flags, "--avg", "present") == EXIT_OK
+    allinone = tmp_path / "allinone"
+    assert run("report", log, "--out", allinone, *flags, "--avg", "present") == EXIT_OK
+    default = tmp_path / "default"
+    assert run("report", log, "--out", default) == EXIT_OK
+
+    written = artifacts(stepwise, skip=("manifest.json", "ensemble.jsonl"))
+    assert set(written) == {
+        "classified.csv", "histogram.json", "ranking_GLOBAL.csv",
+        "ranking_HIGH.csv", "ranking_MEDIUM.csv", "ranking_LOW.csv",
+    }
+    assert written == {name: artifacts(allinone)[name] for name in written}
+    # the flags change the classes, so the comparison shows they were read
+    assert written["classified.csv"] != artifacts(default)["classified.csv"]
+    assert written["ranking_HIGH.csv"] != artifacts(default)["ranking_HIGH.csv"]
 
 
 def count_scoring(monkeypatch) -> dict[str, int]:
