@@ -516,9 +516,9 @@ def _canonical_columns(path: Path) -> tuple[tuple[int, ...], tuple[int, ...]] | 
     # Both columns are allocated at full length before any block is split,
     # with a few spare slots: the stamps tuple, whose header makes it 40
     # bytes longer than a list's item array, then fits where the users list
-    # was. Measured as peak RSS on 80k-row logs, exact allocation with no
-    # spare slots cost +0.6 MiB, lists grown with += +0.9 to 2.6 MiB, and
-    # per-block lists joined by chain +1.0 to 1.6 MiB.
+    # was. On 80k-row logs, a report's peak RSS rose by 0.6 MiB with exact
+    # allocation and no spare slots, by 0.9-2.6 MiB with lists grown by +=,
+    # and by 1.0-1.6 MiB with per-block lists joined by chain.
     users = [0] * rows
     stamps = [0] * rows
     at = 0
