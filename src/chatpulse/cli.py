@@ -47,6 +47,7 @@ from .ensemble import (
     conversation_metrics,
     ensemble_stats,
     rank_users,
+    window_scorer,
     zscore_classify,
     zscore_histogram,
 )
@@ -59,7 +60,6 @@ from .errors import (
 )
 from .netbuild import (
     WindowSpec,
-    build_ensemble,
     ensemble_lines,
     load_ensemble,
     window_networks,
@@ -168,9 +168,9 @@ def _scored(args) -> list[WindowMetrics]:
     return conversation_metrics(load_ensemble(args.input))
 
 
-def _classified(args, wms):
-    """Classify the scored windows by ``--thresholds`` and ``--std``."""
-    low, high = _parse_thresholds(args.thresholds)
+def _classified(args, wms, thresholds: tuple[float, float]):
+    """Classify the scored windows by the parsed ``--thresholds`` and ``--std``."""
+    low, high = thresholds
     stats = ensemble_stats(wms, std=_STD_MODES[args.std])
     return zscore_classify(wms, stats, low=low, high=high)
 
@@ -218,9 +218,10 @@ def _emit_metrics(outdir: Path, wms) -> list[str]:
         outdir / "centralities.csv",
         "window_start,user_id,strength,ei_centrality",
         (
-            f"{w.window_start},{ne.user},{ne.strength},{reprs[ne.ei_centrality]}\n"
+            f"{w.window_start},{user},{s},{reprs[s * scale]}\n"
             for w in wms
-            for ne in w.nodes
+            for users, strengths, scale in (w.columns(),)
+            for user, s in zip(users, strengths)
         ),
     )
     return ["metrics.csv", "centralities.csv"]
@@ -299,6 +300,12 @@ def _emit_compare(outdir: Path, wms, split: int, top_k: int | None, avg: str):
 # ``main`` records the manifest from the parsed flags once the handler returns.
 
 def _cmd_parse(args, outdir: Path) -> list[str]:
+    salt = None  # read before the export and the prior mapping
+    if args.salt is not None:
+        try:
+            salt = bytes.fromhex(args.salt)
+        except ValueError as exc:
+            raise ParameterError(f"--salt must be hex, got {args.salt!r}") from exc
     parsed = parse_transcript(
         utf8_lines(args.input, ParseError),
         tz=args.tz,
@@ -306,13 +313,6 @@ def _cmd_parse(args, outdir: Path) -> list[str]:
         slack=args.slack,
     )
     prior = read_mapping(args.mapping_in) if args.mapping_in else None
-    if args.salt is not None:
-        try:
-            salt = bytes.fromhex(args.salt)
-        except ValueError as exc:
-            raise ParameterError(f"--salt must be hex, got {args.salt!r}") from exc
-    else:
-        salt = None
     anon = anonymize(parsed, salt=salt, prior_mapping=prior)
     args.salt = anon.salt.hex()  # the manifest records the salt actually used
 
@@ -332,12 +332,15 @@ def _cmd_metrics(args, outdir: Path) -> list[str]:
 
 
 def _cmd_classify(args, outdir: Path) -> list[str]:
-    return _emit_classify(outdir, _classified(args, _scored(args)))
+    thresholds = _parse_thresholds(args.thresholds)  # read before the ensemble
+    return _emit_classify(outdir, _classified(args, _scored(args), thresholds))
 
 
 def _cmd_rank(args, outdir: Path) -> list[str]:
+    thresholds = _parse_thresholds(args.thresholds)  # read before the ensemble
     wms = _scored(args)
-    return _emit_rankings(outdir, wms, _classified(args, wms), args.top_k, args.avg)
+    classified = _classified(args, wms, thresholds)
+    return _emit_rankings(outdir, wms, classified, args.top_k, args.avg)
 
 
 def _cmd_series(args, outdir: Path) -> list[str]:
@@ -368,15 +371,20 @@ def _cmd_simulate(args, outdir: Path) -> list[str]:
 
 def _cmd_report(args, outdir: Path) -> list[str]:
     # every flag is read before the first artifact is written
-    _parse_thresholds(args.thresholds)
+    thresholds = _parse_thresholds(args.thresholds)
     split = _when(args.split)
-    ens = build_ensemble(*_log_and_spec(args))
+    score, wms = window_scorer(columns_now=True), []
 
-    files = _emit_ensemble(outdir, ens.networks)
-    wms = conversation_metrics(ens)
-    del ens  # each network is freed once its window's node rows are built
+    def scored(networks):
+        # each network is scored once its line is written, then dropped
+        for net in networks:
+            yield net
+            if net.is_conversation:
+                wms.append(score(net))
+
+    files = _emit_ensemble(outdir, scored(window_networks(*_log_and_spec(args))))
     files += _emit_metrics(outdir, wms)
-    classified = _classified(args, wms)
+    classified = _classified(args, wms, thresholds)
     files += _emit_classify(outdir, classified)
     files += _emit_rankings(outdir, wms, classified, args.top_k, args.avg)
     if split is not None:

@@ -7,9 +7,7 @@ from collections import defaultdict
 from enum import Enum
 
 from ._record import FrozenRecord, Record
-from .engagement import (
-    EngagementMetrics, NodeEngagement, engagement_index, node_centralities,
-)
+from .engagement import EngagementMetrics, NodeEngagement, engagement_index
 from .errors import DegenerateEnsembleError, InsufficientDataError, ParameterError
 from .netbuild import InteractionNetwork, NetworkEnsemble
 
@@ -28,67 +26,89 @@ class EngagementClass(str, Enum):
 
 
 class WindowMetrics:
-    """One scored conversation window: its metrics and per-user centralities.
+    """One scored conversation window: its metrics and two per-user columns.
 
-    ``nodes`` is in ascending user order, as node_centralities returns it.
-    A window scored from its ``network`` builds them on first read and then
-    drops the network, so a command that reads only ``metrics`` never pays
-    for them; without a network, ``nodes`` is the rows given, none by default.
+    The columns are the users, ascending, and their strengths; a user's ei
+    centrality is derived on read as strength times the scale node_centralities
+    uses. A window scored from its ``network`` builds the columns on first
+    read and then drops the network, so a command that reads only ``metrics``
+    never pays for them; without a network, the columns are those given.
     """
 
-    __slots__ = ("window_start", "window_index", "metrics", "_network", "_nodes")
+    __slots__ = (
+        "window_start", "window_index", "metrics", "_network", "_users", "_strengths",
+    )
 
     def __init__(
         self,
         window_start: int,
         window_index: int,
         metrics: EngagementMetrics,
-        nodes: tuple[NodeEngagement, ...] = (),
+        users: tuple[int, ...] = (),
+        strengths: tuple[int, ...] = (),
         *,
         network: InteractionNetwork | None = None,
     ) -> None:
+        if len(users) != len(strengths) or (network is not None and users):
+            raise ValueError("give one strength per user, or a network and no columns")
         self.window_start = window_start
         self.window_index = window_index
         self.metrics = metrics
         self._network = network
-        self._nodes = nodes if network is None else None
+        self._users, self._strengths = users, strengths
+
+    def columns(self) -> tuple[tuple[int, ...], tuple[int, ...], float]:
+        """Users, their strengths, and the scale from a strength to its centrality."""
+        net = self._network
+        if net is not None:
+            self._users, self._strengths = net.nodes, tuple(net.strengths().values())
+            self._network = None  # the columns hold all that is read from it
+        m = self.metrics
+        return self._users, self._strengths, m.n * m.ei / (2.0 * m.total_weight)
 
     @property
     def nodes(self) -> tuple[NodeEngagement, ...]:
-        if self._nodes is None:
-            self._nodes = tuple(node_centralities(self._network, self.metrics))
-            self._network = None  # the rows hold all that is read from it
-        return self._nodes
+        """The columns as rows, built anew on every read."""
+        users, strengths, scale = self.columns()
+        return tuple(NodeEngagement(u, s, s * scale) for u, s in zip(users, strengths))
 
     def has_node(self, user: int) -> bool:
         """Whether ``user`` is a node; an unscored window asks its network."""
-        if self._network is not None:
-            return user in self._network.nodes
-        return any(ne.user == user for ne in self.nodes)
+        return user in (self._users if self._network is None else self._network.nodes)
 
 
-def conversation_metrics(ensemble: NetworkEnsemble) -> list[WindowMetrics]:
-    """Score every conversation network, in window order.
+def window_scorer(*, columns_now: bool = False):
+    """A function that scores one conversation network as a WindowMetrics.
 
     A network's metrics depend only on its participant count and the
-    multiset of its edge weights, its shape. Each distinct shape is scored
-    once, and the windows of one shape share its ``EngagementMetrics``; the
-    floats are those of scoring each window, since ``gini`` sorts the
-    weights and the key fixes every operand. The result feeds
-    classification, rankings, series and period comparison. Each window
-    keeps its network until its nodes are first read.
+    multiset of its edge weights, its shape. A scorer scores each distinct
+    shape once, and the windows of one shape share its ``EngagementMetrics``;
+    the floats are those of scoring each window, since ``gini`` sorts the
+    weights and the key fixes every operand. With ``columns_now`` each
+    window builds its columns at once and drops its network; otherwise it
+    keeps the network until the columns are first read.
     """
     scored: dict[tuple[int, ...], EngagementMetrics] = {}
-    windows = []
-    for net in ensemble.conversations:
+
+    def score(net: InteractionNetwork) -> WindowMetrics:
         shape = (len(net.nodes), *sorted(net.edges.values()))
         metrics = scored.get(shape)
         if metrics is None:
             metrics = scored[shape] = engagement_index(net)
-        windows.append(
-            WindowMetrics(net.window_start, net.window_index, metrics, network=net)
-        )
-    return windows
+        window = WindowMetrics(net.window_start, net.window_index, metrics, network=net)
+        if columns_now:
+            window.columns()
+        return window
+
+    return score
+
+
+def conversation_metrics(ensemble: NetworkEnsemble) -> list[WindowMetrics]:
+    """Score every conversation network, in window order, through one scorer.
+
+    Each window keeps its network until its columns are first read.
+    """
+    return list(map(window_scorer(), ensemble.conversations))
 
 
 class EnsembleStats(FrozenRecord):
@@ -188,8 +208,9 @@ def scope_means(windows, scopes, avg: str) -> dict:
             sizes[scope] = 0
         part, part_seen = sums[scope], seen[scope]
         sizes[scope] += 1
-        for ne in w.nodes:
-            user, value = ne.user, ne.ei_centrality
+        users, strengths, scale = w.columns()
+        for user, s in zip(users, strengths):
+            value = s * scale
             whole[user] += value
             part[user] += value
             if present:

@@ -29,15 +29,14 @@ class UserSeries(FrozenRecord):
 def user_series(windows, user: int) -> UserSeries:
     """All (window_start, ei centrality) points for one user; gaps where absent.
 
-    A window whose network lacks the user is skipped before its nodes are
-    scored.
+    A window whose network lacks the user is skipped before its columns
+    are built.
     """
     points = tuple(
-        (w.window_start, ne.ei_centrality)
+        (w.window_start, strengths[users.index(user)] * scale)
         for w in windows
         if w.has_node(user)
-        for ne in w.nodes
-        if ne.user == user
+        for users, strengths, scale in (w.columns(),)
     )
     return UserSeries(user=user, points=points)
 

@@ -23,7 +23,7 @@ from chatpulse.cli import (
     EXIT_USAGE,
     main,
 )
-from chatpulse.netbuild import InteractionNetwork
+from chatpulse.netbuild import InteractionNetwork, NetworkEnsemble
 
 TRANSCRIPT = "\n".join(
     [
@@ -384,6 +384,10 @@ def test_out_of_range_flags_exit_before_any_artifact(tmp_path, capsys, argv, nam
         (["report", "LOG", "--thresholds=1,-1"], "--thresholds"),
         (["report", "LOG", "--from", "not-a-date"], "not-a-date"),
         (["build", "LOG", "--to", "not-a-date"], "not-a-date"),
+        (["classify", "ENS", "--thresholds=1,-1"], "--thresholds"),
+        (["rank", "ENS", "--thresholds=nan,1"], "--thresholds"),
+        (["parse", "CHAT", "--salt", "not-hex"], "--salt"),
+        (["parse", "CHAT", "--salt", "zz", "--mapping-in", "MAP"], "--salt"),
     ],
 )
 def test_bad_flag_values_exit_before_any_input_is_read(
@@ -391,13 +395,19 @@ def test_bad_flag_values_exit_before_any_input_is_read(
 ):
     log = simulate(tmp_path)
     assert run("build", log, "--out", tmp_path / "built") == EXIT_OK
-    paths = {"LOG": log, "ENS": tmp_path / "built" / "ensemble.jsonl"}
+    chat = tmp_path / "chat.txt"
+    chat.write_text(TRANSCRIPT)
+    assert run("parse", chat, "--out", tmp_path / "parsed") == EXIT_OK
+    paths = {
+        "LOG": log, "ENS": tmp_path / "built" / "ensemble.jsonl", "CHAT": chat,
+        "MAP": tmp_path / "parsed" / "mapping.csv",
+    }
 
-    def unexpected_load(path):
-        raise AssertionError(f"{path} loaded before the flags were read")
+    def unexpected_load(source, *args, **kwargs):
+        raise AssertionError(f"{source} loaded before the flags were read")
 
-    monkeypatch.setattr(cli, "load_log", unexpected_load)
-    monkeypatch.setattr(cli, "load_ensemble", unexpected_load)
+    for loader in ("load_log", "load_ensemble", "parse_transcript", "read_mapping"):
+        monkeypatch.setattr(cli, loader, unexpected_load)
     out = tmp_path / "out"
     capsys.readouterr()
     assert run(*[paths.get(a, a) for a in argv], "--out", out) == EXIT_USAGE
@@ -517,8 +527,12 @@ def test_step_commands_classify_and_rank_as_report_does(tmp_path):
 
 
 def count_scoring(monkeypatch) -> dict[str, int]:
-    """Count calls of the scoring functions, through every importing module."""
-    calls = {"engagement_index": 0, "node_centralities": 0}
+    """Count scored shapes and built strength columns, one per network read.
+
+    ``engagement_index`` is counted through every importing module; each
+    window builds its strength column from ``InteractionNetwork.strengths``.
+    """
+    calls = {"engagement_index": 0, "strengths": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -527,12 +541,14 @@ def count_scoring(monkeypatch) -> dict[str, int]:
 
         return wrapper
 
-    for name in calls:
-        original = getattr(engagement, name)
-        wrapper = counted(name, original)
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name.startswith("chatpulse") and getattr(mod, name, None) is original:
-                monkeypatch.setattr(mod, name, wrapper)
+    original = engagement.engagement_index
+    wrapper = counted("engagement_index", original)
+    for mod_name, mod in list(sys.modules.items()):
+        bound = getattr(mod, "engagement_index", None)
+        if mod_name.startswith("chatpulse") and bound is original:
+            monkeypatch.setattr(mod, "engagement_index", wrapper)
+    strengths = counted("strengths", InteractionNetwork.strengths)
+    monkeypatch.setattr(InteractionNetwork, "strengths", strengths)
     return calls
 
 
@@ -554,7 +570,21 @@ def test_report_scores_each_conversation_once(tmp_path, monkeypatch):
     conversations = len((out / "metrics.csv").read_text().splitlines()) - 1
     shapes = distinct_shapes(out / "ensemble.jsonl")
     assert 0 < shapes < conversations  # windows of one shape share a score
-    assert calls == {"engagement_index": shapes, "node_centralities": conversations}
+    assert calls == {"engagement_index": shapes, "strengths": conversations}
+
+
+def test_report_never_builds_a_network_ensemble(tmp_path, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("report built a NetworkEnsemble")
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("chatpulse") and hasattr(mod, "build_ensemble"):
+            monkeypatch.setattr(mod, "build_ensemble", refused)
+    monkeypatch.setattr(NetworkEnsemble, "__init__", refused)
+    log = simulate(tmp_path)
+    out = tmp_path / "report"
+    assert run("report", log, "--out", out, "--split", "2018-08-01T02:00") == EXIT_OK
+    assert (out / "period_compare.csv").exists()
 
 
 def test_step_commands_score_node_rows_only_where_read(tmp_path, monkeypatch):
@@ -565,17 +595,17 @@ def test_step_commands_score_node_rows_only_where_read(tmp_path, monkeypatch):
     calls = count_scoring(monkeypatch)
     assert run("metrics", ens, "--out", tmp_path / "m") == EXIT_OK
     conversations = len((tmp_path / "m" / "metrics.csv").read_text().splitlines()) - 1
-    assert calls == {"engagement_index": shapes, "node_centralities": conversations}
+    assert calls == {"engagement_index": shapes, "strengths": conversations}
 
-    calls.update(engagement_index=0, node_centralities=0)
+    calls.update(engagement_index=0, strengths=0)
     assert run("classify", ens, "--out", tmp_path / "c") == EXIT_OK
-    assert calls == {"engagement_index": shapes, "node_centralities": 0}
+    assert calls == {"engagement_index": shapes, "strengths": 0}
 
-    calls.update(engagement_index=0, node_centralities=0)
+    calls.update(engagement_index=0, strengths=0)
     assert run("series", ens, "--out", tmp_path / "s", "--user", 0) == EXIT_OK
     holding = len((tmp_path / "s" / "series_0.csv").read_text().splitlines()) - 1
     assert 0 < holding < conversations
-    assert calls == {"engagement_index": shapes, "node_centralities": holding}
+    assert calls == {"engagement_index": shapes, "strengths": holding}
 
 
 def failing_runs(tmp_path) -> dict[int, list]:

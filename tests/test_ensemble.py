@@ -13,6 +13,7 @@ from chatpulse import (
     EngagementClass,
     EngagementMetrics,
     InsufficientDataError,
+    InteractionNetwork,
     NodeEngagement,
     ParameterError,
     WindowMetrics,
@@ -21,6 +22,7 @@ from chatpulse import (
     conversation_metrics,
     ensemble_stats,
     rank_users,
+    window_scorer,
     zscore_classify,
     zscore_histogram,
 )
@@ -41,25 +43,31 @@ def wms(*eis: float) -> list[WindowMetrics]:
 
 
 def test_window_metrics_keep_given_node_rows():
-    metrics = wm(0, 2.0).metrics
-    rows = (NodeEngagement(0, 1, 2.0), NodeEngagement(1, 1, 2.0))
-    assert WindowMetrics(0, 0, metrics, rows).nodes == rows
+    metrics = wm(0, 2.0).metrics  # n=2, total_weight=1: the scale is ei
+    given = WindowMetrics(0, 0, metrics, (0, 1), (1, 3))
+    assert given.columns() == ((0, 1), (1, 3), 2.0)
+    assert given.nodes == (NodeEngagement(0, 1, 2.0), NodeEngagement(1, 3, 6.0))
     assert wm(0, 2.0).nodes == ()
-    assert WindowMetrics(0, 0, metrics, rows).has_node(1)
-    assert not WindowMetrics(0, 0, metrics, rows).has_node(2)
+    assert given.has_node(1) and not given.has_node(2)
+    # given strengths are never dropped: one per user, and never beside a network
+    with pytest.raises(ValueError):
+        WindowMetrics(0, 0, metrics, (0, 1), (1,))
+    with pytest.raises(ValueError):
+        WindowMetrics(0, 0, metrics, (0,), ())
+    net = build_ensemble(make_log([(0, 0), (1, 30)]), WindowSpec()).networks[0]
+    with pytest.raises(ValueError):
+        WindowMetrics(0, 0, metrics, (0, 1), (1, 1), network=net)
 
 
 def test_scored_windows_build_node_rows_once_on_first_read(monkeypatch):
-    from chatpulse import ensemble
-
     calls = []
-    original = ensemble.node_centralities
+    original = InteractionNetwork.strengths
 
-    def counted(net, metrics):
+    def counted(net):
         calls.append(net.window_index)
-        return original(net, metrics)
+        return original(net)
 
-    monkeypatch.setattr(ensemble, "node_centralities", counted)
+    monkeypatch.setattr(InteractionNetwork, "strengths", counted)
     log = make_log([(0, 0), (1, 30), (2, 600), (3, 630), (0, 660)])
     windows = conversation_metrics(build_ensemble(log, WindowSpec(delta_t=600)))
     zscore_classify(windows, ensemble_stats(windows))
@@ -67,10 +75,17 @@ def test_scored_windows_build_node_rows_once_on_first_read(monkeypatch):
     assert windows[0].has_node(1) and not windows[0].has_node(2)
     assert calls == []  # an unscored window asks its network
     first = windows[1].nodes
-    assert windows[1].nodes is first and calls == [1]
+    assert windows[1].nodes == first and calls == [1]
     assert [(ne.user, ne.strength) for ne in first] == [(0, 1), (2, 1), (3, 2)]
+    assert windows[1].columns()[:2] == ((0, 2, 3), (1, 1, 2))
     assert windows[1].has_node(3) and not windows[1].has_node(1)
     assert calls == [1]
+    # a scorer that builds the columns at once keeps no network
+    score = window_scorer(columns_now=True)
+    eager = [score(net) for net in build_ensemble(log, WindowSpec(600)).conversations]
+    assert calls == [1, 0, 1]
+    assert [w.columns() for w in eager] == [w.columns() for w in windows]
+    assert calls == [1, 0, 1, 0]
 
 
 def test_stats_of_constant_values():
