@@ -34,8 +34,8 @@ class EngagementMetrics(FrozenRecord):
         self._fill(n, total_weight, gini, equality, intensity, ei)
 
 
-# Built once per user and window, then only read: a plain record, cheaper to
-# build than a frozen one.
+# Built per user on demand (node_centralities, WindowMetrics.nodes), then only
+# read: a plain record, cheaper to build than a frozen one.
 class NodeEngagement(Record):
     __slots__ = ("user", "strength", "ei_centrality")
 
