@@ -40,7 +40,6 @@ from .ensemble import (
     conversation_metrics,
     ensemble_stats,
     rank_users,
-    window_scorer,
     zscore_classify,
     zscore_histogram,
 )

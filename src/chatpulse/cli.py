@@ -373,7 +373,7 @@ def _cmd_report(args, outdir: Path) -> list[str]:
     # every flag is read before the first artifact is written
     thresholds = _parse_thresholds(args.thresholds)
     split = _when(args.split)
-    score, wms = window_scorer(columns_now=True), []
+    score, wms = window_scorer(), []
 
     def scored(networks):
         # each network is scored once its line is written, then dropped
@@ -381,6 +381,7 @@ def _cmd_report(args, outdir: Path) -> list[str]:
             yield net
             if net.is_conversation:
                 wms.append(score(net))
+                wms[-1].columns()
 
     files = _emit_ensemble(outdir, scored(window_networks(*_log_and_spec(args))))
     files += _emit_metrics(outdir, wms)

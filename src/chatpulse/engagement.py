@@ -70,11 +70,16 @@ def engagement_index(net: InteractionNetwork) -> EngagementMetrics:
     return EngagementMetrics(n, total, g, eq, inten, eq * inten)
 
 
+def centrality_scale(metrics: EngagementMetrics) -> float:
+    """The factor from a node's strength to its engagement centrality."""
+    return metrics.n * metrics.ei / (2.0 * metrics.total_weight)
+
+
 def node_centralities(
     net: InteractionNetwork, metrics: EngagementMetrics
 ) -> list[NodeEngagement]:
     """Per-node engagement, proportional to strength; averages to metrics.ei."""
-    scale = metrics.n * metrics.ei / (2.0 * metrics.total_weight)
+    scale = centrality_scale(metrics)
     return [
         NodeEngagement(user, s, s * scale)
         for user, s in net.strengths().items()

@@ -7,7 +7,9 @@ from collections import defaultdict
 from enum import Enum
 
 from ._record import FrozenRecord, Record
-from .engagement import EngagementMetrics, NodeEngagement, engagement_index
+from .engagement import (
+    EngagementMetrics, NodeEngagement, centrality_scale, engagement_index,
+)
 from .errors import DegenerateEnsembleError, InsufficientDataError, ParameterError
 from .netbuild import InteractionNetwork, NetworkEnsemble
 
@@ -29,10 +31,10 @@ class WindowMetrics:
     """One scored conversation window: its metrics and two per-user columns.
 
     The columns are the users, ascending, and their strengths; a user's ei
-    centrality is derived on read as strength times the scale node_centralities
-    uses. A window scored from its ``network`` builds the columns on first
-    read and then drops the network, so a command that reads only ``metrics``
-    never pays for them; without a network, the columns are those given.
+    centrality is derived on read as strength times ``centrality_scale``. A
+    window scored from its ``network`` builds the columns on first read and
+    then drops the network, so a command that reads only ``metrics`` never
+    pays for them; without a network, the columns are those given.
     """
 
     __slots__ = (
@@ -63,8 +65,7 @@ class WindowMetrics:
         if net is not None:
             self._users, self._strengths = net.nodes, tuple(net.strengths().values())
             self._network = None  # the columns hold all that is read from it
-        m = self.metrics
-        return self._users, self._strengths, m.n * m.ei / (2.0 * m.total_weight)
+        return self._users, self._strengths, centrality_scale(self.metrics)
 
     @property
     def nodes(self) -> tuple[NodeEngagement, ...]:
@@ -77,16 +78,14 @@ class WindowMetrics:
         return user in (self._users if self._network is None else self._network.nodes)
 
 
-def window_scorer(*, columns_now: bool = False):
+def window_scorer():
     """A function that scores one conversation network as a WindowMetrics.
 
     A network's metrics depend only on its participant count and the
     multiset of its edge weights, its shape. A scorer scores each distinct
     shape once, and the windows of one shape share its ``EngagementMetrics``;
     the floats are those of scoring each window, since ``gini`` sorts the
-    weights and the key fixes every operand. With ``columns_now`` each
-    window builds its columns at once and drops its network; otherwise it
-    keeps the network until the columns are first read.
+    weights and the key fixes every operand.
     """
     scored: dict[tuple[int, ...], EngagementMetrics] = {}
 
@@ -95,10 +94,7 @@ def window_scorer(*, columns_now: bool = False):
         metrics = scored.get(shape)
         if metrics is None:
             metrics = scored[shape] = engagement_index(net)
-        window = WindowMetrics(net.window_start, net.window_index, metrics, network=net)
-        if columns_now:
-            window.columns()
-        return window
+        return WindowMetrics(net.window_start, net.window_index, metrics, network=net)
 
     return score
 

@@ -22,10 +22,10 @@ from chatpulse import (
     conversation_metrics,
     ensemble_stats,
     rank_users,
-    window_scorer,
     zscore_classify,
     zscore_histogram,
 )
+from chatpulse.ensemble import window_scorer
 from chatpulse.synth import Regime, generate
 
 from conftest import make_log
@@ -80,9 +80,12 @@ def test_scored_windows_build_node_rows_once_on_first_read(monkeypatch):
     assert windows[1].columns()[:2] == ((0, 2, 3), (1, 1, 2))
     assert windows[1].has_node(3) and not windows[1].has_node(1)
     assert calls == [1]
-    # a scorer that builds the columns at once keeps no network
-    score = window_scorer(columns_now=True)
+    # columns read as soon as each window is scored, as report does
+    score = window_scorer()
     eager = [score(net) for net in build_ensemble(log, WindowSpec(600)).conversations]
+    assert calls == [1]
+    for w in eager:
+        w.columns()
     assert calls == [1, 0, 1]
     assert [w.columns() for w in eager] == [w.columns() for w in windows]
     assert calls == [1, 0, 1, 0]
