@@ -8,7 +8,6 @@ columns.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import operator
@@ -28,10 +27,10 @@ from .errors import (
     SchemaError,
 )
 
-# zoneinfo, hmac, secrets and logging serve only parse and the re-sort
-# warning, and csv only files not in dump_log's form, so they are imported
-# where used, not by every command. Type checkers read this constant as true;
-# importing it from typing would cost every command that module.
+# zoneinfo, hashlib, hmac, secrets and logging serve only parse and the
+# re-sort warning, and csv only files not in dump_log's form, so they are
+# imported where used, not by every command. Type checkers read this constant
+# as true; importing it from typing would cost every command that module.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     import csv
@@ -303,6 +302,7 @@ def parse_transcript(
 
 def sender_digest(salt: bytes, sender: str) -> str:
     """Keyed hash (HMAC-SHA256, hex) of a sender display name."""
+    import hashlib
     import hmac
 
     return hmac.new(salt, sender.encode("utf-8"), hashlib.sha256).hexdigest()

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import hashlib
 import itertools
 import json
 import math
@@ -44,7 +43,6 @@ from .ensemble import (
     STD_POPULATION,
     STD_SAMPLE,
     WindowMetrics,
-    conversation_metrics,
     ensemble_stats,
     rank_users,
     window_scorer,
@@ -61,6 +59,8 @@ from .errors import (
 from .netbuild import (
     WindowSpec,
     ensemble_lines,
+    ensemble_networks,
+    in_window_order,
     load_ensemble,
     window_networks,
 )
@@ -97,8 +97,17 @@ def _write_csv(path: Path, header: str, rows) -> None:
     _write_artifact(path, itertools.chain((header + "\n",), rows))
 
 
+try:  # the builtin SHA-256: hashlib's digests, without loading OpenSSL
+    from _sha2 import sha256 as _new_sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _new_sha256
+    except ImportError:
+        from hashlib import sha256 as _new_sha256
+
+
 def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
+    digest = _new_sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
@@ -163,9 +172,20 @@ def _log_and_spec(args) -> tuple[MessageLog, WindowSpec]:
     return load_log(args.input), spec
 
 
-def _scored(args) -> list[WindowMetrics]:
-    """Score every conversation of the ensemble at ``args.input`` once."""
-    return conversation_metrics(load_ensemble(args.input))
+def _with_columns(w: WindowMetrics) -> WindowMetrics:
+    w.columns()  # builds the window's columns and drops its network
+    return w
+
+
+def _scored(args, keep=_with_columns) -> list[WindowMetrics]:
+    """Score each conversation of the ensemble at ``args.input`` as it is read.
+
+    Each window is held as ``keep`` returns it, or dropped for None, so a
+    command holds only what it reads; a bad line raises before any write.
+    """
+    score, networks = window_scorer(), in_window_order(ensemble_networks(args.input))
+    kept = (keep(score(net)) for net in networks if net.is_conversation)
+    return [w for w in kept if w is not None]
 
 
 def _classified(args, wms, thresholds: tuple[float, float]):
@@ -260,20 +280,6 @@ def _emit_rankings(outdir: Path, wms, classified, top_k: int, avg: str):
     return files
 
 
-def _emit_series(outdir: Path, wms, users: list[int]):
-    files = []
-    for user in users:
-        series = user_series(wms, user)
-        name = f"series_{user}.csv"
-        _write_csv(
-            outdir / name,
-            "window_start,ei_centrality",
-            (f"{start},{value!r}\n" for start, value in series.points),
-        )
-        files.append(name)
-    return files
-
-
 def _emit_compare(outdir: Path, wms, split: int, top_k: int | None, avg: str):
     cmp = period_compare(wms, split, top_k=top_k, avg=avg)
     _write_csv(
@@ -333,7 +339,10 @@ def _cmd_metrics(args, outdir: Path) -> list[str]:
 
 def _cmd_classify(args, outdir: Path) -> list[str]:
     thresholds = _parse_thresholds(args.thresholds)  # read before the ensemble
-    return _emit_classify(outdir, _classified(args, _scored(args), thresholds))
+    wms = _scored(  # a class reads only the metrics: no network, no columns
+        args, lambda w: WindowMetrics(w.window_start, w.window_index, w.metrics)
+    )
+    return _emit_classify(outdir, _classified(args, wms, thresholds))
 
 
 def _cmd_rank(args, outdir: Path) -> list[str]:
@@ -344,7 +353,17 @@ def _cmd_rank(args, outdir: Path) -> list[str]:
 
 
 def _cmd_series(args, outdir: Path) -> list[str]:
-    return _emit_series(outdir, _scored(args), args.user)
+    users = list(dict.fromkeys(args.user))  # each user once, first seen first
+    wms = _scored(
+        args, lambda w: _with_columns(w) if any(map(w.has_node, users)) else None
+    )
+    for user in users:
+        _write_csv(
+            outdir / f"series_{user}.csv",
+            "window_start,ei_centrality",
+            (f"{start},{value!r}\n" for start, value in user_series(wms, user).points),
+        )
+    return [f"series_{user}.csv" for user in users]
 
 
 def _cmd_compare(args, outdir: Path) -> list[str]:
@@ -380,8 +399,7 @@ def _cmd_report(args, outdir: Path) -> list[str]:
         for net in networks:
             yield net
             if net.is_conversation:
-                wms.append(score(net))
-                wms[-1].columns()
+                wms.append(_with_columns(score(net)))
 
     files = _emit_ensemble(outdir, scored(window_networks(*_log_and_spec(args))))
     files += _emit_metrics(outdir, wms)

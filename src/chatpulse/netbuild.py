@@ -135,40 +135,44 @@ def network_from_senders(
     )
 
 
-class NetworkEnsemble(FrozenRecord):
-    """Ordered sequence of per-window networks for one group.
+def in_window_order(networks: Iterable) -> Iterator[InteractionNetwork]:
+    """Yield each network once it is checked against the ones before it.
 
     Window starts strictly increase, and the first two windows fix the window
     length ``(w1 - w0) / (i1 - i0)``, which must be a positive integer; every
-    window then satisfies ``w - w0 == (i - i0) * length``. Built and loaded
-    ensembles are checked alike.
+    window then satisfies ``w - w0 == (i - i0) * length``.
     """
+    prev = length = None
+    for net in networks:
+        start, index = net.window_start, net.window_index
+        if prev is None:
+            w0, i0 = start, index
+        elif start <= prev:
+            raise SchemaError(f"window starts not strictly increasing at {start}")
+        elif length is None:
+            span, steps = start - w0, index - i0
+            if steps <= 0 or span % steps:
+                raise SchemaError(
+                    f"window indices {i0}, {index} at starts {w0},"
+                    f" {start} give no whole window length"
+                )
+            length = span // steps
+        elif start - w0 != (index - i0) * length:
+            raise SchemaError(
+                f"window index {index} inconsistent with start "
+                f"{start} (window length {length}s)"
+            )
+        prev = start
+        yield net
+
+
+class NetworkEnsemble(FrozenRecord):
+    """One group's per-window networks, checked by :func:`in_window_order`."""
 
     __slots__ = ("networks",)
 
     def __init__(self, networks: tuple[InteractionNetwork, ...]) -> None:
-        self._fill(networks)
-        for prev, net in zip(networks, networks[1:]):
-            if net.window_start <= prev.window_start:
-                raise SchemaError(
-                    f"window starts not strictly increasing at {net.window_start}"
-                )
-        if len(networks) < 2:
-            return
-        w0, i0 = networks[0].window_start, networks[0].window_index
-        span, steps = networks[1].window_start - w0, networks[1].window_index - i0
-        if steps <= 0 or span % steps:
-            raise SchemaError(
-                f"window indices {i0}, {networks[1].window_index} at starts {w0},"
-                f" {networks[1].window_start} give no whole window length"
-            )
-        length = span // steps
-        for net in networks[2:]:
-            if net.window_start - w0 != (net.window_index - i0) * length:
-                raise SchemaError(
-                    f"window index {net.window_index} inconsistent with start "
-                    f"{net.window_start} (window length {length}s)"
-                )
+        self._fill(tuple(in_window_order(networks)))
 
     @property
     def conversations(self) -> tuple[InteractionNetwork, ...]:
@@ -224,8 +228,8 @@ _scan_json = json.JSONDecoder().scan_once
 _INT = {int}
 
 
-def load_ensemble(path: str | Path) -> NetworkEnsemble:
-    """Read an ensemble JSONL file.
+def ensemble_networks(path: str | Path) -> Iterator[InteractionNetwork]:
+    """Read an ensemble JSONL file a network at a time, each yielded once read.
 
     A line holds a window's start, index, nodes and edges; every metric
     downstream works from nodes and edges alone. The nodes are listed in
@@ -236,7 +240,6 @@ def load_ensemble(path: str | Path) -> NetworkEnsemble:
     shared ``(u, v)`` tuple, as ``load_log`` shares one int per user ID.
     """
     path = Path(path)
-    networks: list[InteractionNetwork] = []
     keys: dict[tuple[int, int], tuple[int, int]] = {}
     for line_no, line in enumerate(utf8_lines(path, SchemaError), 1):
         try:
@@ -283,7 +286,11 @@ def load_ensemble(path: str | Path) -> NetworkEnsemble:
                 raise SchemaError(
                     f"{path}: line {line_no}: nodes do not match edge endpoints"
                 )
-            networks.append(InteractionNetwork(start, index, tuple(nodes), edges))
+            yield InteractionNetwork(start, index, tuple(nodes), edges)
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"{path}: line {line_no}: malformed network") from exc
-    return NetworkEnsemble(tuple(networks))
+
+
+def load_ensemble(path: str | Path) -> NetworkEnsemble:
+    """Read a whole ensemble JSONL file: every line, then the window order."""
+    return NetworkEnsemble(tuple(ensemble_networks(path)))

@@ -23,7 +23,7 @@ from chatpulse.cli import (
     EXIT_USAGE,
     main,
 )
-from chatpulse.netbuild import InteractionNetwork, NetworkEnsemble
+from chatpulse.netbuild import InteractionNetwork, NetworkEnsemble, load_ensemble
 
 TRANSCRIPT = "\n".join(
     [
@@ -406,7 +406,11 @@ def test_bad_flag_values_exit_before_any_input_is_read(
     def unexpected_load(source, *args, **kwargs):
         raise AssertionError(f"{source} loaded before the flags were read")
 
-    for loader in ("load_log", "load_ensemble", "parse_transcript", "read_mapping"):
+    loaders = (
+        "load_log", "load_ensemble", "parse_transcript", "read_mapping",
+        "ensemble_networks",
+    )
+    for loader in loaders:
         monkeypatch.setattr(cli, loader, unexpected_load)
     out = tmp_path / "out"
     capsys.readouterr()
@@ -606,6 +610,116 @@ def test_step_commands_score_node_rows_only_where_read(tmp_path, monkeypatch):
     holding = len((tmp_path / "s" / "series_0.csv").read_text().splitlines()) - 1
     assert 0 < holding < conversations
     assert calls == {"engagement_index": shapes, "strengths": holding}
+
+
+# the five commands that read ensemble.jsonl back, with their required flags
+STEP_COMMANDS = {
+    "metrics": (),
+    "classify": (),
+    "rank": (),
+    "series": ("--user", 0),
+    "compare": ("--split", "2018-08-01T02:00"),
+}
+
+
+def built_ensemble(tmp_path) -> Path:
+    assert run("build", simulate(tmp_path), "--out", tmp_path / "built") == EXIT_OK
+    return tmp_path / "built" / "ensemble.jsonl"
+
+
+@pytest.mark.parametrize("command", list(STEP_COMMANDS))
+def test_step_commands_never_build_a_network_ensemble(tmp_path, monkeypatch, command):
+    ens = built_ensemble(tmp_path)
+    # the whole-file reader still returns one
+    assert len(load_ensemble(ens)) == len(ens.read_text().splitlines())
+
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{command} built a NetworkEnsemble")
+
+    monkeypatch.setattr(NetworkEnsemble, "__init__", refused)
+    out = tmp_path / "out"
+    assert run(command, ens, "--out", out, *STEP_COMMANDS[command]) == EXIT_OK
+    assert set(artifacts(out)) and (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", list(STEP_COMMANDS))
+def test_step_commands_hold_no_network_once_scored(tmp_path, monkeypatch, command):
+    # each window is scored as its line is read, and only what the command
+    # reads of it is kept; so once every window is scored no network is left
+    ens = built_ensemble(tmp_path)
+    gc.collect()
+    known = {id(o) for o in gc.get_objects() if isinstance(o, InteractionNetwork)}
+    live = []
+    scored = cli._scored
+
+    def counting(*args, **kwargs):
+        wms = scored(*args, **kwargs)
+        live.append(sum(
+            isinstance(o, InteractionNetwork) and id(o) not in known
+            for o in gc.get_objects()
+        ))
+        return wms
+
+    monkeypatch.setattr(cli, "_scored", counting)
+    out = tmp_path / "out"
+    assert run(command, ens, "--out", out, *STEP_COMMANDS[command]) == EXIT_OK
+    assert live == [0]
+
+
+@pytest.mark.parametrize("command", list(STEP_COMMANDS))
+@pytest.mark.parametrize("bad", ["first", "not json"])
+def test_step_commands_reject_a_bad_line_after_valid_ones(
+    tmp_path, capsys, command, bad
+):
+    ens = built_ensemble(tmp_path)
+    lines = ens.read_text().splitlines()
+    # the first line again puts a window out of order; the other is no JSON
+    extra = lines[0] if bad == "first" else bad
+    ens.write_text("\n".join([*lines, extra]) + "\n")
+    detail = (
+        f"window starts not strictly increasing at {json.loads(lines[0])['w']}"
+        if bad == "first"
+        else f"{ens}: line {len(lines) + 1}: invalid JSON"
+    )
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(command, ens, "--out", out, *STEP_COMMANDS[command]) == EXIT_SCHEMA
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "schema", "detail": detail}
+    assert list(out.iterdir()) == []
+
+
+def test_series_writes_a_repeated_user_once(tmp_path):
+    ens = built_ensemble(tmp_path)
+    once, twice = tmp_path / "once", tmp_path / "twice"
+    assert run("series", ens, "--out", once, "--user", 0) == EXIT_OK
+    assert run("series", ens, "--out", twice, "--user", 0, "--user", 0) == EXIT_OK
+    manifest = json.loads((twice / "manifest.json").read_text())
+    assert manifest["outputs"] == ["series_0.csv"]
+    assert manifest["parameters"]["user"] == [0, 0]  # the flag as given
+    assert artifacts(twice) == artifacts(once)
+
+
+def test_manifest_digests_equal_hashlib_sha256(tmp_path):
+    # a log over 1 MiB is hashed in more than one read
+    log = tmp_path / "big.csv"
+    log.write_text("user_id,timestamp\n" + "".join(
+        f"{i % 7},{1533081600 + i}\n" for i in range(90_000)
+    ))
+    assert log.stat().st_size > 1 << 20
+    assert run("build", log, "--out", tmp_path / "built") == EXIT_OK
+    # parse with a prior mapping records two inputs
+    export = tmp_path / "chat.txt"
+    export.write_text(TRANSCRIPT)
+    assert run("parse", export, "--out", tmp_path / "first") == EXIT_OK
+    mapping = tmp_path / "first" / "mapping.csv"
+    argv = ("parse", export, "--out", tmp_path / "second", "--mapping-in", mapping)
+    assert run(*argv) == EXIT_OK
+    for out, paths in (("built", [log]), ("second", [export, mapping])):
+        manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+        assert manifest["inputs"] == {
+            str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in paths
+        }
 
 
 def failing_runs(tmp_path) -> dict[int, list]:
@@ -819,10 +933,11 @@ def test_module_entry_point_runs():
 
 
 # parse, the re-sort warning and the line-at-a-time CSV reader import these
-# where they run; chatpulse imports dataclasses and inspect nowhere
+# where they run; input digests use the builtin SHA-256, so only parse's HMAC
+# loads OpenSSL (_hashlib); chatpulse imports dataclasses and inspect nowhere
 UNUSED_AT_START_UP = (
-    "csv", "dataclasses", "hmac", "inspect", "logging", "random", "secrets",
-    "zoneinfo",
+    "_hashlib", "csv", "dataclasses", "hashlib", "hmac", "inspect", "logging",
+    "random", "secrets", "zoneinfo",
 )
 
 

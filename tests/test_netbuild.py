@@ -20,6 +20,7 @@ from chatpulse import (
 )
 from chatpulse.chatlog import utc_timestamp
 from chatpulse.cli import EXIT_SCHEMA, main
+from chatpulse.netbuild import NetworkEnsemble, ensemble_networks, in_window_order
 
 from conftest import make_log, random_log
 from oracles import brute_pair_counts
@@ -304,3 +305,45 @@ def test_ensemble_ordering_validated(tmp_path):
     )
     with pytest.raises(SchemaError):
         load_ensemble(path)
+
+
+# window (start, index) sequences whose last window breaks the order, and the
+# message both the stream and NetworkEnsemble give
+BAD_ORDER = {
+    ((0, 0), (600, 1), (1200, 2), (600, 3)):
+        "window starts not strictly increasing at 600",
+    ((0, 0), (600, 7)):
+        "window indices 0, 7 at starts 0, 600 give no whole window length",
+    ((0, 0), (600, 1), (1500, 2)):
+        "window index 2 inconsistent with start 1500 (window length 600s)",
+}
+
+
+@pytest.mark.parametrize("windows", list(BAD_ORDER))
+def test_window_order_is_checked_one_network_at_a_time(windows):
+    nets = [
+        network_from_senders([0, 1], window_start=w, window_index=i)
+        for w, i in windows
+    ]
+    stream = in_window_order(iter(nets))
+    assert [next(stream) for _ in nets[:-1]] == nets[:-1]  # yielded as checked
+    with pytest.raises(SchemaError) as streamed:
+        next(stream)
+    with pytest.raises(SchemaError) as whole:
+        NetworkEnsemble(tuple(nets))
+    assert str(streamed.value) == str(whole.value) == BAD_ORDER[windows]
+
+
+def test_ensemble_networks_stream_what_load_ensemble_holds(tmp_path):
+    path = tmp_path / "ensemble.jsonl"
+    log = random_log(seed=24, users=5, count=300, horizon=86400)
+    path.write_text(dump_ensemble(build_ensemble(log, WindowSpec(delta_t=600))))
+    stream = ensemble_networks(path)
+    assert iter(stream) is stream  # yielded, not held as a list
+    fields = lambda nets: [
+        (n.window_start, n.window_index, n.nodes, n.edges) for n in nets
+    ]
+    assert fields(stream) == fields(load_ensemble(path).networks)
+    early = ensemble_networks(path)
+    next(early)
+    early.close()  # a stream left early closes its file
