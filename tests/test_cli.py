@@ -630,8 +630,9 @@ def built_ensemble(tmp_path) -> Path:
 @pytest.mark.parametrize("command", list(STEP_COMMANDS))
 def test_step_commands_never_build_a_network_ensemble(tmp_path, monkeypatch, command):
     ens = built_ensemble(tmp_path)
-    # the whole-file reader still returns one
-    assert len(load_ensemble(ens)) == len(ens.read_text().splitlines())
+    loaded = load_ensemble(ens)  # the whole-file reader still returns one
+    assert isinstance(loaded, NetworkEnsemble)
+    assert len(loaded) == len(ens.read_text().splitlines())
 
     def refused(*args, **kwargs):
         raise AssertionError(f"{command} built a NetworkEnsemble")
@@ -648,7 +649,9 @@ def test_step_commands_hold_no_network_once_scored(tmp_path, monkeypatch, comman
     # reads of it is kept; so once every window is scored no network is left
     ens = built_ensemble(tmp_path)
     gc.collect()
-    known = {id(o) for o in gc.get_objects() if isinstance(o, InteractionNetwork)}
+    # networks other tests left alive, held so that their ids stay theirs
+    before = [o for o in gc.get_objects() if isinstance(o, InteractionNetwork)]
+    known = {id(o) for o in before}
     live = []
     scored = cli._scored
 
