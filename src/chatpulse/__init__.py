@@ -26,10 +26,8 @@ from .chatlog import (
 )
 from .engagement import (
     EngagementMetrics,
-    NodeEngagement,
     engagement_index,
     gini,
-    node_centralities,
 )
 from .ensemble import (
     ClassifiedNetwork,

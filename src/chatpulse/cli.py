@@ -61,7 +61,6 @@ from .netbuild import (
     ensemble_lines,
     ensemble_networks,
     in_window_order,
-    load_ensemble,
     window_networks,
 )
 from .synth import REGIME_KINDS, Regime, dump_ground_truth, generate
@@ -177,15 +176,19 @@ def _with_columns(w: WindowMetrics) -> WindowMetrics:
     return w
 
 
-def _scored(args, keep=_with_columns) -> list[WindowMetrics]:
+def _scored(args, keep=_with_columns, users=None) -> list[WindowMetrics]:
     """Score each conversation of the ensemble at ``args.input`` as it is read.
 
-    Each window is held as ``keep`` returns it, or dropped for None, so a
-    command holds only what it reads; a bad line raises before any write.
+    Given ``users``, only the conversations holding one of them are scored.
+    Each window is held as ``keep`` returns it, so a command holds only what
+    it reads; a bad line raises before any write.
     """
     score, networks = window_scorer(), in_window_order(ensemble_networks(args.input))
-    kept = (keep(score(net)) for net in networks if net.is_conversation)
-    return [w for w in kept if w is not None]
+    return [
+        keep(score(net))
+        for net in networks
+        if net.is_conversation and (users is None or not users.isdisjoint(net.nodes))
+    ]
 
 
 def _classified(args, wms, thresholds: tuple[float, float]):
@@ -354,9 +357,7 @@ def _cmd_rank(args, outdir: Path) -> list[str]:
 
 def _cmd_series(args, outdir: Path) -> list[str]:
     users = list(dict.fromkeys(args.user))  # each user once, first seen first
-    wms = _scored(
-        args, lambda w: _with_columns(w) if any(map(w.has_node, users)) else None
-    )
+    wms = _scored(args, users=frozenset(users))
     for user in users:
         _write_csv(
             outdir / f"series_{user}.csv",

@@ -1,4 +1,4 @@
-"""Equality, Intensity, Engagement Index, and per-node engagement centrality.
+"""Equality, Intensity, Engagement Index, and the engagement centrality scale.
 
 For a conversation network with n interacting participants, total simplified
 edge weight m, and edge-weight multiset W:
@@ -7,9 +7,10 @@ edge weight m, and edge-weight multiset W:
     intensity = log2(n * m)
     ei        = equality * intensity
 
-A node's engagement centrality is n * strength * ei / (2 m), so the mean over
-nodes recovers the network ei exactly. Networks without two interacting users
-have no metrics; callers treat them as excluded.
+A node's engagement centrality is n * strength * ei / (2 m), its strength
+times ``centrality_scale``, so the mean over nodes recovers the network ei
+exactly. Networks without two interacting users have no metrics; callers
+treat them as excluded.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ from __future__ import annotations
 import math
 
 from . import _kernels
-from ._record import FrozenRecord, Record
+from ._record import FrozenRecord
 from .errors import NotAConversationError
 from .netbuild import InteractionNetwork
 
 
 # Built once per distinct conversation shape and shared by every window of
-# that shape (see ensemble.conversation_metrics), so it is frozen.
+# that shape (see ensemble.window_scorer), so it is frozen.
 class EngagementMetrics(FrozenRecord):
     __slots__ = ("n", "total_weight", "gini", "equality", "intensity", "ei")
 
@@ -32,17 +33,6 @@ class EngagementMetrics(FrozenRecord):
         intensity: float, ei: float,
     ) -> None:
         self._fill(n, total_weight, gini, equality, intensity, ei)
-
-
-# Built per user on demand (node_centralities, WindowMetrics.nodes), then only
-# read: a plain record, cheaper to build than a frozen one.
-class NodeEngagement(Record):
-    __slots__ = ("user", "strength", "ei_centrality")
-
-    def __init__(self, user: int, strength: int, ei_centrality: float) -> None:
-        self.user = user
-        self.strength = strength
-        self.ei_centrality = ei_centrality
 
 
 def gini(values) -> float:
@@ -73,14 +63,3 @@ def engagement_index(net: InteractionNetwork) -> EngagementMetrics:
 def centrality_scale(metrics: EngagementMetrics) -> float:
     """The factor from a node's strength to its engagement centrality."""
     return metrics.n * metrics.ei / (2.0 * metrics.total_weight)
-
-
-def node_centralities(
-    net: InteractionNetwork, metrics: EngagementMetrics
-) -> list[NodeEngagement]:
-    """Per-node engagement, proportional to strength; averages to metrics.ei."""
-    scale = centrality_scale(metrics)
-    return [
-        NodeEngagement(user, s, s * scale)
-        for user, s in net.strengths().items()
-    ]

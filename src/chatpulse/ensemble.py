@@ -7,9 +7,7 @@ from collections import defaultdict
 from enum import Enum
 
 from ._record import FrozenRecord, Record
-from .engagement import (
-    EngagementMetrics, NodeEngagement, centrality_scale, engagement_index,
-)
+from .engagement import EngagementMetrics, centrality_scale, engagement_index
 from .errors import DegenerateEnsembleError, InsufficientDataError, ParameterError
 from .netbuild import InteractionNetwork, NetworkEnsemble
 
@@ -30,11 +28,12 @@ class EngagementClass(str, Enum):
 class WindowMetrics:
     """One scored conversation window: its metrics and two per-user columns.
 
-    The columns are the users, ascending, and their strengths; a user's ei
-    centrality is derived on read as strength times ``centrality_scale``. A
-    window scored from its ``network`` builds the columns on first read and
-    then drops the network, so a command that reads only ``metrics`` never
-    pays for them; without a network, the columns are those given.
+    ``columns()`` is the one way to read a window's per-user data: the
+    users, ascending, their strengths, and the ``centrality_scale`` that
+    makes a strength its user's ei centrality. A window scored from its
+    ``network`` builds the columns on first read and then drops the network,
+    so a command that reads only ``metrics`` never pays for them; without a
+    network, the columns are those given.
     """
 
     __slots__ = (
@@ -66,16 +65,6 @@ class WindowMetrics:
             self._users, self._strengths = net.nodes, tuple(net.strengths().values())
             self._network = None  # the columns hold all that is read from it
         return self._users, self._strengths, centrality_scale(self.metrics)
-
-    @property
-    def nodes(self) -> tuple[NodeEngagement, ...]:
-        """The columns as rows, built anew on every read."""
-        users, strengths, scale = self.columns()
-        return tuple(NodeEngagement(u, s, s * scale) for u, s in zip(users, strengths))
-
-    def has_node(self, user: int) -> bool:
-        """Whether ``user`` is a node; an unscored window asks its network."""
-        return user in (self._users if self._network is None else self._network.nodes)
 
 
 def window_scorer():

@@ -27,16 +27,12 @@ class UserSeries(FrozenRecord):
 
 
 def user_series(windows, user: int) -> UserSeries:
-    """All (window_start, ei centrality) points for one user; gaps where absent.
-
-    A window whose network lacks the user is skipped before its columns
-    are built.
-    """
+    """All (window_start, ei centrality) points for one user; gaps where absent."""
     points = tuple(
         (w.window_start, strengths[users.index(user)] * scale)
         for w in windows
-        if w.has_node(user)
         for users, strengths, scale in (w.columns(),)
+        if user in users
     )
     return UserSeries(user=user, points=points)
 

@@ -86,9 +86,10 @@ def scope_means_direct(scoped, avg: str, population=()) -> dict[int, float]:
     sums: dict[int, float] = {}
     appearances: dict[int, int] = {}
     for w in scoped:
-        for ne in w.nodes:
-            sums[ne.user] = sums.get(ne.user, 0.0) + ne.ei_centrality
-            appearances[ne.user] = appearances.get(ne.user, 0) + 1
+        users, strengths, scale = w.columns()
+        for user, s in zip(users, strengths):
+            sums[user] = sums.get(user, 0.0) + s * scale
+            appearances[user] = appearances.get(user, 0) + 1
     if avg == "present":
         return {user: s / appearances[user] for user, s in sums.items()}
     means = {user: s / len(scoped) for user, s in sums.items()}

@@ -28,12 +28,12 @@ from chatpulse import (
     engagement_drop_report,
     load_log,
     network_from_senders,
-    node_centralities,
     period_compare,
     zscore_classify,
 )
 from chatpulse.chatlog import MessageLog
 from chatpulse.cli import EXIT_OK, main
+from chatpulse.ensemble import window_scorer
 from chatpulse.synth import Regime, generate
 
 from oracles import (
@@ -104,10 +104,10 @@ def test_criterion_4_mean_centrality_identity():
     worst = 0.0
     for _ in range(1000):
         net = net_from_edges(random_conversation_edges(rng, max_n=50))
-        m = engagement_index(net)
-        cents = node_centralities(net, m)
-        mean = sum(ne.ei_centrality for ne in cents) / len(cents)
-        worst = max(worst, abs(mean - m.ei))
+        w = window_scorer()(net)
+        users, strengths, scale = w.columns()
+        mean = sum(s * scale for s in strengths) / len(users)
+        worst = max(worst, abs(mean - w.metrics.ei))
     report(4, f"mean node centrality equals network EI on 1000 networks "
               f"(max |diff| {worst:.2e})", worst <= 1e-9)
 

@@ -406,10 +406,7 @@ def test_bad_flag_values_exit_before_any_input_is_read(
     def unexpected_load(source, *args, **kwargs):
         raise AssertionError(f"{source} loaded before the flags were read")
 
-    loaders = (
-        "load_log", "load_ensemble", "parse_transcript", "read_mapping",
-        "ensemble_networks",
-    )
+    loaders = ("load_log", "parse_transcript", "read_mapping", "ensemble_networks")
     for loader in loaders:
         monkeypatch.setattr(cli, loader, unexpected_load)
     out = tmp_path / "out"
@@ -556,12 +553,15 @@ def count_scoring(monkeypatch) -> dict[str, int]:
     return calls
 
 
-def distinct_shapes(ensemble_path) -> int:
-    """Conversation shapes, (n, sorted edge weights), read from an ensemble file."""
+def distinct_shapes(ensemble_path, user=None) -> int:
+    """Conversation shapes, (n, sorted edge weights), read from an ensemble file.
+
+    Given ``user``, only the conversations holding that user are counted.
+    """
     shapes = set()
     for line in ensemble_path.read_text().splitlines():
         net = json.loads(line)
-        if len(net["nodes"]) >= 2:
+        if len(net["nodes"]) >= 2 and (user is None or user in net["nodes"]):
             shapes.add((len(net["nodes"]), *sorted(w for _, _, w in net["edges"])))
     return len(shapes)
 
@@ -609,7 +609,10 @@ def test_step_commands_score_node_rows_only_where_read(tmp_path, monkeypatch):
     assert run("series", ens, "--out", tmp_path / "s", "--user", 0) == EXIT_OK
     holding = len((tmp_path / "s" / "series_0.csv").read_text().splitlines()) - 1
     assert 0 < holding < conversations
-    assert calls == {"engagement_index": shapes, "strengths": holding}
+    # only the conversations holding the user are scored
+    held_shapes = distinct_shapes(ens, user=0)
+    assert 0 < held_shapes < shapes
+    assert calls == {"engagement_index": held_shapes, "strengths": holding}
 
 
 # the five commands that read ensemble.jsonl back, with their required flags
@@ -785,7 +788,7 @@ def test_report_garbage_does_not_grow_with_the_log(tmp_path):
 
 
 def test_report_frees_its_networks_once_scored(tmp_path, monkeypatch):
-    # centralities.csv reads every window's node rows, and a window drops its
+    # centralities.csv reads every window's columns, and a window drops its
     # network when they are built; so by classification no network is left
     log = simulate(tmp_path)
     gc.collect()

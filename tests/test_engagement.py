@@ -13,8 +13,8 @@ from chatpulse import (
     engagement_index,
     gini,
     network_from_senders,
-    node_centralities,
 )
+from chatpulse.engagement import centrality_scale
 
 from oracles import centralities_direct, gini_pairwise, random_conversation_edges
 
@@ -24,6 +24,12 @@ def net_from_edges(edges) -> InteractionNetwork:
     return InteractionNetwork(
         window_start=0, window_index=0, nodes=nodes, edges=dict(edges)
     )
+
+
+def centralities(net, m) -> dict[int, float]:
+    """Each user's ei centrality, its strength times the network's scale."""
+    scale = centrality_scale(m)
+    return {user: s * scale for user, s in net.strengths().items()}
 
 
 # Toy networks (a)-(d): (n, total_weight) = (4,8), (3,6), (3,6), (2,4).
@@ -98,21 +104,20 @@ def test_non_conversation_has_no_metrics():
 
 def test_strength_regular_network_centralities_equal_ei():
     m = engagement_index(TOY_A)
-    for ne in node_centralities(TOY_A, m):
-        assert ne.ei_centrality == pytest.approx(m.ei, abs=1e-12)
+    for value in centralities(TOY_A, m).values():
+        assert value == pytest.approx(m.ei, abs=1e-12)
 
 
 def test_two_node_window_weight_four():
     m = engagement_index(TOY_D)
-    cents = node_centralities(TOY_D, m)
-    assert [ne.ei_centrality for ne in cents] == [3.0, 3.0]
-    assert [ne.strength for ne in cents] == [4, 4]
+    assert list(centralities(TOY_D, m).values()) == [3.0, 3.0]
+    assert list(TOY_D.strengths().values()) == [4, 4]
 
 
 def test_path_network_frozen_centralities():
     # path 0-1-2 with weights {4,2}: strengths {4,6,2}
     m = engagement_index(TOY_C)
-    cents = {ne.user: ne.ei_centrality for ne in node_centralities(TOY_C, m)}
+    cents = centralities(TOY_C, m)
     assert cents[0] == pytest.approx(3.474937501201927, abs=1e-12)
     assert cents[1] == pytest.approx(5.21240625180289, abs=1e-12)
     assert cents[2] == pytest.approx(1.7374687506009634, abs=1e-12)
@@ -125,12 +130,12 @@ def test_mean_centrality_equals_network_ei_on_random_networks():
     for _ in range(200):
         net = net_from_edges(random_conversation_edges(rng))
         m = engagement_index(net)
-        cents = node_centralities(net, m)
-        mean = sum(ne.ei_centrality for ne in cents) / len(cents)
+        cents = centralities(net, m)
+        mean = sum(cents.values()) / len(cents)
         assert mean == pytest.approx(m.ei, abs=1e-9)
         direct = centralities_direct(net.edges)
-        for ne in cents:
-            assert ne.ei_centrality == pytest.approx(direct[ne.user], abs=1e-12)
+        for user, value in cents.items():
+            assert value == pytest.approx(direct[user], abs=1e-12)
 
 
 def test_scaling_weights_shifts_intensity_only():

@@ -14,7 +14,6 @@ from chatpulse import (
     EngagementMetrics,
     InsufficientDataError,
     InteractionNetwork,
-    NodeEngagement,
     ParameterError,
     WindowMetrics,
     WindowSpec,
@@ -46,9 +45,7 @@ def test_window_metrics_keep_given_node_rows():
     metrics = wm(0, 2.0).metrics  # n=2, total_weight=1: the scale is ei
     given = WindowMetrics(0, 0, metrics, (0, 1), (1, 3))
     assert given.columns() == ((0, 1), (1, 3), 2.0)
-    assert given.nodes == (NodeEngagement(0, 1, 2.0), NodeEngagement(1, 3, 6.0))
-    assert wm(0, 2.0).nodes == ()
-    assert given.has_node(1) and not given.has_node(2)
+    assert wm(0, 2.0).columns() == ((), (), 2.0)
     # given strengths are never dropped: one per user, and never beside a network
     with pytest.raises(ValueError):
         WindowMetrics(0, 0, metrics, (0, 1), (1,))
@@ -72,14 +69,9 @@ def test_scored_windows_build_node_rows_once_on_first_read(monkeypatch):
     windows = conversation_metrics(build_ensemble(log, WindowSpec(delta_t=600)))
     zscore_classify(windows, ensemble_stats(windows))
     assert calls == []
-    assert windows[0].has_node(1) and not windows[0].has_node(2)
-    assert calls == []  # an unscored window asks its network
-    first = windows[1].nodes
-    assert windows[1].nodes == first and calls == [1]
-    assert [(ne.user, ne.strength) for ne in first] == [(0, 1), (2, 1), (3, 2)]
-    assert windows[1].columns()[:2] == ((0, 2, 3), (1, 1, 2))
-    assert windows[1].has_node(3) and not windows[1].has_node(1)
-    assert calls == [1]
+    first = windows[1].columns()
+    assert first[:2] == ((0, 2, 3), (1, 1, 2)) and calls == [1]
+    assert windows[1].columns() == first and calls == [1]
     # columns read as soon as each window is scored, as report does
     score = window_scorer()
     eager = [score(net) for net in build_ensemble(log, WindowSpec(600)).conversations]

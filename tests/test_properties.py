@@ -31,7 +31,6 @@ from chatpulse import (
     load_ensemble,
     load_log,
     network_from_senders,
-    node_centralities,
     parse_transcript,
     period_means,
     rank_users,
@@ -40,6 +39,7 @@ from chatpulse import (
 from chatpulse import chatlog
 from chatpulse.chatlog import READ_CHUNK, utf8_lines
 from chatpulse.cli import EXIT_OK, main
+from chatpulse.engagement import centrality_scale
 
 from conftest import make_log
 from oracles import (
@@ -100,7 +100,8 @@ def test_classes_partition_the_conversations(rows, low, width):
 @given(chats(30))  # about 20 messages per window
 def test_mean_centrality_is_the_window_ei(rows):
     for w in scored(rows):
-        mean = math.fsum(ne.ei_centrality for ne in w.nodes) / len(w.nodes)
+        users, strengths, scale = w.columns()
+        mean = math.fsum(s * scale for s in strengths) / len(users)
         assert math.isclose(mean, w.metrics.ei, rel_tol=1e-12)
 
 
@@ -110,7 +111,6 @@ repeating_shapes = chats(DELTA_T // 3, min_size=20)
 
 
 METRIC_FIELDS = ("n", "total_weight", "gini", "equality", "intensity", "ei")
-NODE_FIELDS = ("user", "strength", "ei_centrality")
 
 
 def reprs(row, fields) -> list[str]:
@@ -127,8 +127,10 @@ def test_shared_scores_equal_scoring_each_window_alone(rows):
     for w, net in zip(wms, nets):
         alone = engagement_index(net)
         assert reprs(w.metrics, METRIC_FIELDS) == reprs(alone, METRIC_FIELDS)
-        assert [reprs(ne, NODE_FIELDS) for ne in w.nodes] == [
-            reprs(ne, NODE_FIELDS) for ne in node_centralities(net, alone)
+        users, strengths, scale = w.columns()
+        alone_scale = centrality_scale(alone)
+        assert [(u, s, repr(s * scale)) for u, s in zip(users, strengths)] == [
+            (u, s, repr(s * alone_scale)) for u, s in net.strengths().items()
         ]
 
 
@@ -138,7 +140,8 @@ def test_memoized_float_keys_are_strictly_positive(rows):
     # centrality; a dict merges 0.0 and -0.0, whose reprs differ
     for w in scored(rows):
         assert w.metrics.ei > 0
-        assert all(ne.ei_centrality > 0 for ne in w.nodes)
+        _, strengths, scale = w.columns()
+        assert all(s * scale > 0 for s in strengths)
 
 
 def unshared_csvs(ensemble_path) -> dict[str, str]:
@@ -152,10 +155,9 @@ def unshared_csvs(ensemble_path) -> dict[str, str]:
             f"{net.window_start},{net.window_index},{m.n},{m.total_weight},"
             f"{m.equality!r},{m.intensity!r},{m.ei!r}\n"
         )
-        for ne in node_centralities(net, m):
-            central.append(
-                f"{net.window_start},{ne.user},{ne.strength},{ne.ei_centrality!r}\n"
-            )
+        scale = centrality_scale(m)
+        for user, s in net.strengths().items():
+            central.append(f"{net.window_start},{user},{s},{s * scale!r}\n")
         eis.append((net.window_index, m.ei))
     mean = math.fsum(ei for _, ei in eis) / len(eis)
     std = math.sqrt(math.fsum((ei - mean) ** 2 for _, ei in eis) / len(eis))
@@ -515,7 +517,7 @@ def test_rankings_and_period_means_match_the_definition(rows, thresholds, avg, d
         classified = zscore_classify(wms, ensemble_stats(wms), low=low, high=high)
     except (InsufficientDataError, DegenerateEnsembleError):
         assume(False)
-    population = {ne.user for w in wms for ne in w.nodes}
+    population = {user for w in wms for user in w.columns()[0]}
     label = {c.window_index: c.label for c in classified}
 
     rankings = rank_users(wms, classified, top_k=len(population), avg=avg)

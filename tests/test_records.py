@@ -18,7 +18,6 @@ from chatpulse import (
     InteractionNetwork,
     MessageLog,
     NetworkEnsemble,
-    NodeEngagement,
     ParsedTranscript,
     PeriodComparison,
     Regime,
@@ -44,7 +43,6 @@ RECORDS = [
          "intensity": 2.0, "ei": 2.0},
         True,
     ),
-    (NodeEngagement, {"user": 3, "strength": 2, "ei_centrality": 0.5}, False),
     (EnsembleStats, {"mean_ei": 1.5, "std_ei": 0.5, "count": 4}, True),
     (
         ClassifiedNetwork,
