@@ -54,13 +54,9 @@ from .errors import (
 )
 from .netbuild import (
     InteractionNetwork,
-    NetworkEnsemble,
     WindowSlice,
     WindowSpec,
-    build_ensemble,
-    dump_ensemble,
     ensemble_lines,
-    load_ensemble,
     network_from_senders,
     slice_windows,
     window_networks,

@@ -28,6 +28,7 @@ from .chatlog import (
     DEFAULT_PROFILE,
     PROFILES,
     MessageLog,
+    _resolve_zone,
     anonymize,
     dump_mapping,
     load_log,
@@ -60,7 +61,6 @@ from .netbuild import (
     WindowSpec,
     ensemble_lines,
     ensemble_networks,
-    in_window_order,
     window_networks,
 )
 from .synth import REGIME_KINDS, Regime, dump_ground_truth, generate
@@ -183,7 +183,7 @@ def _scored(args, keep=_with_columns, users=None) -> list[WindowMetrics]:
     Each window is held as ``keep`` returns it, so a command holds only what
     it reads; a bad line raises before any write.
     """
-    score, networks = window_scorer(), in_window_order(ensemble_networks(args.input))
+    score, networks = window_scorer(), ensemble_networks(args.input)
     return [
         keep(score(net))
         for net in networks
@@ -309,7 +309,8 @@ def _emit_compare(outdir: Path, wms, split: int, top_k: int | None, avg: str):
 # ``main`` records the manifest from the parsed flags once the handler returns.
 
 def _cmd_parse(args, outdir: Path) -> list[str]:
-    salt = None  # read before the export and the prior mapping
+    # the zone and salt are read before the export and the prior mapping
+    zone, salt = _resolve_zone(args.tz), None
     if args.salt is not None:
         try:
             salt = bytes.fromhex(args.salt)
@@ -317,7 +318,7 @@ def _cmd_parse(args, outdir: Path) -> list[str]:
             raise ParameterError(f"--salt must be hex, got {args.salt!r}") from exc
     parsed = parse_transcript(
         utf8_lines(args.input, ParseError),
-        tz=args.tz,
+        tz=zone,
         profile=args.profile,
         slack=args.slack,
     )
@@ -489,7 +490,7 @@ def _build_parser() -> _Parser:
                  input_help="transcript text export")
     sp.add_argument("--profile", default=DEFAULT_PROFILE, choices=list(PROFILES))
     sp.add_argument("--tz", default="UTC", help="timezone of the export (default UTC)")
-    sp.add_argument("--slack", type=int, default=0, metavar="SECONDS",
+    sp.add_argument("--slack", type=_NON_NEGATIVE, default=0, metavar="SECONDS",
                     help="tolerated backward timestamp jitter (default 0)")
     sp.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     sp.add_argument("--salt", default=None, metavar="HEX",

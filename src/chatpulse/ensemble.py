@@ -9,7 +9,7 @@ from enum import Enum
 from ._record import FrozenRecord, Record
 from .engagement import EngagementMetrics, centrality_scale, engagement_index
 from .errors import DegenerateEnsembleError, InsufficientDataError, ParameterError
-from .netbuild import InteractionNetwork, NetworkEnsemble
+from .netbuild import InteractionNetwork
 
 AVG_ZERO = "zero"  # absent users count as 0 in class means
 AVG_PRESENT = "present"  # mean over networks the user appears in
@@ -88,12 +88,14 @@ def window_scorer():
     return score
 
 
-def conversation_metrics(ensemble: NetworkEnsemble) -> list[WindowMetrics]:
-    """Score every conversation network, in window order, through one scorer.
+def conversation_metrics(networks) -> list[WindowMetrics]:
+    """Score the conversations among ``networks``, in order, through one scorer.
 
-    Each window keeps its network until its columns are first read.
+    Any iterable of networks serves: ``window_networks``, ``ensemble_networks``
+    or a tuple. Each window keeps its network until its columns are first read.
     """
-    return list(map(window_scorer(), ensemble.conversations))
+    score = window_scorer()
+    return [score(net) for net in networks if net.is_conversation]
 
 
 class EnsembleStats(FrozenRecord):

@@ -166,22 +166,6 @@ def in_window_order(networks: Iterable) -> Iterator[InteractionNetwork]:
         yield net
 
 
-class NetworkEnsemble(FrozenRecord):
-    """One group's per-window networks, checked by :func:`in_window_order`."""
-
-    __slots__ = ("networks",)
-
-    def __init__(self, networks: tuple[InteractionNetwork, ...]) -> None:
-        self._fill(tuple(in_window_order(networks)))
-
-    @property
-    def conversations(self) -> tuple[InteractionNetwork, ...]:
-        return tuple(net for net in self.networks if net.is_conversation)
-
-    def __len__(self) -> int:
-        return len(self.networks)
-
-
 def window_networks(
     log: MessageLog, spec: WindowSpec
 ) -> Iterator[InteractionNetwork]:
@@ -189,18 +173,13 @@ def window_networks(
 
     The windows come from :func:`slice_windows`, so their starts strictly
     increase and their indices agree with one window length, as
-    :class:`NetworkEnsemble` checks.
+    :func:`in_window_order` checks.
     """
     users = log.users
     for w in slice_windows(log, spec):
         yield network_from_senders(
             users[w.lo:w.hi], window_start=w.start, window_index=w.index
         )
-
-
-def build_ensemble(log: MessageLog, spec: WindowSpec) -> NetworkEnsemble:
-    """One network per nonempty window; deterministic for a fixed log + spec."""
-    return NetworkEnsemble(tuple(window_networks(log, spec)))
 
 
 def ensemble_lines(networks: Iterable[InteractionNetwork]) -> Iterator[str]:
@@ -217,11 +196,6 @@ def ensemble_lines(networks: Iterable[InteractionNetwork]) -> Iterator[str]:
         )
 
 
-def dump_ensemble(ensemble: NetworkEnsemble) -> str:
-    """Serialize as JSONL, one network per line (see :func:`ensemble_lines`)."""
-    return "".join(ensemble_lines(ensemble.networks))
-
-
 # json.loads skips the whitespace around a value and reads the value with
 # this scanner; a line that holds the value alone needs only the scanner.
 _scan_json = json.JSONDecoder().scan_once
@@ -229,17 +203,21 @@ _INT = {int}
 
 
 def ensemble_networks(path: str | Path) -> Iterator[InteractionNetwork]:
-    """Read an ensemble JSONL file a network at a time, each yielded once read.
+    """Each network of an ensemble JSONL file, once read and checked in order."""
+    return in_window_order(_line_networks(Path(path)))
+
+
+def _line_networks(path: Path) -> Iterator[InteractionNetwork]:
+    """Each line's network, yielded once read.
 
     A line holds a window's start, index, nodes and edges; every metric
     downstream works from nodes and edges alone. The nodes are listed in
-    strictly ascending order, as :func:`dump_ensemble` writes them. Each line
+    strictly ascending order, as :func:`ensemble_lines` writes them. Each line
     is read as ``json.loads`` reads it: any line the scanner alone does not
     read to its end goes through ``json.loads``, so both accept and reject
     the same lines. Every network that holds a pair keys its edge with one
     shared ``(u, v)`` tuple, as ``load_log`` shares one int per user ID.
     """
-    path = Path(path)
     keys: dict[tuple[int, int], tuple[int, int]] = {}
     for line_no, line in enumerate(utf8_lines(path, SchemaError), 1):
         try:
@@ -289,8 +267,3 @@ def ensemble_networks(path: str | Path) -> Iterator[InteractionNetwork]:
             yield InteractionNetwork(start, index, tuple(nodes), edges)
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"{path}: line {line_no}: malformed network") from exc
-
-
-def load_ensemble(path: str | Path) -> NetworkEnsemble:
-    """Read a whole ensemble JSONL file: every line, then the window order."""
-    return NetworkEnsemble(tuple(ensemble_networks(path)))

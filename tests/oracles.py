@@ -20,7 +20,7 @@ from pathlib import Path
 
 from chatpulse import ChatpulseError, MessageLog, SchemaError
 from chatpulse.chatlog import utf8_lines
-from chatpulse.netbuild import InteractionNetwork, NetworkEnsemble
+from chatpulse.netbuild import InteractionNetwork, in_window_order
 
 
 def gini_pairwise(weights) -> float:
@@ -137,11 +137,14 @@ def strptime_first_line(line: str, profile: str, zone) -> int | str:
     return f"unparseable timestamp {token!r}"
 
 
-def load_ensemble_direct(path) -> NetworkEnsemble:
-    """An ensemble JSONL file read without ``load_ensemble``'s scanner fast
-    path: ``json.loads`` per line, then each check in turn."""
-    path = Path(path)
-    networks: list[InteractionNetwork] = []
+def load_ensemble_direct(path) -> tuple[InteractionNetwork, ...]:
+    """An ensemble JSONL file read without ``ensemble_networks``' scanner fast
+    path: ``json.loads`` per line, then each check in turn, and each network
+    checked by ``in_window_order`` once its line is read."""
+    return tuple(in_window_order(_direct_networks(Path(path))))
+
+
+def _direct_networks(path: Path):
     for line_no, line in enumerate(utf8_lines(path, SchemaError), 1):
         if not line.strip():
             continue
@@ -180,17 +183,14 @@ def load_ensemble_direct(path) -> NetworkEnsemble:
                 raise SchemaError(
                     f"{path}: line {line_no}: nodes do not match edge endpoints"
                 )
-            networks.append(
-                InteractionNetwork(
-                    window_start=obj["w"],
-                    window_index=obj["i"],
-                    nodes=tuple(nodes),
-                    edges=edges,
-                )
+            yield InteractionNetwork(
+                window_start=obj["w"],
+                window_index=obj["i"],
+                nodes=tuple(nodes),
+                edges=edges,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"{path}: line {line_no}: malformed network") from exc
-    return NetworkEnsemble(tuple(networks))
 
 
 def read_utf8(path: Path, error: type[ChatpulseError]) -> str:

@@ -19,7 +19,6 @@ from chatpulse import (
     InteractionNetwork,
     WindowMetrics,
     WindowSpec,
-    build_ensemble,
     conversation_metrics,
     dump_log,
     engagement_index,
@@ -29,6 +28,7 @@ from chatpulse import (
     load_log,
     network_from_senders,
     period_compare,
+    window_networks,
     zscore_classify,
 )
 from chatpulse.chatlog import MessageLog
@@ -133,10 +133,11 @@ def test_criterion_6_classification_partition_and_boundaries():
         result = generate(
             Regime(kind="uniform-random", users=15, rate=9, windows=120, seed=seed)
         )
-        ens = build_ensemble(result.log, WindowSpec())
+        nets = window_networks(result.log, WindowSpec())
+        convs = [n for n in nets if n.is_conversation]
         windows = [
             WindowMetrics(n.window_start, n.window_index, engagement_index(n))
-            for n in ens.conversations
+            for n in convs
         ]
         stats = ensemble_stats(windows)
         classified = zscore_classify(windows, stats)
@@ -146,7 +147,7 @@ def test_criterion_6_classification_partition_and_boundaries():
                 EngagementClass.HIGH, EngagementClass.MEDIUM, EngagementClass.LOW
             )
         }
-        ok &= sum(sizes.values()) == len(ens.conversations)
+        ok &= sum(sizes.values()) == len(convs)
         zs = [c.z for c in classified]
         zmean = math.fsum(zs) / len(zs)
         zstd = math.sqrt(math.fsum((z - zmean) ** 2 for z in zs) / len(zs))
@@ -170,9 +171,9 @@ def test_criterion_7_planted_dropout_detection():
         split_window=20, seed=0,
     )
     result = generate(regime)
-    ens = build_ensemble(result.log, WindowSpec())
+    convs = [n for n in window_networks(result.log, WindowSpec()) if n.is_conversation]
     split = result.truth[regime.split_window].window_start
-    cmp = period_compare(conversation_metrics(ens), split)
+    cmp = period_compare(conversation_metrics(convs), split)
 
     by_diff = sorted(cmp.rows, key=lambda r: (r.diff, r.user))
     worst5 = by_diff[:5]
@@ -182,11 +183,9 @@ def test_criterion_7_planted_dropout_detection():
     ok &= {r.user for r in flagged} == set(result.dropout_users)
 
     # independent exhaustive recomputation from raw edges
-    table = {
-        n.window_index: centralities_direct(n.edges) for n in ens.conversations
-    }
-    p1 = [n.window_index for n in ens.conversations if n.window_start < split]
-    p2 = [n.window_index for n in ens.conversations if n.window_start >= split]
+    table = {n.window_index: centralities_direct(n.edges) for n in convs}
+    p1 = [n.window_index for n in convs if n.window_start < split]
+    p2 = [n.window_index for n in convs if n.window_start >= split]
     users = {u for row in table.values() for u in row}
 
     def mean(indices, user):
@@ -230,8 +229,8 @@ def test_criterion_8_dataset_reproduction_if_available():
         log = load_log(path)
         ok &= len(log) == messages and len(set(log.users)) == users
         for align in ("wall", "first"):
-            ens = build_ensemble(log, WindowSpec(delta_t=600, alignment=align))
-            totals[align] += len(ens.conversations)
+            nets = window_networks(log, WindowSpec(delta_t=600, alignment=align))
+            totals[align] += sum(n.is_conversation for n in nets)
     counts_ok = TOTAL_CONVERSATIONS in totals.values()
     report(8, f"archived dataset counts (conversations: {totals})",
            ok and counts_ok)

@@ -23,7 +23,7 @@ from chatpulse.cli import (
     EXIT_USAGE,
     main,
 )
-from chatpulse.netbuild import InteractionNetwork, NetworkEnsemble, load_ensemble
+from chatpulse.netbuild import InteractionNetwork
 
 TRANSCRIPT = "\n".join(
     [
@@ -360,12 +360,15 @@ def test_usage_errors_print_one_json_line(tmp_path, capsys, argv, named):
         (["rank", "ENS", "--top-k", 0], "--top-k"),
         (["compare", "ENS", "--split", "2018-08-01T02:00", "--top-k", -3], "--top-k"),
         (["series", "ENS", "--user", 0, "--user", -1], "--user"),
+        (["parse", "CHAT", "--slack", -5], "--slack"),
     ],
 )
 def test_out_of_range_flags_exit_before_any_artifact(tmp_path, capsys, argv, named):
     log = simulate(tmp_path)
     assert run("build", log, "--out", tmp_path / "built") == EXIT_OK
-    paths = {"LOG": log, "ENS": tmp_path / "built" / "ensemble.jsonl"}
+    chat = tmp_path / "chat.txt"
+    chat.write_bytes(b"\xff\n")  # not UTF-8: parse would exit 3 if it read it
+    paths = {"LOG": log, "ENS": tmp_path / "built" / "ensemble.jsonl", "CHAT": chat}
     out = tmp_path / "out"
     capsys.readouterr()
     assert run(*[paths.get(a, a) for a in argv], "--out", out) == EXIT_USAGE
@@ -388,6 +391,7 @@ def test_out_of_range_flags_exit_before_any_artifact(tmp_path, capsys, argv, nam
         (["rank", "ENS", "--thresholds=nan,1"], "--thresholds"),
         (["parse", "CHAT", "--salt", "not-hex"], "--salt"),
         (["parse", "CHAT", "--salt", "zz", "--mapping-in", "MAP"], "--salt"),
+        (["parse", "CHAT", "--tz", "Bogus/Zone"], "Bogus/Zone"),
     ],
 )
 def test_bad_flag_values_exit_before_any_input_is_read(
@@ -406,7 +410,9 @@ def test_bad_flag_values_exit_before_any_input_is_read(
     def unexpected_load(source, *args, **kwargs):
         raise AssertionError(f"{source} loaded before the flags were read")
 
-    loaders = ("load_log", "parse_transcript", "read_mapping", "ensemble_networks")
+    loaders = (
+        "load_log", "parse_transcript", "read_mapping", "ensemble_networks", "utf8_lines"
+    )
     for loader in loaders:
         monkeypatch.setattr(cli, loader, unexpected_load)
     out = tmp_path / "out"
@@ -577,20 +583,6 @@ def test_report_scores_each_conversation_once(tmp_path, monkeypatch):
     assert calls == {"engagement_index": shapes, "strengths": conversations}
 
 
-def test_report_never_builds_a_network_ensemble(tmp_path, monkeypatch):
-    def refused(*args, **kwargs):
-        raise AssertionError("report built a NetworkEnsemble")
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.startswith("chatpulse") and hasattr(mod, "build_ensemble"):
-            monkeypatch.setattr(mod, "build_ensemble", refused)
-    monkeypatch.setattr(NetworkEnsemble, "__init__", refused)
-    log = simulate(tmp_path)
-    out = tmp_path / "report"
-    assert run("report", log, "--out", out, "--split", "2018-08-01T02:00") == EXIT_OK
-    assert (out / "period_compare.csv").exists()
-
-
 def test_step_commands_score_node_rows_only_where_read(tmp_path, monkeypatch):
     log = simulate(tmp_path, users=12)
     assert run("build", log, "--out", tmp_path) == EXIT_OK
@@ -628,22 +620,6 @@ STEP_COMMANDS = {
 def built_ensemble(tmp_path) -> Path:
     assert run("build", simulate(tmp_path), "--out", tmp_path / "built") == EXIT_OK
     return tmp_path / "built" / "ensemble.jsonl"
-
-
-@pytest.mark.parametrize("command", list(STEP_COMMANDS))
-def test_step_commands_never_build_a_network_ensemble(tmp_path, monkeypatch, command):
-    ens = built_ensemble(tmp_path)
-    loaded = load_ensemble(ens)  # the whole-file reader still returns one
-    assert isinstance(loaded, NetworkEnsemble)
-    assert len(loaded) == len(ens.read_text().splitlines())
-
-    def refused(*args, **kwargs):
-        raise AssertionError(f"{command} built a NetworkEnsemble")
-
-    monkeypatch.setattr(NetworkEnsemble, "__init__", refused)
-    out = tmp_path / "out"
-    assert run(command, ens, "--out", out, *STEP_COMMANDS[command]) == EXIT_OK
-    assert set(artifacts(out)) and (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("command", list(STEP_COMMANDS))
@@ -807,6 +783,31 @@ def test_report_frees_its_networks_once_scored(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_emit_classify", counting)
     assert run("report", log, "--out", tmp_path / "report") == EXIT_OK
+    assert live == [0]
+
+
+def test_report_holds_no_network_once_scored(tmp_path, monkeypatch):
+    # each network is scored once its line is written and only its columns
+    # are kept; so once the ensemble is written no network is left
+    log = simulate(tmp_path)
+    gc.collect()
+    # networks other tests left alive, held so that their ids stay theirs
+    before = [o for o in gc.get_objects() if isinstance(o, InteractionNetwork)]
+    known = {id(o) for o in before}
+    live = []
+    emit_metrics = cli._emit_metrics
+
+    def counting(*args, **kwargs):
+        live.append(sum(
+            isinstance(o, InteractionNetwork) and id(o) not in known
+            for o in gc.get_objects()
+        ))
+        return emit_metrics(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_emit_metrics", counting)
+    out = tmp_path / "report"
+    assert run("report", log, "--out", out, "--split", "2018-08-01T02:00") == EXIT_OK
+    assert (out / "period_compare.csv").exists()
     assert live == [0]
 
 

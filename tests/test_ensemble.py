@@ -17,10 +17,10 @@ from chatpulse import (
     ParameterError,
     WindowMetrics,
     WindowSpec,
-    build_ensemble,
     conversation_metrics,
     ensemble_stats,
     rank_users,
+    window_networks,
     zscore_classify,
     zscore_histogram,
 )
@@ -51,7 +51,7 @@ def test_window_metrics_keep_given_node_rows():
         WindowMetrics(0, 0, metrics, (0, 1), (1,))
     with pytest.raises(ValueError):
         WindowMetrics(0, 0, metrics, (0,), ())
-    net = build_ensemble(make_log([(0, 0), (1, 30)]), WindowSpec()).networks[0]
+    (net,) = window_networks(make_log([(0, 0), (1, 30)]), WindowSpec())
     with pytest.raises(ValueError):
         WindowMetrics(0, 0, metrics, (0, 1), (1, 1), network=net)
 
@@ -66,7 +66,7 @@ def test_scored_windows_build_node_rows_once_on_first_read(monkeypatch):
 
     monkeypatch.setattr(InteractionNetwork, "strengths", counted)
     log = make_log([(0, 0), (1, 30), (2, 600), (3, 630), (0, 660)])
-    windows = conversation_metrics(build_ensemble(log, WindowSpec(delta_t=600)))
+    windows = conversation_metrics(window_networks(log, WindowSpec(delta_t=600)))
     zscore_classify(windows, ensemble_stats(windows))
     assert calls == []
     first = windows[1].columns()
@@ -74,7 +74,8 @@ def test_scored_windows_build_node_rows_once_on_first_read(monkeypatch):
     assert windows[1].columns() == first and calls == [1]
     # columns read as soon as each window is scored, as report does
     score = window_scorer()
-    eager = [score(net) for net in build_ensemble(log, WindowSpec(600)).conversations]
+    nets = window_networks(log, WindowSpec(600))
+    eager = [score(net) for net in nets if net.is_conversation]
     assert calls == [1]
     for w in eager:
         w.columns()
@@ -173,7 +174,7 @@ def test_custom_thresholds():
 def two_window_ensemble():
     # window 0: users 0,1 interact equally; window 1: users 2,3
     log = make_log([(0, 0), (1, 30), (0, 60), (1, 90), (2, 600), (3, 650)])
-    return build_ensemble(log, WindowSpec(delta_t=600))
+    return window_networks(log, WindowSpec(delta_t=600))
 
 
 def label_all(windows, label):
@@ -183,8 +184,7 @@ def label_all(windows, label):
 
 
 def test_absent_users_count_as_zero_in_class_means():
-    ens = two_window_ensemble()
-    windows = conversation_metrics(ens)
+    windows = conversation_metrics(two_window_ensemble())
     classified = label_all(windows, EngagementClass.MEDIUM)
     ranking = rank_users(windows, classified, top_k=10)[EngagementClass.MEDIUM]
     means = dict(ranking.entries)
@@ -197,8 +197,7 @@ def test_absent_users_count_as_zero_in_class_means():
 
 
 def test_present_mode_averages_over_appearances():
-    ens = two_window_ensemble()
-    windows = conversation_metrics(ens)
+    windows = conversation_metrics(two_window_ensemble())
     classified = label_all(windows, EngagementClass.MEDIUM)
     ranking = rank_users(windows, classified, top_k=10, avg="present")[
         EngagementClass.MEDIUM
@@ -209,8 +208,7 @@ def test_present_mode_averages_over_appearances():
 
 
 def test_ranking_order_descending_with_user_tiebreak():
-    ens = two_window_ensemble()
-    windows = conversation_metrics(ens)
+    windows = conversation_metrics(two_window_ensemble())
     classified = label_all(windows, EngagementClass.MEDIUM)
     ranking = rank_users(windows, classified, top_k=10)[EngagementClass.GLOBAL]
     values = [v for _, v in ranking.entries]
@@ -221,8 +219,7 @@ def test_ranking_order_descending_with_user_tiebreak():
 
 
 def test_ranking_stability_under_network_permutation():
-    ens = two_window_ensemble()
-    windows = conversation_metrics(ens)
+    windows = conversation_metrics(two_window_ensemble())
     classified = label_all(windows, EngagementClass.MEDIUM)
     fwd = rank_users(windows, classified, top_k=10)
     rev = rank_users(windows, list(reversed(classified)), top_k=10)
@@ -233,8 +230,7 @@ def test_global_mean_is_classsize_weighted_combination():
     result = generate(
         Regime(kind="uniform-random", users=12, rate=10, windows=60, seed=5)
     )
-    ens = build_ensemble(result.log, WindowSpec())
-    windows = conversation_metrics(ens)
+    windows = conversation_metrics(window_networks(result.log, WindowSpec()))
     stats = ensemble_stats(windows)
     classified = zscore_classify(windows, stats)
     rankings = {
@@ -255,16 +251,14 @@ def test_global_mean_is_classsize_weighted_combination():
 
 
 def test_empty_class_gives_empty_ranking():
-    ens = two_window_ensemble()
-    windows = conversation_metrics(ens)
+    windows = conversation_metrics(two_window_ensemble())
     classified = label_all(windows, EngagementClass.MEDIUM)
     ranking = rank_users(windows, classified, top_k=5)[EngagementClass.LOW]
     assert ranking.entries == ()
 
 
 def test_top_k_truncates():
-    ens = two_window_ensemble()
-    windows = conversation_metrics(ens)
+    windows = conversation_metrics(two_window_ensemble())
     classified = label_all(windows, EngagementClass.MEDIUM)
     ranking = rank_users(windows, classified, top_k=2)[EngagementClass.GLOBAL]
     assert len(ranking.entries) == 2

@@ -12,18 +12,17 @@ from chatpulse import (
     ParameterError,
     SchemaError,
     WindowSpec,
-    build_ensemble,
-    dump_ensemble,
-    load_ensemble,
+    ensemble_lines,
     network_from_senders,
     slice_windows,
+    window_networks,
 )
 from chatpulse.chatlog import utc_timestamp
 from chatpulse.cli import EXIT_SCHEMA, main
-from chatpulse.netbuild import NetworkEnsemble, ensemble_networks, in_window_order
+from chatpulse.netbuild import ensemble_networks, in_window_order
 
 from conftest import make_log, random_log
-from oracles import brute_pair_counts
+from oracles import brute_pair_counts, load_ensemble_direct
 
 T2330 = utc_timestamp("2018-07-03T23:30:00Z")
 
@@ -147,16 +146,16 @@ def test_total_weight_bounded_by_messages():
 def test_cross_window_independence():
     log = random_log(seed=10, users=5, count=300, horizon=6 * 3600)
     spec = WindowSpec(delta_t=600)
-    full = build_ensemble(log, spec)
-    victim = full.networks[len(full.networks) // 2]
+    full = tuple(window_networks(log, spec))
+    victim = full[len(full) // 2]
     kept = [
         (u, t)
         for u, t in zip(log.users, log.timestamps)
         if not victim.window_start <= t < victim.window_start + 600
     ]
-    reb = build_ensemble(make_log(kept), spec)
-    survivors = {n.window_start: n for n in reb.networks}
-    for net in full.networks:
+    reb = tuple(window_networks(make_log(kept), spec))
+    survivors = {n.window_start: n for n in reb}
+    for net in full:
         if net.window_start == victim.window_start:
             assert net.window_start not in survivors
         else:
@@ -166,27 +165,27 @@ def test_cross_window_independence():
 
 def test_single_user_log_has_zero_conversations():
     log = make_log([(0, t * 100) for t in range(50)])
-    ens = build_ensemble(log, WindowSpec(delta_t=600))
-    assert len(ens.networks) > 0
-    assert ens.conversations == ()
+    nets = tuple(window_networks(log, WindowSpec(delta_t=600)))
+    assert len(nets) > 0
+    assert [net for net in nets if net.is_conversation] == []
 
 
 def test_build_ensemble_deterministic():
     log = random_log(seed=21)
     spec = WindowSpec(delta_t=600)
-    assert dump_ensemble(build_ensemble(log, spec)) == dump_ensemble(
-        build_ensemble(log, spec)
+    assert "".join(ensemble_lines(window_networks(log, spec))) == "".join(
+        ensemble_lines(window_networks(log, spec))
     )
 
 
 def test_ensemble_round_trip_through_jsonl(tmp_path):
     log = random_log(seed=22, users=7, count=600, horizon=86400)
-    ens = build_ensemble(log, WindowSpec(delta_t=600))
+    nets = tuple(window_networks(log, WindowSpec(delta_t=600)))
     path = tmp_path / "ensemble.jsonl"
-    path.write_text(dump_ensemble(ens))
-    loaded = load_ensemble(path)
-    assert len(loaded) == len(ens)
-    for a, b in zip(loaded.networks, ens.networks):
+    path.write_text("".join(ensemble_lines(nets)))
+    loaded = tuple(ensemble_networks(path))
+    assert len(loaded) == len(nets)
+    for a, b in zip(loaded, nets):
         assert (a.window_start, a.window_index) == (b.window_start, b.window_index)
         assert a.nodes == b.nodes and a.edges == b.edges
     # canonical form: u < v on every edge, edges sorted within the line
@@ -199,8 +198,8 @@ def test_ensemble_round_trip_through_jsonl(tmp_path):
 def test_load_ensemble_shares_one_key_per_pair(tmp_path):
     log = random_log(seed=23, users=5, count=600, horizon=86400)
     path = tmp_path / "ensemble.jsonl"
-    path.write_text(dump_ensemble(build_ensemble(log, WindowSpec(delta_t=600))))
-    loaded = load_ensemble(path).networks
+    path.write_text("".join(ensemble_lines(window_networks(log, WindowSpec(600)))))
+    loaded = tuple(ensemble_networks(path))
     first: dict[tuple[int, int], tuple[int, int]] = {}
     for net in loaded:
         for key in net.edges:
@@ -260,7 +259,7 @@ def test_bad_ensemble_lines_rejected(tmp_path, line):
     path = tmp_path / "bad.jsonl"
     path.write_text(line + "\n", encoding="utf-8")
     with pytest.raises(SchemaError) as err:
-        load_ensemble(path)
+        tuple(ensemble_networks(path))
     assert str(err.value) == BAD_ENSEMBLE[line].format(path=path)
 
 
@@ -278,7 +277,7 @@ def test_non_int_endpoint_exits_schema_code(tmp_path, capsys, line):
 def test_ensemble_line_padded_with_json_whitespace_loads(tmp_path, line):
     path = tmp_path / "padded.jsonl"
     path.write_text(line + "\n", encoding="utf-8")
-    (net,) = load_ensemble(path).networks
+    (net,) = ensemble_networks(path)
     assert (net.window_start, net.window_index) == (0, 0)
     assert net.nodes == (0, 1) and net.edges == {(0, 1): 2}
 
@@ -291,7 +290,7 @@ def test_ensemble_nodes_must_ascend_strictly(tmp_path, nodes):
         f'{{"w":600,"i":1,"nodes":{nodes},"edges":[[1,2,3]]}}\n'
     )
     with pytest.raises(SchemaError) as err:
-        load_ensemble(path)
+        tuple(ensemble_networks(path))
     assert str(err.value) == f"{path}: line 2: nodes are not strictly ascending"
     argv = ["metrics", str(path), "--out", str(tmp_path / "out")]
     assert main(argv) == EXIT_SCHEMA
@@ -303,12 +302,13 @@ def test_ensemble_ordering_validated(tmp_path):
         '{"w":600,"i":1,"nodes":[0,1],"edges":[[0,1,1]]}\n'
         '{"w":0,"i":0,"nodes":[0,1],"edges":[[0,1,1]]}\n'
     )
-    with pytest.raises(SchemaError):
-        load_ensemble(path)
+    with pytest.raises(SchemaError) as err:
+        tuple(ensemble_networks(path))
+    assert str(err.value) == "window starts not strictly increasing at 0"
 
 
 # window (start, index) sequences whose last window breaks the order, and the
-# message both the stream and NetworkEnsemble give
+# message the stream gives at that window, whether built or read from a file
 BAD_ORDER = {
     ((0, 0), (600, 1), (1200, 2), (600, 3)):
         "window starts not strictly increasing at 600",
@@ -320,7 +320,7 @@ BAD_ORDER = {
 
 
 @pytest.mark.parametrize("windows", list(BAD_ORDER))
-def test_window_order_is_checked_one_network_at_a_time(windows):
+def test_window_order_is_checked_one_network_at_a_time(tmp_path, windows):
     nets = [
         network_from_senders([0, 1], window_start=w, window_index=i)
         for w, i in windows
@@ -329,21 +329,26 @@ def test_window_order_is_checked_one_network_at_a_time(windows):
     assert [next(stream) for _ in nets[:-1]] == nets[:-1]  # yielded as checked
     with pytest.raises(SchemaError) as streamed:
         next(stream)
-    with pytest.raises(SchemaError) as whole:
-        NetworkEnsemble(tuple(nets))
-    assert str(streamed.value) == str(whole.value) == BAD_ORDER[windows]
+    path = tmp_path / "ensemble.jsonl"
+    path.write_text("".join(ensemble_lines(nets)))
+    read = ensemble_networks(path)
+    assert [next(read).window_start for _ in nets[:-1]] == [w for w, _ in windows][:-1]
+    with pytest.raises(SchemaError) as from_file:
+        next(read)
+    assert str(streamed.value) == str(from_file.value) == BAD_ORDER[windows]
 
 
 def test_ensemble_networks_stream_what_load_ensemble_holds(tmp_path):
     path = tmp_path / "ensemble.jsonl"
     log = random_log(seed=24, users=5, count=300, horizon=86400)
-    path.write_text(dump_ensemble(build_ensemble(log, WindowSpec(delta_t=600))))
+    built = tuple(window_networks(log, WindowSpec(delta_t=600)))
+    path.write_text("".join(ensemble_lines(built)))
     stream = ensemble_networks(path)
     assert iter(stream) is stream  # yielded, not held as a list
     fields = lambda nets: [
         (n.window_start, n.window_index, n.nodes, n.edges) for n in nets
     ]
-    assert fields(stream) == fields(load_ensemble(path).networks)
+    assert fields(stream) == fields(load_ensemble_direct(path)) == fields(built)
     early = ensemble_networks(path)
     next(early)
     early.close()  # a stream left early closes its file

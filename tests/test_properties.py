@@ -22,24 +22,24 @@ from chatpulse import (
     ParseError,
     SchemaError,
     WindowSpec,
-    build_ensemble,
     conversation_metrics,
-    dump_ensemble,
     dump_log,
     engagement_index,
+    ensemble_lines,
     ensemble_stats,
-    load_ensemble,
     load_log,
     network_from_senders,
     parse_transcript,
     period_means,
     rank_users,
+    window_networks,
     zscore_classify,
 )
 from chatpulse import chatlog
 from chatpulse.chatlog import READ_CHUNK, utf8_lines
 from chatpulse.cli import EXIT_OK, main
 from chatpulse.engagement import centrality_scale
+from chatpulse.netbuild import ensemble_networks, in_window_order
 
 from conftest import make_log
 from oracles import (
@@ -76,7 +76,7 @@ def log_of(rows, start=BASE):
 
 
 def scored(rows):
-    return conversation_metrics(build_ensemble(log_of(rows), WindowSpec(DELTA_T)))
+    return conversation_metrics(window_networks(log_of(rows), WindowSpec(DELTA_T)))
 
 
 # denser logs, so most draws hold two conversations with different ei
@@ -120,9 +120,9 @@ def reprs(row, fields) -> list[str]:
 
 @given(repeating_shapes)
 def test_shared_scores_equal_scoring_each_window_alone(rows):
-    ens = build_ensemble(log_of(rows), WindowSpec(DELTA_T))
-    nets = ens.conversations
-    wms = conversation_metrics(ens)
+    built = tuple(window_networks(log_of(rows), WindowSpec(DELTA_T)))
+    nets = [net for net in built if net.is_conversation]
+    wms = conversation_metrics(built)
     assert [w.window_index for w in wms] == [net.window_index for net in nets]
     for w, net in zip(wms, nets):
         alone = engagement_index(net)
@@ -149,7 +149,7 @@ def unshared_csvs(ensemble_path) -> dict[str, str]:
     metrics = ["window_start,window_index,n,total_weight,equality,intensity,ei\n"]
     central = ["window_start,user_id,strength,ei_centrality\n"]
     eis = []
-    for net in load_ensemble(ensemble_path).conversations:
+    for net in filter(lambda n: n.is_conversation, ensemble_networks(ensemble_path)):
         m = engagement_index(net)
         metrics.append(
             f"{net.window_start},{net.window_index},{m.n},{m.total_weight},"
@@ -219,25 +219,26 @@ def test_build_writes_the_dumped_ensemble(rows, interval, align, from_when):
         streamed = (Path(tmp) / "ensemble.jsonl").read_text()
         lo = None if from_when is None else chatlog.utc_timestamp(from_when)
         spec = WindowSpec(interval * 60, align, (lo, None))
-        assert streamed == dump_ensemble(build_ensemble(load_log(log), spec))
+        held = tuple(in_window_order(window_networks(load_log(log), spec)))
+        assert streamed == "".join(ensemble_lines(held))
         if from_when == "2030-01-01":
             assert streamed == ""
 
 
-def networks_of(ens):
-    return [(n.window_start, n.window_index, n.nodes, n.edges) for n in ens.networks]
+def networks_of(nets):
+    return [(n.window_start, n.window_index, n.nodes, n.edges) for n in nets]
 
 
 @given(messages)
 def test_ensemble_round_trip(rows):
-    ens = build_ensemble(log_of(rows), WindowSpec(DELTA_T))
-    text = dump_ensemble(ens)
+    built = tuple(window_networks(log_of(rows), WindowSpec(DELTA_T)))
+    text = "".join(ensemble_lines(built))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ensemble.jsonl"
         path.write_text(text)
-        loaded = load_ensemble(path)
-    assert networks_of(loaded) == networks_of(ens)
-    assert dump_ensemble(loaded) == text
+        loaded = tuple(ensemble_networks(path))
+    assert networks_of(loaded) == networks_of(built)
+    assert "".join(ensemble_lines(loaded)) == text
 
 
 # values of the wrong kind for any field; the containers are built afresh,
@@ -315,12 +316,12 @@ def mutated_ensembles(draw):
 def load_outcome(load, path):
     """``load``'s networks, with the types of every value, or its error."""
     try:
-        ens = load(path)
+        nets = tuple(load(path))
     except Exception as exc:  # noqa: BLE001 - the two loaders must agree
         return type(exc).__name__, str(exc)
     return repr([
         (n.window_start, n.window_index, n.nodes, list(n.edges.items()))
-        for n in ens.networks
+        for n in nets
     ])
 
 
@@ -330,7 +331,7 @@ def test_load_ensemble_agrees_with_per_line_json_loads(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ensemble.jsonl"
         path.write_text(text, encoding="utf-8")
-        assert load_outcome(load_ensemble, path) == load_outcome(
+        assert load_outcome(ensemble_networks, path) == load_outcome(
             load_ensemble_direct, path
         )
 

@@ -17,7 +17,6 @@ from chatpulse import (
     EnsembleStats,
     InteractionNetwork,
     MessageLog,
-    NetworkEnsemble,
     ParsedTranscript,
     PeriodComparison,
     Regime,
@@ -29,7 +28,6 @@ from chatpulse import (
 )
 
 LOG = MessageLog((0, 1, 0), (5, 5, 9))
-NET = InteractionNetwork(600, 1, (0, 1), {(0, 1): 2})
 ROW = ComparisonRow(7, 1.0, 0.5, 0.25, -0.25)
 
 # each type with its fields, in declaration order, and whether it is frozen
@@ -57,7 +55,6 @@ RECORDS = [
          "edges": {(0, 1): 2}},
         False,
     ),
-    (NetworkEnsemble, {"networks": (NET,)}, True),
     (
         Regime,
         {"kind": "planted-dropout", "users": 3, "rate": 8, "windows": 4,

@@ -9,9 +9,9 @@ import pytest
 from chatpulse import (
     ParameterError,
     WindowSpec,
-    build_ensemble,
     dump_log,
     engagement_index,
+    window_networks,
 )
 from chatpulse.synth import Regime, dump_ground_truth, generate
 
@@ -37,9 +37,9 @@ def test_pipeline_closure_reproduces_ground_truth_exactly():
     ]:
         regime = Regime(kind=kind, users=5, rate=9, windows=8, seed=3, **kwargs)
         result = generate(regime)
-        ens = build_ensemble(result.log, WindowSpec())
-        built = {n.window_index: n for n in ens.networks}
-        assert len(ens.networks) == len(result.truth)
+        nets = tuple(window_networks(result.log, WindowSpec()))
+        built = {n.window_index: n for n in nets}
+        assert len(nets) == len(result.truth)
         for truth in result.truth:
             net = built[truth.window_index]
             assert net.window_start == truth.window_start
@@ -67,8 +67,8 @@ def test_round_robin_off_cycle_rate_truth_is_exact():
     # 32 messages over 4 users leave 31 transitions: the wrap edge is one
     # light; the emitted truth must carry the exact multiset, not an ideal
     result = generate(Regime(kind="round-robin", users=4, rate=32, windows=2, seed=0))
-    ens = build_ensemble(result.log, WindowSpec())
-    for truth, net in zip(result.truth, ens.networks):
+    nets = tuple(window_networks(result.log, WindowSpec()))
+    for truth, net in zip(result.truth, nets):
         assert truth.edges == {(0, 1): 8, (1, 2): 8, (2, 3): 8, (0, 3): 7}
         assert net.edges == truth.edges
         assert truth.metrics["equality"] < 1.0
@@ -77,8 +77,8 @@ def test_round_robin_off_cycle_rate_truth_is_exact():
 def test_single_broadcaster_never_converses():
     result = generate(Regime(kind="broadcaster", users=1, rate=20, windows=5, seed=0))
     assert all(t.metrics is None for t in result.truth)
-    ens = build_ensemble(result.log, WindowSpec())
-    assert ens.conversations == ()
+    nets = tuple(window_networks(result.log, WindowSpec()))
+    assert [n for n in nets if n.is_conversation] == []
 
 
 def test_broadcaster_with_crowd_centers_on_user_zero():
@@ -121,11 +121,11 @@ def test_messages_never_straddle_bins_for_any_interval():
         result = generate(
             Regime(kind="uniform-random", users=4, rate=11, windows=5, seed=2), spec
         )
-        ens = build_ensemble(result.log, spec)
-        assert [n.window_index for n in ens.networks] == [
+        nets = tuple(window_networks(result.log, spec))
+        assert [n.window_index for n in nets] == [
             t.window_index for t in result.truth
         ]
-        for net, truth in zip(ens.networks, result.truth):
+        for net, truth in zip(nets, result.truth):
             assert net.edges == truth.edges
 
 

@@ -7,12 +7,12 @@ import pytest
 from chatpulse import (
     InsufficientDataError,
     WindowSpec,
-    build_ensemble,
     conversation_metrics,
     engagement_drop_report,
     period_compare,
     period_means,
     user_series,
+    window_networks,
 )
 from chatpulse.synth import Regime, generate
 
@@ -22,29 +22,29 @@ from oracles import centralities_direct
 
 def test_absent_user_has_empty_series():
     log = make_log([(0, 0), (1, 30)])
-    ens = build_ensemble(log, WindowSpec(delta_t=600))
-    assert user_series(conversation_metrics(ens), 42).points == ()
+    nets = tuple(window_networks(log, WindowSpec(delta_t=600)))
+    assert user_series(conversation_metrics(nets), 42).points == ()
 
 
 def test_single_window_series_value():
     # one 2-node window with total weight 4 -> centrality 3 for both users
     log = make_log([(0, 0), (1, 60), (0, 120), (1, 180), (0, 240)])
-    ens = build_ensemble(log, WindowSpec(delta_t=600))
-    series = user_series(conversation_metrics(ens), 0)
+    nets = tuple(window_networks(log, WindowSpec(delta_t=600)))
+    series = user_series(conversation_metrics(nets), 0)
     assert series.points == ((0, 3.0),)
 
 
 def test_series_skips_windows_where_user_is_absent():
     log = make_log([(0, 0), (1, 30), (2, 600), (3, 630), (0, 1200), (1, 1230)])
-    ens = build_ensemble(log, WindowSpec(delta_t=600))
-    series = user_series(conversation_metrics(ens), 0)
+    nets = tuple(window_networks(log, WindowSpec(delta_t=600)))
+    series = user_series(conversation_metrics(nets), 0)
     assert [start for start, _ in series.points] == [0, 1200]
 
 
 def mirrored_ensemble():
     """Identical two-user activity in both halves, split at t=1200."""
     rows = [(0, 0), (1, 60), (0, 600), (1, 660), (0, 1200), (1, 1260), (0, 1800), (1, 1860)]
-    return build_ensemble(make_log(rows), WindowSpec(delta_t=600))
+    return tuple(window_networks(make_log(rows), WindowSpec(delta_t=600)))
 
 
 def test_identical_periods_give_zero_diff():
@@ -56,11 +56,11 @@ def test_identical_periods_give_zero_diff():
 
 def test_period_means_weighted_identity():
     result = generate(Regime(kind="uniform-random", users=10, rate=8, windows=30, seed=3))
-    ens = build_ensemble(result.log, WindowSpec())
-    split = ens.networks[12].window_start
-    whole, p1, p2 = period_means(conversation_metrics(ens), split)
-    k1 = sum(1 for n in ens.conversations if n.window_start < split)
-    k2 = sum(1 for n in ens.conversations if n.window_start >= split)
+    nets = tuple(window_networks(result.log, WindowSpec()))
+    split = nets[12].window_start
+    whole, p1, p2 = period_means(conversation_metrics(nets), split)
+    k1 = sum(n.is_conversation for n in nets if n.window_start < split)
+    k2 = sum(n.is_conversation for n in nets if n.window_start >= split)
     for user in whole:
         expected = (k1 * p1[user] + k2 * p2[user]) / (k1 + k2)
         assert whole[user] == pytest.approx(expected, abs=1e-12)
@@ -68,9 +68,9 @@ def test_period_means_weighted_identity():
 
 def test_normalized_vectors_peak_at_one():
     result = generate(Regime(kind="uniform-random", users=8, rate=6, windows=24, seed=9))
-    ens = build_ensemble(result.log, WindowSpec())
-    split = ens.networks[10].window_start
-    cmp = period_compare(conversation_metrics(ens), split)
+    nets = tuple(window_networks(result.log, WindowSpec()))
+    split = nets[10].window_start
+    cmp = period_compare(conversation_metrics(nets), split)
     for vec in (
         [r.whole for r in cmp.rows],
         [r.p1 for r in cmp.rows],
@@ -83,9 +83,9 @@ def test_normalized_vectors_peak_at_one():
 
 def test_rows_sorted_by_whole_then_user_without_duplicates():
     result = generate(Regime(kind="uniform-random", users=9, rate=7, windows=20, seed=1))
-    ens = build_ensemble(result.log, WindowSpec())
+    nets = tuple(window_networks(result.log, WindowSpec()))
     cmp = period_compare(
-        conversation_metrics(ens), ens.networks[10].window_start
+        conversation_metrics(nets), nets[10].window_start
     )
     users = [r.user for r in cmp.rows]
     assert len(users) == len(set(users))
@@ -96,14 +96,14 @@ def test_rows_sorted_by_whole_then_user_without_duplicates():
 def test_time_shift_invariance():
     result = generate(Regime(kind="uniform-random", users=6, rate=6, windows=16, seed=4))
     log = result.log
-    ens = build_ensemble(log, WindowSpec())
-    split = ens.networks[8].window_start
-    base = period_compare(conversation_metrics(ens), split)
+    nets = tuple(window_networks(log, WindowSpec()))
+    split = nets[8].window_start
+    base = period_compare(conversation_metrics(nets), split)
 
     offset = 7 * 86400
     shifted_log = make_log(zip(log.users, [t + offset for t in log.timestamps]))
     shifted = period_compare(
-        conversation_metrics(build_ensemble(shifted_log, WindowSpec())),
+        conversation_metrics(window_networks(shifted_log, WindowSpec())),
         split + offset,
     )
     assert [(r.user, r.diff) for r in base.rows] == [
@@ -113,19 +113,19 @@ def test_time_shift_invariance():
 
 
 def test_split_outside_span_is_insufficient_data():
-    ens = mirrored_ensemble()
+    nets = mirrored_ensemble()
     with pytest.raises(InsufficientDataError):
-        period_compare(conversation_metrics(ens), split=10_000_000)
+        period_compare(conversation_metrics(nets), split=10_000_000)
     with pytest.raises(InsufficientDataError):
-        period_compare(conversation_metrics(ens), split=-10)
+        period_compare(conversation_metrics(nets), split=-10)
 
 
 def test_boundary_window_belongs_to_second_period():
-    ens = mirrored_ensemble()
+    nets = mirrored_ensemble()
     split = 1200  # exactly a window start
-    _, p1, p2 = period_means(conversation_metrics(ens), split)
-    k1 = sum(1 for n in ens.conversations if n.window_start < split)
-    k2 = sum(1 for n in ens.conversations if n.window_start >= split)
+    _, p1, p2 = period_means(conversation_metrics(nets), split)
+    k1 = sum(n.is_conversation for n in nets if n.window_start < split)
+    k2 = sum(n.is_conversation for n in nets if n.window_start >= split)
     assert (k1, k2) == (2, 2)
 
 
@@ -140,20 +140,18 @@ def test_dropouts_are_most_negative_and_match_direct_recomputation():
         seed=6,
     )
     result = generate(regime)
-    ens = build_ensemble(result.log, WindowSpec())
-    split = ens.networks[0].window_start + 8 * 600
-    cmp = period_compare(conversation_metrics(ens), split)
+    nets = tuple(window_networks(result.log, WindowSpec()))
+    split = nets[0].window_start + 8 * 600
+    cmp = period_compare(conversation_metrics(nets), split)
 
     worst = sorted(cmp.rows, key=lambda r: r.diff)[: regime.dropouts]
     assert {r.user for r in worst} == set(result.dropout_users)
 
     # independent recomputation from raw edges
-    table = {
-        net.window_index: centralities_direct(net.edges)
-        for net in ens.conversations
-    }
-    p1_idx = [n.window_index for n in ens.conversations if n.window_start < split]
-    p2_idx = [n.window_index for n in ens.conversations if n.window_start >= split]
+    convs = [net for net in nets if net.is_conversation]
+    table = {net.window_index: centralities_direct(net.edges) for net in convs}
+    p1_idx = [n.window_index for n in convs if n.window_start < split]
+    p2_idx = [n.window_index for n in convs if n.window_start >= split]
     users = {u for row in table.values() for u in row}
 
     def mean(indices, user):
@@ -174,8 +172,8 @@ def test_dropouts_are_most_negative_and_match_direct_recomputation():
 
 
 def test_drop_report_bounds_and_ordering():
-    ens = mirrored_ensemble()
-    cmp = period_compare(conversation_metrics(ens), split=1200)
+    nets = mirrored_ensemble()
+    cmp = period_compare(conversation_metrics(nets), split=1200)
     assert engagement_drop_report(cmp, -1.5) == []
     everyone = engagement_drop_report(cmp, 1.0)
     assert {r.user for r in everyone} == {r.user for r in cmp.rows}
@@ -185,8 +183,8 @@ def test_drop_report_bounds_and_ordering():
 
 def test_top_k_limits_rows():
     result = generate(Regime(kind="uniform-random", users=10, rate=8, windows=20, seed=2))
-    ens = build_ensemble(result.log, WindowSpec())
-    split = ens.networks[10].window_start
-    cmp = period_compare(conversation_metrics(ens), split, top_k=3)
+    nets = tuple(window_networks(result.log, WindowSpec()))
+    split = nets[10].window_start
+    cmp = period_compare(conversation_metrics(nets), split, top_k=3)
     assert len(cmp.rows) == 3
 
