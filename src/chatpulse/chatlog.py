@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import json
 import operator
+import os
 import re
 from collections.abc import Collection, Iterable, Iterator
 from datetime import datetime, timedelta, timezone
@@ -27,14 +28,24 @@ from .errors import (
     SchemaError,
 )
 
-# zoneinfo, hashlib, hmac, secrets and logging serve only parse and the
-# re-sort warning, and csv only files not in dump_log's form, so they are
-# imported where used, not by every command. Type checkers read this constant
-# as true; importing it from typing would cost every command that module.
+# zoneinfo and logging serve only parse and the re-sort warning, and csv only
+# files not in dump_log's form, so they are imported where used, not by every
+# command. hashlib, hmac and secrets are imported nowhere: they load OpenSSL's
+# libcrypto, and the builtin SHA-256 below does their work. Type checkers read
+# this constant as true; importing it from typing would cost every command
+# that module.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     import csv
     from zoneinfo import ZoneInfo
+
+try:  # the builtin SHA-256: hashlib's digests, without loading OpenSSL
+    from _sha2 import sha256 as _new_sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _new_sha256
+    except ImportError:
+        from hashlib import sha256 as _new_sha256
 
 # WhatsApp sprinkles direction marks and narrow no-break spaces into exports.
 _INVISIBLE_MARKS = re.compile("[‎‏‪-‮]")
@@ -300,12 +311,26 @@ def parse_transcript(
     return ParsedTranscript(log=log, senders=tuple(senders))
 
 
-def sender_digest(salt: bytes, sender: str) -> str:
-    """Keyed hash (HMAC-SHA256, hex) of a sender display name."""
-    import hashlib
-    import hmac
+# HMAC's inner and outer pads (RFC 2104) as byte translation tables
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+_BLOCK = 64  # SHA-256's block size in bytes
 
-    return hmac.new(salt, sender.encode("utf-8"), hashlib.sha256).hexdigest()
+
+def sender_digest(salt: bytes, sender: str) -> str:
+    """Keyed hash (HMAC-SHA256, hex) of a sender display name.
+
+    The HMAC is computed as the stdlib ``hmac`` module's pure-Python path
+    computes it, on the builtin SHA-256, so it equals ``hmac.new(salt,
+    sender.encode(), hashlib.sha256).hexdigest()`` without loading OpenSSL.
+    """
+    key = _new_sha256(salt).digest() if len(salt) > _BLOCK else salt
+    key = key.ljust(_BLOCK, b"\0")
+    inner = _new_sha256(key.translate(_IPAD))
+    inner.update(sender.encode("utf-8"))
+    outer = _new_sha256(key.translate(_OPAD))
+    outer.update(inner.digest())
+    return outer.hexdigest()
 
 
 def _check_prior_mapping(prior: dict[str, int]) -> None:
@@ -333,9 +358,7 @@ def anonymize(
     kept and only unseen senders receive fresh IDs.
     """
     if salt is None:
-        import secrets
-
-        salt = secrets.token_bytes(16)
+        salt = os.urandom(16)  # as secrets.token_bytes(16), which loads OpenSSL
     mapping: dict[str, int] = dict(prior_mapping) if prior_mapping else {}
     _check_prior_mapping(mapping)
 

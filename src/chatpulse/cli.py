@@ -28,6 +28,7 @@ from .chatlog import (
     DEFAULT_PROFILE,
     PROFILES,
     MessageLog,
+    _new_sha256,
     _resolve_zone,
     anonymize,
     dump_mapping,
@@ -94,15 +95,6 @@ def _write_artifact(path: Path, chunks) -> None:
 
 def _write_csv(path: Path, header: str, rows) -> None:
     _write_artifact(path, itertools.chain((header + "\n",), rows))
-
-
-try:  # the builtin SHA-256: hashlib's digests, without loading OpenSSL
-    from _sha2 import sha256 as _new_sha256  # CPython 3.12 and later
-except ImportError:
-    try:
-        from _sha256 import sha256 as _new_sha256
-    except ImportError:
-        from hashlib import sha256 as _new_sha256
 
 
 def _sha256(path: Path) -> str:
@@ -309,20 +301,20 @@ def _emit_compare(outdir: Path, wms, split: int, top_k: int | None, avg: str):
 # ``main`` records the manifest from the parsed flags once the handler returns.
 
 def _cmd_parse(args, outdir: Path) -> list[str]:
-    # the zone and salt are read before the export and the prior mapping
+    # the zone, salt and prior mapping are read before the export
     zone, salt = _resolve_zone(args.tz), None
     if args.salt is not None:
         try:
             salt = bytes.fromhex(args.salt)
         except ValueError as exc:
             raise ParameterError(f"--salt must be hex, got {args.salt!r}") from exc
+    prior = read_mapping(args.mapping_in) if args.mapping_in else None
     parsed = parse_transcript(
         utf8_lines(args.input, ParseError),
         tz=zone,
         profile=args.profile,
         slack=args.slack,
     )
-    prior = read_mapping(args.mapping_in) if args.mapping_in else None
     anon = anonymize(parsed, salt=salt, prior_mapping=prior)
     args.salt = anon.salt.hex()  # the manifest records the salt actually used
 

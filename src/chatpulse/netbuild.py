@@ -215,10 +215,10 @@ def _line_networks(path: Path) -> Iterator[InteractionNetwork]:
     strictly ascending order, as :func:`ensemble_lines` writes them. Each line
     is read as ``json.loads`` reads it: any line the scanner alone does not
     read to its end goes through ``json.loads``, so both accept and reject
-    the same lines. Every network that holds a pair keys its edge with one
-    shared ``(u, v)`` tuple, as ``load_log`` shares one int per user ID.
+    the same lines. Each network keys its edges with its own ``(u, v)``
+    tuples: no command holds more than a few networks at once, so sharing
+    keys across networks would save nothing.
     """
-    keys: dict[tuple[int, int], tuple[int, int]] = {}
     for line_no, line in enumerate(utf8_lines(path, SchemaError), 1):
         try:
             obj, end = _scan_json(line, 0)
@@ -239,8 +239,7 @@ def _line_networks(path: Path) -> Iterator[InteractionNetwork]:
                     raise SchemaError(
                         f"{path}: line {line_no}: bad edge [{u},{v},{w}]"
                     )
-                key = (u, v)
-                edges[keys.setdefault(key, key)] = w
+                edges[u, v] = w
             if len(edges) != len(raw_edges):
                 raise SchemaError(f"{path}: line {line_no}: duplicate edge")
             start, index, nodes = obj["w"], obj["i"], obj["nodes"]

@@ -424,6 +424,33 @@ def test_bad_flag_values_exit_before_any_input_is_read(
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("export", ["utf-8", "not utf-8"])
+def test_parse_reads_a_bad_mapping_before_the_export(
+    tmp_path, capsys, monkeypatch, export
+):
+    chat = tmp_path / "chat.txt"
+    if export == "utf-8":
+        chat.write_text(TRANSCRIPT)
+    else:  # the mapping's error is reported, not the export's
+        chat.write_bytes(b"\xff\n")
+    mapping = tmp_path / "mapping.csv"
+    mapping.write_text("hashed_sender,user_id\nnot-a-pair\n")
+
+    def unexpected_read(source, *args, **kwargs):
+        raise AssertionError(f"{source} read before the prior mapping")
+
+    monkeypatch.setattr(cli, "utf8_lines", unexpected_read)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("parse", chat, "--out", out, "--mapping-in", mapping) == EXIT_SCHEMA
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {
+        "error": "schema",
+        "detail": f"{mapping}: malformed mapping row ['not-a-pair']",
+    }
+    assert list(out.iterdir()) == []
+
+
 # each subcommand's positional input and its help text; simulate has none
 INPUT_HELP = {
     "parse": "transcript text export",
@@ -622,27 +649,41 @@ def built_ensemble(tmp_path) -> Path:
     return tmp_path / "built" / "ensemble.jsonl"
 
 
+def count_new_networks(monkeypatch, name: str, *, after: bool = False) -> list:
+    """Patch ``cli.<name>`` to count, at each call, the live networks made
+    since this patch: before the call, or once it returned if ``after``."""
+    gc.collect()
+    # networks other tests left alive, held so that their ids stay theirs
+    known = {
+        id(o): o for o in gc.get_objects() if isinstance(o, InteractionNetwork)
+    }
+    live = []
+    wrapped = getattr(cli, name)
+
+    def count():
+        live.append(sum(
+            isinstance(o, InteractionNetwork) and id(o) not in known
+            for o in gc.get_objects()
+        ))
+
+    def counting(*args, **kwargs):
+        if not after:
+            count()
+        result = wrapped(*args, **kwargs)
+        if after:
+            count()
+        return result
+
+    monkeypatch.setattr(cli, name, counting)
+    return live
+
+
 @pytest.mark.parametrize("command", list(STEP_COMMANDS))
 def test_step_commands_hold_no_network_once_scored(tmp_path, monkeypatch, command):
     # each window is scored as its line is read, and only what the command
     # reads of it is kept; so once every window is scored no network is left
     ens = built_ensemble(tmp_path)
-    gc.collect()
-    # networks other tests left alive, held so that their ids stay theirs
-    before = [o for o in gc.get_objects() if isinstance(o, InteractionNetwork)]
-    known = {id(o) for o in before}
-    live = []
-    scored = cli._scored
-
-    def counting(*args, **kwargs):
-        wms = scored(*args, **kwargs)
-        live.append(sum(
-            isinstance(o, InteractionNetwork) and id(o) not in known
-            for o in gc.get_objects()
-        ))
-        return wms
-
-    monkeypatch.setattr(cli, "_scored", counting)
+    live = count_new_networks(monkeypatch, "_scored", after=True)
     out = tmp_path / "out"
     assert run(command, ens, "--out", out, *STEP_COMMANDS[command]) == EXIT_OK
     assert live == [0]
@@ -767,21 +808,7 @@ def test_report_frees_its_networks_once_scored(tmp_path, monkeypatch):
     # centralities.csv reads every window's columns, and a window drops its
     # network when they are built; so by classification no network is left
     log = simulate(tmp_path)
-    gc.collect()
-    # networks other tests left alive, held so that their ids stay theirs
-    before = [o for o in gc.get_objects() if isinstance(o, InteractionNetwork)]
-    known = {id(o) for o in before}
-    live = []
-    emit_classify = cli._emit_classify
-
-    def counting(*args, **kwargs):
-        live.append(sum(
-            isinstance(o, InteractionNetwork) and id(o) not in known
-            for o in gc.get_objects()
-        ))
-        return emit_classify(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "_emit_classify", counting)
+    live = count_new_networks(monkeypatch, "_emit_classify")
     assert run("report", log, "--out", tmp_path / "report") == EXIT_OK
     assert live == [0]
 
@@ -790,21 +817,7 @@ def test_report_holds_no_network_once_scored(tmp_path, monkeypatch):
     # each network is scored once its line is written and only its columns
     # are kept; so once the ensemble is written no network is left
     log = simulate(tmp_path)
-    gc.collect()
-    # networks other tests left alive, held so that their ids stay theirs
-    before = [o for o in gc.get_objects() if isinstance(o, InteractionNetwork)]
-    known = {id(o) for o in before}
-    live = []
-    emit_metrics = cli._emit_metrics
-
-    def counting(*args, **kwargs):
-        live.append(sum(
-            isinstance(o, InteractionNetwork) and id(o) not in known
-            for o in gc.get_objects()
-        ))
-        return emit_metrics(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "_emit_metrics", counting)
+    live = count_new_networks(monkeypatch, "_emit_metrics")
     out = tmp_path / "report"
     assert run("report", log, "--out", out, "--split", "2018-08-01T02:00") == EXIT_OK
     assert (out / "period_compare.csv").exists()
@@ -940,8 +953,9 @@ def test_module_entry_point_runs():
 
 
 # parse, the re-sort warning and the line-at-a-time CSV reader import these
-# where they run; input digests use the builtin SHA-256, so only parse's HMAC
-# loads OpenSSL (_hashlib); chatpulse imports dataclasses and inspect nowhere
+# where they run; input digests and parse's HMAC use the builtin SHA-256 and
+# the salt comes from os.urandom, so no command loads OpenSSL (_hashlib);
+# chatpulse imports dataclasses, hashlib, hmac, inspect and secrets nowhere
 UNUSED_AT_START_UP = (
     "_hashlib", "csv", "dataclasses", "hashlib", "hmac", "inspect", "logging",
     "random", "secrets", "zoneinfo",
@@ -965,3 +979,29 @@ print(loaded())
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", str(EXIT_OK), "[]"]
+
+
+# the modules that load OpenSSL's libcrypto, or that only serve an HMAC
+OPENSSL_MODULES = ("_hashlib", "hashlib", "hmac", "secrets")
+
+
+def test_parse_loads_no_openssl_module(tmp_path):
+    export = tmp_path / "chat.txt"
+    export.write_text(TRANSCRIPT)
+    # -S: no site-packages .pth file preloads a module; the first run makes
+    # its own salt, the second is given one
+    code = f"""
+import sys
+sys.path.insert(0, {str(Path(chatpulse.__file__).parents[1])!r})
+from chatpulse import cli
+loaded = lambda: sorted(set({OPENSSL_MODULES!r}) & set(sys.modules))
+print(cli.main(["parse", {str(export)!r}, "--out", {str(tmp_path / "a")!r}]))
+print(cli.main(["parse", {str(export)!r}, "--out", {str(tmp_path / "b")!r},
+                "--salt", "0123456789abcdef"]))
+print(loaded())
+"""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [str(EXIT_OK), str(EXIT_OK), "[]"]

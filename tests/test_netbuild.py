@@ -195,19 +195,6 @@ def test_ensemble_round_trip_through_jsonl(tmp_path):
         assert edges == sorted(edges)
 
 
-def test_load_ensemble_shares_one_key_per_pair(tmp_path):
-    log = random_log(seed=23, users=5, count=600, horizon=86400)
-    path = tmp_path / "ensemble.jsonl"
-    path.write_text("".join(ensemble_lines(window_networks(log, WindowSpec(600)))))
-    loaded = tuple(ensemble_networks(path))
-    first: dict[tuple[int, int], tuple[int, int]] = {}
-    for net in loaded:
-        for key in net.edges:
-            assert first.setdefault(key, key) is key
-    # five users have ten pairs, so pairs recur across the windows
-    assert len(first) <= 10 < sum(len(net.edges) for net in loaded)
-
-
 VALID_LINE = '{"w":0,"i":0,"nodes":[0,1],"edges":[[0,1,2]]}'
 INTEGERS = (
     "window start, index, node IDs and weights must be integers"

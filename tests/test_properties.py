@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import hashlib
+import hmac
 import json
 import math
 import tempfile
@@ -36,7 +38,7 @@ from chatpulse import (
     zscore_classify,
 )
 from chatpulse import chatlog
-from chatpulse.chatlog import READ_CHUNK, utf8_lines
+from chatpulse.chatlog import READ_CHUNK, sender_digest, utf8_lines
 from chatpulse.cli import EXIT_OK, main
 from chatpulse.engagement import centrality_scale
 from chatpulse.netbuild import ensemble_networks, in_window_order
@@ -658,3 +660,16 @@ def test_header_times_match_strptime(profile, tz, **fields):
     line = header_line(profile, **fields)
     expected = strptime_first_line(line, profile, ZoneInfo(tz))
     assert parsed_first_line(line, profile, tz) == expected
+
+
+# keys shorter than, equal to and longer than SHA-256's 64-byte block; a
+# longer key is hashed first
+@given(
+    st.sampled_from([0, 1, 16, 64, 65, 200]).flatmap(
+        lambda n: st.binary(min_size=n, max_size=n)
+    ),
+    st.text(),
+)
+def test_sender_digest_equals_hmac_sha256(salt, name):
+    expected = hmac.new(salt, name.encode("utf-8"), hashlib.sha256).hexdigest()
+    assert sender_digest(salt, name) == expected
