@@ -428,7 +428,7 @@ def read_mapping(path: str | Path) -> dict[str, int]:
 def _row_from_jsonl(line: str, line_no: int, source: str) -> tuple[int, int]:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # a too-long int, deep nesting
         raise SchemaError(f"{source}: line {line_no}: invalid JSON") from exc
     if not isinstance(obj, dict) or "u" not in obj or "t" not in obj:
         raise SchemaError(f"{source}: line {line_no}: expected keys 'u' and 't'")

@@ -45,8 +45,10 @@ from .ensemble import (
     STD_POPULATION,
     STD_SAMPLE,
     WindowMetrics,
+    conversation_metrics,
     ensemble_stats,
     rank_users,
+    scored_window,
     window_scorer,
     zscore_classify,
     zscore_histogram,
@@ -163,24 +165,17 @@ def _log_and_spec(args) -> tuple[MessageLog, WindowSpec]:
     return load_log(args.input), spec
 
 
-def _with_columns(w: WindowMetrics) -> WindowMetrics:
-    w.columns()  # builds the window's columns and drops its network
-    return w
-
-
-def _scored(args, keep=_with_columns, users=None) -> list[WindowMetrics]:
+def _scored(args, users=None) -> list[WindowMetrics]:
     """Score each conversation of the ensemble at ``args.input`` as it is read.
 
-    Given ``users``, only the conversations holding one of them are scored.
-    Each window is held as ``keep`` returns it, so a command holds only what
-    it reads; a bad line raises before any write.
+    ``conversation_metrics`` scores them, so each window holds its metrics
+    and columns, not its network. Given ``users``, only the conversations
+    holding one of them are scored. A bad line raises before any write.
     """
-    score, networks = window_scorer(), ensemble_networks(args.input)
-    return [
-        keep(score(net))
-        for net in networks
-        if net.is_conversation and (users is None or not users.isdisjoint(net.nodes))
-    ]
+    networks = ensemble_networks(args.input)
+    if users is not None:
+        networks = (net for net in networks if not users.isdisjoint(net.nodes))
+    return conversation_metrics(networks)
 
 
 def _classified(args, wms, thresholds: tuple[float, float]):
@@ -335,9 +330,12 @@ def _cmd_metrics(args, outdir: Path) -> list[str]:
 
 def _cmd_classify(args, outdir: Path) -> list[str]:
     thresholds = _parse_thresholds(args.thresholds)  # read before the ensemble
-    wms = _scored(  # a class reads only the metrics: no network, no columns
-        args, lambda w: WindowMetrics(w.window_start, w.window_index, w.metrics)
-    )
+    score = window_scorer()
+    wms = [  # a class reads only the metrics, so no window gets columns
+        WindowMetrics(net.window_start, net.window_index, score(net))
+        for net in ensemble_networks(args.input)
+        if net.is_conversation
+    ]
     return _emit_classify(outdir, _classified(args, wms, thresholds))
 
 
@@ -393,7 +391,7 @@ def _cmd_report(args, outdir: Path) -> list[str]:
         for net in networks:
             yield net
             if net.is_conversation:
-                wms.append(_with_columns(score(net)))
+                wms.append(scored_window(net, score(net)))
 
     files = _emit_ensemble(outdir, scored(window_networks(*_log_and_spec(args))))
     files += _emit_metrics(outdir, wms)

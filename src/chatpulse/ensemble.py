@@ -30,15 +30,11 @@ class WindowMetrics:
 
     ``columns()`` is the one way to read a window's per-user data: the
     users, ascending, their strengths, and the ``centrality_scale`` that
-    makes a strength its user's ei centrality. A window scored from its
-    ``network`` builds the columns on first read and then drops the network,
-    so a command that reads only ``metrics`` never pays for them; without a
-    network, the columns are those given.
+    makes a strength its user's ei centrality. The columns are those given;
+    a window given none holds its metrics alone.
     """
 
-    __slots__ = (
-        "window_start", "window_index", "metrics", "_network", "_users", "_strengths",
-    )
+    __slots__ = ("window_start", "window_index", "metrics", "_users", "_strengths")
 
     def __init__(
         self,
@@ -47,28 +43,21 @@ class WindowMetrics:
         metrics: EngagementMetrics,
         users: tuple[int, ...] = (),
         strengths: tuple[int, ...] = (),
-        *,
-        network: InteractionNetwork | None = None,
     ) -> None:
-        if len(users) != len(strengths) or (network is not None and users):
-            raise ValueError("give one strength per user, or a network and no columns")
+        if len(users) != len(strengths):
+            raise ValueError("give one strength per user")
         self.window_start = window_start
         self.window_index = window_index
         self.metrics = metrics
-        self._network = network
         self._users, self._strengths = users, strengths
 
     def columns(self) -> tuple[tuple[int, ...], tuple[int, ...], float]:
         """Users, their strengths, and the scale from a strength to its centrality."""
-        net = self._network
-        if net is not None:
-            self._users, self._strengths = net.nodes, tuple(net.strengths().values())
-            self._network = None  # the columns hold all that is read from it
         return self._users, self._strengths, centrality_scale(self.metrics)
 
 
 def window_scorer():
-    """A function that scores one conversation network as a WindowMetrics.
+    """A function that gives one conversation network's EngagementMetrics.
 
     A network's metrics depend only on its participant count and the
     multiset of its edge weights, its shape. A scorer scores each distinct
@@ -78,24 +67,33 @@ def window_scorer():
     """
     scored: dict[tuple[int, ...], EngagementMetrics] = {}
 
-    def score(net: InteractionNetwork) -> WindowMetrics:
+    def score(net: InteractionNetwork) -> EngagementMetrics:
         shape = (len(net.nodes), *sorted(net.edges.values()))
         metrics = scored.get(shape)
         if metrics is None:
             metrics = scored[shape] = engagement_index(net)
-        return WindowMetrics(net.window_start, net.window_index, metrics, network=net)
+        return metrics
 
     return score
+
+
+def scored_window(net: InteractionNetwork, metrics: EngagementMetrics) -> WindowMetrics:
+    """``net``'s window with its ``metrics`` and its columns: nodes, strengths."""
+    return WindowMetrics(
+        net.window_start, net.window_index, metrics,
+        net.nodes, tuple(net.strengths().values()),
+    )
 
 
 def conversation_metrics(networks) -> list[WindowMetrics]:
     """Score the conversations among ``networks``, in order, through one scorer.
 
     Any iterable of networks serves: ``window_networks``, ``ensemble_networks``
-    or a tuple. Each window keeps its network until its columns are first read.
+    or a tuple. Each window's columns are built as it is scored, so no window
+    holds its network.
     """
     score = window_scorer()
-    return [score(net) for net in networks if net.is_conversation]
+    return [scored_window(net, score(net)) for net in networks if net.is_conversation]
 
 
 class EnsembleStats(FrozenRecord):

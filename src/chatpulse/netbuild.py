@@ -222,14 +222,14 @@ def _line_networks(path: Path) -> Iterator[InteractionNetwork]:
     for line_no, line in enumerate(utf8_lines(path, SchemaError), 1):
         try:
             obj, end = _scan_json(line, 0)
-        except (StopIteration, ValueError):
+        except (StopIteration, ValueError, RecursionError):
             end = -1
         if end != len(line):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # a too-long int, deep nesting
                 raise SchemaError(f"{path}: line {line_no}: invalid JSON") from exc
         try:
             raw_edges = obj["edges"]

@@ -150,7 +150,7 @@ def _direct_networks(path: Path):
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # a too-long int, deep nesting
             raise SchemaError(f"{path}: line {line_no}: invalid JSON") from exc
         try:
             edges = {}

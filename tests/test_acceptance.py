@@ -33,7 +33,6 @@ from chatpulse import (
 )
 from chatpulse.chatlog import MessageLog
 from chatpulse.cli import EXIT_OK, main
-from chatpulse.ensemble import window_scorer
 from chatpulse.synth import Regime, generate
 
 from oracles import (
@@ -104,7 +103,7 @@ def test_criterion_4_mean_centrality_identity():
     worst = 0.0
     for _ in range(1000):
         net = net_from_edges(random_conversation_edges(rng, max_n=50))
-        w = window_scorer()(net)
+        [w] = conversation_metrics([net])
         users, strengths, scale = w.columns()
         mean = sum(s * scale for s in strengths) / len(users)
         worst = max(worst, abs(mean - w.metrics.ei))

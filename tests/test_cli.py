@@ -300,6 +300,38 @@ def test_oversized_csv_field_exits_schema_code(tmp_path, capsys, argv, bad):
     assert err["detail"].startswith(f"{paths['BAD']}: line 3: field larger than")
 
 
+# a JSON value Python cannot decode, after a valid line: an int longer than
+# the digit limit raises ValueError, deep nesting RecursionError
+@pytest.mark.parametrize("kind", ["long-int", "deep"])
+@pytest.mark.parametrize(
+    "command, name, first, second",
+    [
+        ("metrics", "ensemble.jsonl", '{"w":0,"i":0,"nodes":[0,1],"edges":[[0,1,1]]}',
+         '{"w":600,"i":1,"nodes":[0,1],"edges":[[0,1,%s]]}'),
+        ("build", "log.jsonl", '{"u":0,"t":100}', '{"u":1,"t":%s}'),
+        ("report", "log.jsonl", '{"u":0,"t":100}', '{"u":%s,"t":200}'),
+    ],
+    ids=["metrics", "build", "report"],
+)
+def test_undecodable_json_line_exits_schema_code(
+    tmp_path, capsys, kind, command, name, first, second
+):
+    if kind == "long-int":
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this Python has no integer digit limit")
+        value = "1" * (limit + 1)
+    else:
+        value = "[" * 200_000
+    path, out = tmp_path / name, tmp_path / "out"
+    path.write_text(f"{first}\n{second % value}\n")
+    assert run(command, path, "--out", out) == EXIT_SCHEMA
+    [line] = capsys.readouterr().err.splitlines()
+    detail = f"{path}: line 2: invalid JSON"
+    assert json.loads(line) == {"error": "schema", "detail": detail}
+    assert list(out.iterdir()) == []  # no artifact, no .tmp
+
+
 def test_classify_single_network_is_insufficient(tmp_path, capsys):
     ens = tmp_path / "ensemble.jsonl"
     ens.write_text('{"w":0,"i":0,"nodes":[0,1],"edges":[[0,1,3]]}\n')
@@ -681,9 +713,13 @@ def count_new_networks(monkeypatch, name: str, *, after: bool = False) -> list:
 @pytest.mark.parametrize("command", list(STEP_COMMANDS))
 def test_step_commands_hold_no_network_once_scored(tmp_path, monkeypatch, command):
     # each window is scored as its line is read, and only what the command
-    # reads of it is kept; so once every window is scored no network is left
+    # reads of it is kept; so once every window is scored no network is left.
+    # classify scores without _scored: its networks are counted as it classifies
     ens = built_ensemble(tmp_path)
-    live = count_new_networks(monkeypatch, "_scored", after=True)
+    if command == "classify":
+        live = count_new_networks(monkeypatch, "_classified")
+    else:
+        live = count_new_networks(monkeypatch, "_scored", after=True)
     out = tmp_path / "out"
     assert run(command, ens, "--out", out, *STEP_COMMANDS[command]) == EXIT_OK
     assert live == [0]

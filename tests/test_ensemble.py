@@ -46,17 +46,14 @@ def test_window_metrics_keep_given_node_rows():
     given = WindowMetrics(0, 0, metrics, (0, 1), (1, 3))
     assert given.columns() == ((0, 1), (1, 3), 2.0)
     assert wm(0, 2.0).columns() == ((), (), 2.0)
-    # given strengths are never dropped: one per user, and never beside a network
+    # given strengths are never dropped: one per user
     with pytest.raises(ValueError):
         WindowMetrics(0, 0, metrics, (0, 1), (1,))
     with pytest.raises(ValueError):
         WindowMetrics(0, 0, metrics, (0,), ())
-    (net,) = window_networks(make_log([(0, 0), (1, 30)]), WindowSpec())
-    with pytest.raises(ValueError):
-        WindowMetrics(0, 0, metrics, (0, 1), (1, 1), network=net)
 
 
-def test_scored_windows_build_node_rows_once_on_first_read(monkeypatch):
+def test_conversation_metrics_build_strengths_once_while_scoring(monkeypatch):
     calls = []
     original = InteractionNetwork.strengths
 
@@ -66,22 +63,16 @@ def test_scored_windows_build_node_rows_once_on_first_read(monkeypatch):
 
     monkeypatch.setattr(InteractionNetwork, "strengths", counted)
     log = make_log([(0, 0), (1, 30), (2, 600), (3, 630), (0, 660)])
-    windows = conversation_metrics(window_networks(log, WindowSpec(delta_t=600)))
+    nets = tuple(window_networks(log, WindowSpec(delta_t=600)))
+    windows = conversation_metrics(nets)
+    assert calls == [0, 1]  # one column per conversation, built as it is scored
     zscore_classify(windows, ensemble_stats(windows))
-    assert calls == []
-    first = windows[1].columns()
-    assert first[:2] == ((0, 2, 3), (1, 1, 2)) and calls == [1]
-    assert windows[1].columns() == first and calls == [1]
-    # columns read as soon as each window is scored, as report does
     score = window_scorer()
-    nets = window_networks(log, WindowSpec(600))
-    eager = [score(net) for net in nets if net.is_conversation]
-    assert calls == [1]
-    for w in eager:
-        w.columns()
-    assert calls == [1, 0, 1]
-    assert [w.columns() for w in eager] == [w.columns() for w in windows]
-    assert calls == [1, 0, 1, 0]
+    for net, w in zip(nets, windows, strict=True):
+        assert w.metrics == score(net)
+        assert w.columns()[:2] == (net.nodes, tuple(original(net).values()))
+    assert windows[1].columns()[:2] == ((0, 2, 3), (1, 1, 2))
+    assert calls == [0, 1]
 
 
 def test_stats_of_constant_values():

@@ -338,6 +338,35 @@ def test_load_ensemble_agrees_with_per_line_json_loads(text):
         )
 
 
+VALID_LINE = '{"w":0,"i":0,"nodes":[0,1],"edges":[[0,1,2]]}'
+# each quirk follows a valid line; the JSON Python cannot decode, then export
+# quirks: leading zeros, an exponent, a bool, CRLF, a missing last newline
+ENSEMBLE_QUIRKS = {
+    "long-int": '{"w":600,"i":1,"nodes":[0,1],"edges":[[0,1,%s]]}\n' % ("1" * 5000),
+    "deep": "[" * 200_000 + "\n",
+    "unterminated": '{"w":600,"i":1,"nodes":[0,1],"edges":[[0,1,1]]}',
+    "leading-zero": '{"w":600,"i":01,"nodes":[0,1],"edges":[[0,1,1]]}\n',
+    "exponent": '{"w":6e2,"i":1,"nodes":[0,1],"edges":[[0,1,1]]}\n',
+    "1e5-weight": '{"w":600,"i":1,"nodes":[0,1],"edges":[[0,1,1e5]]}\n',
+    "true": '{"w":600,"i":1,"nodes":[0,1],"edges":[[0,1,true]]}\n',
+    "crlf": '{"w":600,"i":1,"nodes":[0,1],"edges":[[0,1,1]]}\r\n',
+    "empty-edges": '{"w":600,"i":1,"nodes":[],"edges":[]}\n',
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 3], ids=["whole", "small-chunks"])
+@pytest.mark.parametrize("quirk", list(ENSEMBLE_QUIRKS))
+def test_load_ensemble_agrees_on_quirks(tmp_path, monkeypatch, quirk, chunk):
+    if chunk is not None:  # lines cross block edges
+        monkeypatch.setattr(chatlog, "READ_CHUNK", chunk)
+    path = tmp_path / "ensemble.jsonl"
+    path.write_bytes(f"{VALID_LINE}\n{ENSEMBLE_QUIRKS[quirk]}".encode())
+    outcome = load_outcome(ensemble_networks, path)
+    assert outcome == load_outcome(load_ensemble_direct, path)
+    # an error names the quirk's line; otherwise both lines were read
+    assert "line 2" in outcome[1] if isinstance(outcome, tuple) else "(600, 1" in outcome
+
+
 # every line boundary str.splitlines knows, a BOM, and characters of one to
 # four UTF-8 bytes
 LINE_PIECES = st.sampled_from([
