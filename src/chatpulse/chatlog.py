@@ -149,34 +149,29 @@ PROFILES: dict[str, str] = {
 DEFAULT_PROFILE = "whatsapp-en-dash"
 
 
-def _clean_line(line: str) -> str:
-    if line.isascii():  # every character rewritten below is non-ASCII
-        return line
-    line = line.replace(" ", " ").replace(" ", " ")
-    return _INVISIBLE_MARKS.sub("", line)
+def _clean(text: str) -> str:
+    """``text`` with its no-break spaces as plain spaces and its direction
+    marks removed."""
+    if text.isascii():  # every character rewritten below is non-ASCII
+        return text
+    text = text.replace("\u202f", " ").replace("\u00a0", " ")
+    return _INVISIBLE_MARKS.sub("", text)
 
 
-def _local_epoch(
-    zone: ZoneInfo, earliest: int | None, token: str,
-    day: str, month: str, year: str, hour: str, minute: str,
-    second: str | None, meridiem: str,
-) -> int:
-    """Epoch seconds of the header time ``token`` read in ``zone``.
+def _naive_time(
+    day: str, month: str, year: str, hour: str, minute: str, second: str,
+    meridiem: str,
+) -> datetime:
+    """The naive local time that a header's time fields spell.
 
-    The fields are the parts of ``token`` a header regex captured. A
-    two-digit year pivots as ``%y`` does (69-99 is 19xx, 00-68 is 20xx), a
+    A two-digit year pivots as ``%y`` does (69-99 is 19xx, 00-68 is 20xx), a
     four-digit one is read as is, and any other length is an error. Seconds
-    are 0 when absent or empty. With a meridiem (``A`` or ``P``, any case)
-    the hour is on the 12-hour clock and must be 1-12. Raises ``ValueError``
-    for a field out of range, such as 31/2 or a minute of 60, and for a
-    token with digits outside ASCII.
-
-    A local time repeated by a DST fall-back reads as its first occurrence
-    unless that falls before ``earliest``; then it reads as the second
-    (``fold=1``). A local time skipped by a spring-forward gap keeps the
-    ``fold=0`` reading, the offset in force before the gap.
+    are 0 when empty. With a meridiem (``A`` or ``P``, any case) the hour is
+    on the 12-hour clock and must be 1-12. Raises ``ValueError`` for a field
+    out of range, such as 31/2 or a minute of 60, and for digits outside
+    ASCII.
     """
-    if not token.isascii():
+    if not (day + month + year + hour + minute + second).isascii():
         raise ValueError("non-ASCII digits")
     y = int(year)
     if len(year) == 2:
@@ -188,9 +183,26 @@ def _local_epoch(
         if not 1 <= h <= 12:
             raise ValueError(f"hour {h} on a 12-hour clock")
         h = h % 12 + (12 if meridiem in "Pp" else 0)
-    local = datetime(
+    return datetime(
         y, int(month), int(day), h, int(minute), int(second) if second else 0
     )
+
+
+def _local_epoch(
+    zone: ZoneInfo, earliest: int | None,
+    day: str, month: str, year: str, hour: str, minute: str, second: str,
+    meridiem: str,
+) -> int:
+    """Epoch seconds of a header time read in ``zone``.
+
+    The fields are those a header regex captured, read as
+    :func:`_naive_time` reads them. A local time repeated by a DST fall-back
+    reads as its first occurrence unless that falls before ``earliest``;
+    then it reads as the second (``fold=1``). A local time skipped by a
+    spring-forward gap keeps the ``fold=0`` reading, the offset in force
+    before the gap.
+    """
+    local = _naive_time(day, month, year, hour, minute, second, meridiem)
     ts = _zone_epoch(zone, local)
     if earliest is not None and ts < earliest:
         # fold=1 is later only for a repeated time, earlier in a gap
@@ -198,8 +210,38 @@ def _local_epoch(
     return ts
 
 
+def _hour_start(
+    zone: ZoneInfo, day: str, month: str, year: str, hour: str, meridiem: str
+) -> int | None:
+    """Epoch of a local hour's ``hh:00:00``, when one offset holds through
+    the hour; else None.
+
+    The hour holds one offset when the ``fold=0`` offsets at ``hh:00:00``
+    and ``hh:59:59`` agree, which assumes a zone changes its offset at most
+    once in an hour. Then the ``fold=0`` reading of ``hh:mm:ss`` is this
+    epoch plus ``mm * 60 + ss``. An hour with an offset change, and fields
+    that spell no valid hour, give None: their times are read by
+    :func:`_local_epoch`.
+    """
+    try:
+        start = _naive_time(day, month, year, hour, "00", "", meridiem)
+    except ValueError:
+        return None
+    offset = zone.utcoffset(start)
+    if zone.utcoffset(start + _LAST_SECOND) != offset:
+        return None
+    return (start - _NAIVE_EPOCH - offset) // _SECOND
+
+
 _NAIVE_EPOCH = datetime(1970, 1, 1)
 _SECOND = timedelta(seconds=1)
+_LAST_SECOND = timedelta(minutes=59, seconds=59)  # hh:59:59 from hh:00:00
+
+# A header's minute, and its second ("" when it has none), in seconds. Only
+# two ASCII digits in range are keys; any other field goes to _local_epoch,
+# which reports it.
+_MINUTE_SECONDS = {f"{i:02d}": 60 * i for i in range(60)}
+_SECONDS = {"": 0} | {f"{i:02d}": i for i in range(60)}
 
 
 def _zone_epoch(zone: ZoneInfo, local: datetime) -> int:
@@ -219,6 +261,11 @@ def _resolve_zone(tz: str | ZoneInfo) -> ZoneInfo:
         raise ParameterError(f"unknown time zone {tz!r}") from exc
 
 
+# Lines joined into one text per batch, which parse_transcript cleans and
+# searches for headers in one pass each.
+PARSE_BATCH = 256
+
+
 def parse_transcript(
     lines: str | Iterable[str],
     *,
@@ -230,8 +277,10 @@ def parse_transcript(
 
     ``lines`` is the transcript's lines without their terminators, as
     :func:`utf8_lines` yields them; a ``str`` is split with ``splitlines``.
-    One U+FEFF at the start of the first line is a byte-order mark and is
-    dropped, as the ``utf-8-sig`` codec drops it.
+    A line holding ``"\\n"`` raises ``ValueError``. One U+FEFF at the start
+    of the first line is a byte-order mark and is dropped, as the
+    ``utf-8-sig`` codec drops it.
+
     Line classification: a line matching the profile's header regex whose
     remainder contains ``Sender: `` starts a message; a matching line without
     a sender is a system notice (dropped); anything else continues the most
@@ -240,6 +289,16 @@ def parse_transcript(
     seconds (minute-precision exports legitimately produce same-minute ties,
     broken by file order). In the hour a DST fall-back repeats, a time that
     would move backward that far reads as the hour's second occurrence.
+
+    The lines are read ``PARSE_BATCH`` at a time. Each batch is joined with
+    ``"\\n"``, cleaned of no-break spaces and direction marks, and searched
+    for headers in one pass, so no Python code runs for a line that is not
+    a header. A header's time is its local hour's start plus its minutes and
+    seconds; the start is computed each time the hour changes (see
+    :func:`_hour_start`). A time in an hour with an offset change, one that
+    must read as the second occurrence, and one with a field out of range go
+    through :func:`_local_epoch`. Line numbers are counted only for an
+    error.
     """
     if slack < 0:
         raise ParameterError(f"slack must be >= 0 seconds, got {slack}")
@@ -247,68 +306,115 @@ def parse_transcript(
         raise ParameterError(
             f"unknown export profile {profile!r}; available: {sorted(PROFILES)}"
         )
-    header = re.compile(PROFILES[profile])
+    header = re.compile(PROFILES[profile], re.M)
     zone = _resolve_zone(tz)
+    # findall gives each header's groups as one tuple, read here by name
+    at = {name: number - 1 for name, number in header.groupindex.items()}
+    time_fields = operator.itemgetter(*[at[name] for name in _TIME_FIELDS])
+    hour_fields = operator.itemgetter(
+        *[at[name] for name in ("day", "month", "year", "hour", "meridiem")]
+    )
+    ts_at, rest_at = at["ts"], at["rest"]
+    minute_at, second_at = at["minute"], at["second"]
 
     users: list[int] = []
     stamps: list[int] = []
     senders: list[str] = []
+    add_user, add_stamp = users.append, stamps.append
     ids: dict[str, int] = {}
-    seen_any = False
-    prev_ts: int | None = None
-    # headers have minute precision, so a time token often repeats the last
+    # the latest time so far, and the earliest the next one may read
+    prev_ts = floor = float("-inf")
+    # headers have minute precision, so a time token often repeats the last,
+    # and an export is in time order, so a token's hour most often does
     last_token: str | None = None
     last_epoch = 0  # fold=0 reading of last_token
+    last_hour: tuple[str, ...] | None = None
+    start: int | None = None  # _hour_start of last_hour
 
     if isinstance(lines, str):
         lines = lines.splitlines()
-    for line_no, raw in enumerate(_without_bom(lines), start=1):
-        line = _clean_line(raw)
-        match = header.match(line)
-        if match is None:
-            if not seen_any:
-                raise ParseError(
-                    "not a header line and no preceding message to continue", line_no
-                )
-            continue  # continuation of the previous message; body discarded
-        seen_any = True
-        rest = match.group("rest")
-        sep = rest.find(": ")
-        if sep <= 0:
-            # Header without `Sender: ` - a system notice (join, subject
-            # change, encryption banner). No human sender, no event.
-            continue
-        sender = rest[:sep].strip()
-        token = match.group("ts")
-        earliest = None if prev_ts is None else prev_ts - slack
-        try:
+    lines = iter(lines)
+    before = 0  # lines in the batches already parsed
+    while batch := list(islice(lines, PARSE_BATCH)):
+        if not before:
+            batch[0] = batch[0].removeprefix("\ufeff")
+        text = "\n".join(batch)
+        if text.count("\n") >= len(batch):
+            raise ValueError("a transcript line holds a line break")
+        text = _clean(text)
+        if not before and header.match(text) is None:
+            raise ParseError(
+                "not a header line and no preceding message to continue", 1
+            )
+        matches = header.findall(text)
+        for fields in matches:
+            rest = fields[rest_at]
+            sep = rest.find(": ")
+            if sep <= 0:
+                # Header without `Sender: ` - a system notice (join, subject
+                # change, encryption banner). No human sender, no event.
+                continue
+            token = fields[ts_at]
             if token != last_token:
-                last_epoch = _local_epoch(
-                    zone, None, *match.group("ts", *_TIME_FIELDS)
-                )
+                hour = hour_fields(fields)
+                if hour != last_hour:
+                    start = _hour_start(zone, *hour)
+                    last_hour = hour
+                minute = _MINUTE_SECONDS.get(fields[minute_at])
+                second = _SECONDS.get(fields[second_at])
+                if start is None or minute is None or second is None:
+                    try:
+                        last_epoch = _local_epoch(zone, None, *time_fields(fields))
+                    except ValueError:
+                        line_no = _line_no(header, text, matches, fields, before)
+                        raise ParseError(
+                            f"unparseable timestamp {token!r}", line_no
+                        ) from None
+                else:
+                    # a sum is allocated one digit longer than it needs, and
+                    # a negation copies it at its size: on an 80k-message
+                    # export that spare digit in every time took parse's
+                    # peak RSS up by about 1 MiB
+                    last_epoch = -(-start - minute - second)
                 last_token = token
             ts = last_epoch
-            if earliest is not None and ts < earliest:
-                ts = _local_epoch(zone, earliest, *match.group("ts", *_TIME_FIELDS))
-        except ValueError:
-            raise ParseError(f"unparseable timestamp {token!r}", line_no) from None
-        if earliest is not None and ts < earliest:
-            raise OrderingError(
-                f"timestamp moves backward by {prev_ts - ts}s (slack={slack}s)",
-                line_no,
-            )
-        prev_ts = max(prev_ts, ts) if prev_ts is not None else ts
-        if sender not in ids:
-            ids[sender] = len(senders)
-            senders.append(sender)
-        users.append(ids[sender])
-        stamps.append(ts)
+            if ts < floor:
+                ts = _local_epoch(zone, floor, *time_fields(fields))
+                if ts < floor:
+                    raise OrderingError(
+                        f"timestamp moves backward by {prev_ts - ts}s"
+                        f" (slack={slack}s)",
+                        _line_no(header, text, matches, fields, before),
+                    )
+            if ts > prev_ts:
+                prev_ts = ts
+                floor = ts - slack
+            sender = rest[:sep].strip()
+            try:
+                add_user(ids[sender])
+            except KeyError:
+                ids[sender] = len(senders)
+                senders.append(sender)
+                add_user(ids[sender])
+            add_stamp(ts)
+        before += len(batch)
+        del batch, text, matches  # no two batches are held at once
 
     # Within-slack regressions are clamped so the log stays non-decreasing.
     if slack > 0:
         stamps = accumulate(stamps, max)
     log = MessageLog(tuple(users), tuple(stamps))
     return ParsedTranscript(log=log, senders=tuple(senders))
+
+
+def _line_no(header: re.Pattern, text: str, matches: list, fields: tuple,
+             before: int) -> int:
+    """The line number of the header whose groups are ``fields``, an item
+    of ``matches = header.findall(text)`` for the batch ``text`` that
+    follows ``before`` lines."""
+    k = next(k for k, item in enumerate(matches) if item is fields)
+    start = next(islice(header.finditer(text), k, None)).start()
+    return before + text.count("\n", 0, start) + 1
 
 
 # HMAC's inner and outer pads (RFC 2104) as byte translation tables

@@ -200,6 +200,9 @@ def ensemble_lines(networks: Iterable[InteractionNetwork]) -> Iterator[str]:
 # this scanner; a line that holds the value alone needs only the scanner.
 _scan_json = json.JSONDecoder().scan_once
 _INT = {int}
+# the largest edge weight read: a float holds every int up to it exactly, so
+# no float conversion in the scoring can overflow
+_MAX_WEIGHT = 2**53
 
 
 def ensemble_networks(path: str | Path) -> Iterator[InteractionNetwork]:
@@ -212,10 +215,11 @@ def _line_networks(path: Path) -> Iterator[InteractionNetwork]:
 
     A line holds a window's start, index, nodes and edges; every metric
     downstream works from nodes and edges alone. The nodes are listed in
-    strictly ascending order, as :func:`ensemble_lines` writes them. Each line
-    is read as ``json.loads`` reads it: any line the scanner alone does not
-    read to its end goes through ``json.loads``, so both accept and reject
-    the same lines. Each network keys its edges with its own ``(u, v)``
+    strictly ascending order, as :func:`ensemble_lines` writes them, and each
+    edge weight is an int from 1 to ``2**53``. Each line is read as
+    ``json.loads`` reads it: any line the scanner alone does not read to its
+    end goes through ``json.loads``, so both accept and reject the same
+    lines. Each network keys its edges with its own ``(u, v)``
     tuples: no command holds more than a few networks at once, so sharing
     keys across networks would save nothing.
     """
@@ -235,7 +239,7 @@ def _line_networks(path: Path) -> Iterator[InteractionNetwork]:
             raw_edges = obj["edges"]
             edges = {}
             for u, v, w in raw_edges:
-                if not (u < v) or w <= 0:
+                if not (u < v) or w <= 0 or w > _MAX_WEIGHT:
                     raise SchemaError(
                         f"{path}: line {line_no}: bad edge [{u},{v},{w}]"
                     )

@@ -16,10 +16,19 @@ import operator
 import re
 from collections import Counter
 from datetime import datetime
+from itertools import accumulate
 from pathlib import Path
+from zoneinfo import ZoneInfo
 
-from chatpulse import ChatpulseError, MessageLog, SchemaError
-from chatpulse.chatlog import utf8_lines
+from chatpulse import (
+    ChatpulseError,
+    MessageLog,
+    OrderingError,
+    ParsedTranscript,
+    ParseError,
+    SchemaError,
+)
+from chatpulse.chatlog import PROFILES, utf8_lines
 from chatpulse.netbuild import InteractionNetwork, in_window_order
 
 
@@ -137,6 +146,87 @@ def strptime_first_line(line: str, profile: str, zone) -> int | str:
     return f"unparseable timestamp {token!r}"
 
 
+def parse_transcript_direct(lines, *, tz="UTC", profile="whatsapp-en-dash", slack=0):
+    """``parse_transcript`` a line at a time: each line cleaned and matched
+    alone, and each header time read through an aware ``datetime``.
+
+    Diagnostics are ``parse_transcript``'s. The parameter checks are left
+    out: callers pass valid ones.
+    """
+    zone = ZoneInfo(tz) if isinstance(tz, str) else tz
+    header = re.compile(PROFILES[profile])
+    users: list[int] = []
+    stamps: list[int] = []
+    senders: list[str] = []
+    ids: dict[str, int] = {}
+    prev_ts = None
+    if isinstance(lines, str):
+        lines = lines.splitlines()
+    for line_no, line in enumerate(lines, start=1):
+        if line_no == 1:
+            line = line.removeprefix("\ufeff")
+        line = line.replace("\u202f", " ").replace("\u00a0", " ")
+        line = re.sub("[\u200e\u200f\u202a-\u202e]", "", line)
+        match = header.match(line)
+        if match is None:
+            if line_no == 1:
+                raise ParseError(
+                    "not a header line and no preceding message to continue", 1
+                )
+            continue
+        rest = match.group("rest")
+        sep = rest.find(": ")
+        if sep <= 0:
+            continue  # a system notice
+        token = match.group("ts")
+        earliest = None if prev_ts is None else prev_ts - slack
+        try:
+            ts = _aware_epoch(match, zone, fold=0)
+            if earliest is not None and ts < earliest:
+                ts = max(ts, _aware_epoch(match, zone, fold=1))
+        except ValueError:
+            raise ParseError(f"unparseable timestamp {token!r}", line_no) from None
+        if earliest is not None and ts < earliest:
+            raise OrderingError(
+                f"timestamp moves backward by {prev_ts - ts}s (slack={slack}s)",
+                line_no,
+            )
+        prev_ts = ts if prev_ts is None else max(prev_ts, ts)
+        sender = rest[:sep].strip()
+        if sender not in ids:
+            ids[sender] = len(senders)
+            senders.append(sender)
+        users.append(ids[sender])
+        stamps.append(ts)
+    if slack > 0:
+        stamps = list(accumulate(stamps, max))
+    return ParsedTranscript(MessageLog(tuple(users), tuple(stamps)), tuple(senders))
+
+
+def _aware_epoch(match, zone, fold: int) -> int:
+    """A header's time as the ``timestamp()`` of an aware datetime."""
+    if not match.group("ts").isascii():
+        raise ValueError("non-ASCII digits")
+    day, month, year, hour, minute, second, meridiem = match.group(
+        "day", "month", "year", "hour", "minute", "second", "meridiem"
+    )
+    y = int(year)
+    if len(year) == 2:  # %y
+        y += 2000 if y < 69 else 1900
+    elif len(year) != 4:
+        raise ValueError("year")
+    h = int(hour)
+    if meridiem:  # %I %p
+        if not 1 <= h <= 12:
+            raise ValueError("hour")
+        h = h % 12 + (12 if meridiem in "Pp" else 0)
+    local = datetime(
+        y, int(month), int(day), h, int(minute), int(second or 0),
+        tzinfo=zone, fold=fold,
+    )
+    return int(local.timestamp())
+
+
 def load_ensemble_direct(path) -> tuple[InteractionNetwork, ...]:
     """An ensemble JSONL file read without ``ensemble_networks``' scanner fast
     path: ``json.loads`` per line, then each check in turn, and each network
@@ -155,7 +245,7 @@ def _direct_networks(path: Path):
         try:
             edges = {}
             for u, v, w in obj["edges"]:
-                if not (u < v) or w <= 0:
+                if not (u < v) or w <= 0 or w > 2**53:
                     raise SchemaError(
                         f"{path}: line {line_no}: bad edge [{u},{v},{w}]"
                     )

@@ -6,9 +6,9 @@ import json
 import logging
 import sys
 import tracemalloc
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 from types import SimpleNamespace
-from zoneinfo import ZoneInfo
+from zoneinfo import ZoneInfo, available_timezones
 
 import pytest
 
@@ -29,7 +29,9 @@ from chatpulse import (
 )
 from chatpulse import chatlog
 from chatpulse.chatlog import (
+    PARSE_BATCH,
     READ_CHUNK,
+    _hour_start,
     _local_epoch,
     utc_timestamp,
     utf8_lines,
@@ -158,30 +160,52 @@ OFFSET_ZONES = [
 ]
 
 
-def offset_change_dates(zone, years=(2018, 2019)):
-    """Local dates on which ``zone``'s UTC offset changes, found by scanning
-    the years hour by hour in UTC; each date is read at the new offset."""
+def offset_changes(zone, years=(2018, 2019), step=3600):
+    """UTC instants at which ``zone``'s UTC offset changes in ``years``: the
+    first second of each new offset. The years are scanned ``step`` seconds
+    at a time, so a change undone within one step goes unseen."""
     def offset(t):
         return datetime.fromtimestamp(t, zone).utcoffset()
 
     t = int(datetime(years[0], 1, 1, tzinfo=timezone.utc).timestamp())
     stop = int(datetime(years[-1] + 1, 1, 1, tzinfo=timezone.utc).timestamp())
-    dates = set()
-    for t in range(t, stop, 3600):
-        lo, hi = t, t + 3600
-        if offset(lo) == offset(hi):
-            continue
-        while hi - lo > 1:  # to the first second of the new offset
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if offset(mid) == offset(lo) else (lo, mid)
-        dates.add(datetime.fromtimestamp(hi, zone).date())
-    return dates
+    changes = []
+    before = offset(t)
+    while t < stop:
+        lo, hi = t, min(t + step, stop)
+        after = offset(hi)
+        if after != before:
+            while hi - lo > 1:  # to the first second of the next offset
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if offset(mid) == before else (lo, mid)
+            changes.append(hi)
+            before = offset(hi)  # a second change in this step is scanned next
+        else:
+            before = after
+        t = hi
+    return changes
+
+
+def offset_change_dates(zone, years=(2018, 2019)):
+    """Local dates on which ``zone``'s UTC offset changes, found by scanning
+    the years hour by hour in UTC; each date is read at the new offset."""
+    return {datetime.fromtimestamp(t, zone).date() for t in offset_changes(zone, years)}
+
+
+def bracket_fields(local: datetime) -> tuple[str, ...]:
+    """The seven time fields a whatsapp-bracket header of ``local`` holds."""
+    return (
+        str(local.day), str(local.month), f"{local.year:04d}", f"{local.hour:02d}",
+        f"{local.minute:02d}", f"{local.second:02d}", "",
+    )
 
 
 @pytest.mark.parametrize("tz", OFFSET_ZONES)
 def test_local_epoch_matches_aware_timestamp_every_minute(tz):
-    # _local_epoch reads the zone's offset for a naive time; it must give
-    # what the aware time's timestamp gives, for both readings of a time
+    # a header time must read as the aware time's timestamp gives it, for
+    # both readings of a time: the first as a one-line export reads it, and
+    # the second as _local_epoch reads it for parse when an earliest time
+    # after the first asks for the fold=1 reading
     zone = ZoneInfo(tz)
     changes = offset_change_dates(zone)
     assert bool(changes) == (tz != "Asia/Kathmandu")
@@ -190,18 +214,58 @@ def test_local_epoch_matches_aware_timestamp_every_minute(tz):
     for day in sorted(days):
         for minute in range(1440):
             hour, minute = divmod(minute, 60)
-            fields = (
-                "t", str(day.day), str(day.month), f"{day.year:04d}",
-                f"{hour:02d}", f"{minute:02d}", "59", "",
-            )
-            aware = datetime(*day.timetuple()[:3], hour, minute, 59, tzinfo=zone)
+            local = datetime(*day.timetuple()[:3], hour, minute, 59)
+            fields = bracket_fields(local)
+            line = "[{}/{}/{}, {}:{}:{}] Ann: hi".format(*fields)
+            aware = local.replace(tzinfo=zone)
             first = int(aware.timestamp())
-            # an earliest after the first reading asks for the fold=1 one
             expected = first, max(first, int(aware.replace(fold=1).timestamp()))
-            got = _local_epoch(zone, None, *fields), _local_epoch(zone, first + 1, *fields)
+            parsed = parse_transcript(line, tz=zone, profile="whatsapp-bracket")
+            got = parsed.log.timestamps[0], _local_epoch(zone, first + 1, *fields)
             if got != expected:
                 mismatches.append((fields, got, expected))
     assert mismatches == []
+
+
+# hh:mm:59 from hh:00:00, for each minute of an hour
+MINUTE_ENDS = [timedelta(minutes=minute, seconds=59) for minute in range(60)]
+
+
+def test_hour_offsets_match_aware_timestamps_in_every_zone():
+    # parse reads a time as its hour's start plus its minutes and seconds
+    # where _hour_start finds one offset through the hour; that rule holds
+    # if no zone changes its offset twice within an hour. Every zone's
+    # changes in 2018-2019 are checked, from the hour before each to the
+    # hour after, every minute, both folds. A daily scan finds the same
+    # changes as an hourly one here (891), at a twentieth of the time.
+    mismatches = []
+    split_hours = 0
+    for tz in sorted(available_timezones()):
+        zone = ZoneInfo(tz)
+        for change in offset_changes(zone, step=86_400):
+            old = datetime.fromtimestamp(change - 1, zone).replace(tzinfo=None)
+            new = datetime.fromtimestamp(change, zone).replace(tzinfo=None)
+            hour = min(old, new).replace(minute=0, second=0) - timedelta(hours=1)
+            while hour <= max(old, new) + timedelta(hours=1):
+                day, month, year, hh = bracket_fields(hour)[:4]
+                start = _hour_start(zone, day, month, year, hh, "")
+                split_hours += start is None
+                aware_hour = hour.replace(tzinfo=zone)
+                for minute, end in enumerate(MINUTE_ENDS):
+                    fields = (day, month, year, hh, f"{minute:02d}", "59", "")
+                    aware = aware_hour + end
+                    first = int(aware.timestamp())
+                    expected = first, max(first, int(aware.replace(fold=1).timestamp()))
+                    cached = (
+                        _local_epoch(zone, None, *fields) if start is None
+                        else start + minute * 60 + 59
+                    )
+                    got = cached, _local_epoch(zone, first + 1, *fields)
+                    if got != expected:
+                        mismatches.append((tz, fields, got, expected))
+                hour += timedelta(hours=1)
+    assert mismatches == []
+    assert split_hours  # some hours change their offset inside
 
 
 def test_same_minute_ties_are_fine_and_ordered_by_file():
@@ -249,6 +313,29 @@ def test_bad_us_header_time_is_parse_error(line, token):
     with pytest.raises(ParseError) as err:
         parse_transcript(f"8/1/18, 9:00 AM - Ann: ok\n{line}", profile="whatsapp-us-dash")
     assert str(err.value) == f"line 2: unparseable timestamp {token!r}"
+
+
+@pytest.mark.parametrize(
+    "bad, error, detail",
+    [
+        ("3/7/18, 11:00 - Bob: early", OrderingError,
+         "timestamp moves backward by 3600s (slack=0s)"),
+        ("3/7/18, 12:61 - Bob: odd", ParseError,
+         "unparseable timestamp '3/7/18, 12:61'"),
+    ],
+)
+def test_errors_after_a_batch_boundary_name_their_line(bad, error, detail):
+    # the bad header is in the second batch, after continuation lines
+    lines = ["3/7/18, 12:00 - Ann: hi", "more"] * PARSE_BATCH
+    lines[PARSE_BATCH + 8] = bad
+    with pytest.raises(error) as err:
+        parse_transcript("\n".join(lines))
+    assert str(err.value) == f"line {PARSE_BATCH + 9}: {detail}"
+
+
+def test_a_line_holding_a_line_break_is_refused():
+    with pytest.raises(ValueError, match="line break"):
+        parse_transcript(["3/7/18, 10:00 - Ann: hi\n3/7/18, 10:01 - Bob: yo"])
 
 
 def test_en_dash_separator_accepted():

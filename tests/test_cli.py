@@ -748,6 +748,45 @@ def test_step_commands_reject_a_bad_line_after_valid_ones(
     assert list(out.iterdir()) == []
 
 
+# a weight no float holds, and two that a float holds but whose sum it does not
+HUGE_WEIGHTS = {
+    "beyond-float": ('{"w":600,"i":1,"nodes":[0,1],"edges":[[0,1,%d]]}' % 10**400,
+                     [0, 1, 10**400]),
+    "sum-beyond-float": (
+        '{"w":600,"i":1,"nodes":[0,1,2],"edges":[[0,1,%d],[1,2,%d]]}'
+        % (2**1023, 2**1023),
+        [0, 1, 2**1023],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(STEP_COMMANDS))
+@pytest.mark.parametrize("weights", list(HUGE_WEIGHTS))
+def test_step_commands_reject_a_weight_beyond_2_to_the_53(
+    tmp_path, capsys, command, weights
+):
+    line, edge = HUGE_WEIGHTS[weights]
+    ens = tmp_path / "ensemble.jsonl"
+    ens.write_text('{"w":0,"i":0,"nodes":[0,1],"edges":[[0,1,1]]}\n' + line + "\n")
+    out = tmp_path / "out"
+    assert run(command, ens, "--out", out, *STEP_COMMANDS[command]) == EXIT_SCHEMA
+    [line] = capsys.readouterr().err.splitlines()
+    detail = f"{ens}: line 2: bad edge [{edge[0]},{edge[1]},{edge[2]}]"
+    assert json.loads(line) == {"error": "schema", "detail": detail}
+    assert list(out.iterdir()) == []
+
+
+def test_largest_weight_is_2_to_the_53(tmp_path):
+    ens = tmp_path / "ensemble.jsonl"
+    ens.write_text(
+        '{"w":0,"i":0,"nodes":[0,1],"edges":[[0,1,1]]}\n'
+        '{"w":600,"i":1,"nodes":[0,1,2],"edges":[[0,1,%d],[1,2,1]]}\n' % 2**53
+    )
+    assert run("metrics", ens, "--out", tmp_path / "out") == EXIT_OK
+    rows = (tmp_path / "out" / "metrics.csv").read_text().splitlines()
+    assert rows[2].startswith(f"600,1,3,{2**53 + 1},")
+
+
 def test_series_writes_a_repeated_user_once(tmp_path):
     ens = built_ensemble(tmp_path)
     once, twice = tmp_path / "once", tmp_path / "twice"

@@ -8,7 +8,7 @@ import hmac
 import json
 import math
 import tempfile
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from zoneinfo import ZoneInfo
 
@@ -21,6 +21,7 @@ from chatpulse import (
     EngagementClass,
     InsufficientDataError,
     MessageLog,
+    OrderingError,
     ParseError,
     SchemaError,
     WindowSpec,
@@ -38,7 +39,7 @@ from chatpulse import (
     zscore_classify,
 )
 from chatpulse import chatlog
-from chatpulse.chatlog import READ_CHUNK, sender_digest, utf8_lines
+from chatpulse.chatlog import PROFILES, READ_CHUNK, sender_digest, utf8_lines
 from chatpulse.cli import EXIT_OK, main
 from chatpulse.engagement import centrality_scale
 from chatpulse.netbuild import ensemble_networks, in_window_order
@@ -48,6 +49,7 @@ from oracles import (
     STRPTIME_PROFILES,
     load_ensemble_direct,
     load_log_csv_direct,
+    parse_transcript_direct,
     scope_means_direct,
     strptime_first_line,
 )
@@ -702,3 +704,108 @@ def test_header_times_match_strptime(profile, tz, **fields):
 def test_sender_digest_equals_hmac_sha256(salt, name):
     expected = hmac.new(salt, name.encode("utf-8"), hashlib.sha256).hexdigest()
     assert sender_digest(salt, name) == expected
+
+
+# --- whole transcripts against a line-at-a-time parse -------------------------
+
+# local times just before an offset change: Sao Paulo skipped 2018-11-04
+# 00:00-00:59 and repeated 2019-02-16 23:00-23:59; Lord Howe skipped
+# 2018-10-07 02:00-02:29 and repeated 2019-04-07 01:30-01:59
+TRANSITIONS = {
+    "UTC": (datetime(2018, 11, 3, 23, 10),),
+    "America/Sao_Paulo": (datetime(2018, 11, 3, 23, 10), datetime(2019, 2, 16, 22, 40)),
+    "Australia/Lord_Howe": (datetime(2018, 10, 7, 1, 20), datetime(2019, 4, 7, 1, 10)),
+}
+# what a line may carry besides its header: no-break spaces, direction marks,
+# a digit outside ASCII, a byte-order mark that is not the file's first, and
+# bodies holding line breaks that str.splitlines splits at, followed by text
+# shaped as a header
+NOISE = (
+    "", "", "", "nbsp", "narrow", "mark", "digit", "bom",
+    "\r", "\x85", "\u2028", "\r\n",
+)
+LINE_KINDS = ("message",) * 5 + ("notice", "continuation")
+
+
+def transcript_line(profile, when: datetime, sender: str, body: str, dash="-",
+                    seconds=True, year4=False, space=" ") -> str:
+    """One header line of ``profile`` at the naive local time ``when``."""
+    year = f"{when.year}" if year4 else f"{when.year % 100:02d}"
+    if profile == "whatsapp-us-dash":
+        hour = when.hour % 12 or 12
+        meridiem = "AM" if when.hour < 12 else "PM"
+        stamp = f"{when.month}/{when.day}/{year}, {hour}:{when.minute:02d}{space}{meridiem}"
+        return f"{stamp} {dash} {sender}{body}"
+    if profile == "whatsapp-bracket":
+        secs = f":{when.second:02d}" if seconds else ""
+        return f"[{when.day}/{when.month}/{year}, {when.hour:02d}:{when.minute:02d}{secs}] {sender}{body}"
+    stamp = f"{when.day:02d}/{when.month:02d}/{year}, {when.hour:02d}:{when.minute:02d}"
+    return f"{stamp} {dash} {sender}{body}"
+
+
+@st.composite
+def transcripts(draw):
+    """(profile, tz, text): an export with notices, continuations and noise,
+    whose times step back and forth around an offset change."""
+    profile = draw(st.sampled_from(sorted(PROFILES)))
+    tz = draw(st.sampled_from(sorted(TRANSITIONS)))
+    when = draw(st.sampled_from(TRANSITIONS[tz]))
+    lines = []
+    entries = st.tuples(
+        st.sampled_from(LINE_KINDS), st.integers(-75, 40), st.integers(0, 59),
+        st.integers(0, 3), st.sampled_from(NOISE), st.booleans(),
+    )
+    for kind, minutes, second, who, noise, flip in draw(st.lists(entries, max_size=30)):
+        if kind == "continuation":
+            lines.append(f"more é {who}" + (noise if noise in "\r\x85\u2028" else ""))
+            continue
+        when = when.replace(second=second) + timedelta(minutes=minutes)
+        sender = ("Ana", "Bruno\u00a0Lima", "Carla", "Davi \u200fR")[who]
+        body = ": oi \U0001f600" if kind == "message" else " joined"
+        if noise in ("\r", "\x85", "\u2028", "\r\n"):
+            # a break inside the body, then a header an hour earlier
+            earlier = transcript_line(profile, when - timedelta(hours=1), "Zé", ": x")
+            body += noise + earlier
+        line = transcript_line(
+            profile, when, sender, body, dash="–" if flip else "-",
+            seconds=not flip, year4=flip and who == 0,
+            space="\u202f" if noise == "narrow" else " " if flip else "",
+        )
+        if noise == "nbsp":
+            line = line.replace(", ", ",\u00a0", 1)
+        elif noise == "mark":
+            line = "\u200e" + line.replace(" ", " \u202a", 1)
+        elif noise == "digit":
+            line = line.replace("1", "\u0661", 1)
+        elif noise == "bom":
+            line = "\ufeff" + line
+        lines.append(line)
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+    return profile, tz, draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+def parse_outcome(parse, lines, **kwargs):
+    """The parsed columns and senders, or the error's class, text and line."""
+    try:
+        parsed = parse(lines, **kwargs)
+    except (ParseError, OrderingError) as exc:
+        return type(exc).__name__, str(exc), exc.line_no
+    return parsed.log.users, parsed.log.timestamps, parsed.senders
+
+
+@settings(max_examples=400, deadline=None)
+@given(transcripts(), st.sampled_from([0, 90, 3600]), st.sampled_from([1, 2, 3, None]))
+def test_parse_transcript_agrees_with_a_line_at_a_time_parse(case, slack, batch):
+    profile, tz, text = case
+    kwargs = {"tz": tz, "profile": profile, "slack": slack}
+    expected = parse_outcome(parse_transcript_direct, text, **kwargs)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        if batch is not None:  # errors and headers after a batch boundary
+            mp.setattr(chatlog, "PARSE_BATCH", batch)
+        assert parse_outcome(parse_transcript, text, **kwargs) == expected
+        # the same text as a file read three bytes at a time
+        mp.setattr(chatlog, "READ_CHUNK", 3)
+        path = Path(tmp) / "chat.txt"
+        path.write_bytes(text.encode("utf-8"))
+        lines = utf8_lines(path, ParseError)
+        assert parse_outcome(parse_transcript, lines, **kwargs) == expected
