@@ -720,10 +720,13 @@ TRANSITIONS = {
 # a digit outside ASCII, a byte-order mark that is not the file's first, and
 # bodies holding line breaks that str.splitlines splits at, followed by text
 # shaped as a header
-NOISE = (
-    "", "", "", "nbsp", "narrow", "mark", "digit", "bom",
-    "\r", "\x85", "\u2028", "\r\n",
+NOISE = ("",) * 6 + (
+    "nbsp", "narrow", "mark", "digit", "bom", "\r", "\x85", "\u2028", "\r\n",
 )
+# minutes from one header time to the next: mostly forward, sometimes back
+# by up to 70, which the second occurrence of a repeated hour or the slack
+# may absorb
+STEPS = st.one_of(*[st.integers(0, 25)] * 3, st.integers(-70, 25))
 LINE_KINDS = ("message",) * 5 + ("notice", "continuation")
 
 
@@ -734,11 +737,12 @@ def transcript_line(profile, when: datetime, sender: str, body: str, dash="-",
     if profile == "whatsapp-us-dash":
         hour = when.hour % 12 or 12
         meridiem = "AM" if when.hour < 12 else "PM"
-        stamp = f"{when.month}/{when.day}/{year}, {hour}:{when.minute:02d}{space}{meridiem}"
-        return f"{stamp} {dash} {sender}{body}"
+        clock = f"{hour}:{when.minute:02d}{space}{meridiem}"
+        return f"{when.month}/{when.day}/{year}, {clock} {dash} {sender}{body}"
     if profile == "whatsapp-bracket":
         secs = f":{when.second:02d}" if seconds else ""
-        return f"[{when.day}/{when.month}/{year}, {when.hour:02d}:{when.minute:02d}{secs}] {sender}{body}"
+        clock = f"{when.hour:02d}:{when.minute:02d}{secs}"
+        return f"[{when.day}/{when.month}/{year}, {clock}] {sender}{body}"
     stamp = f"{when.day:02d}/{when.month:02d}/{year}, {when.hour:02d}:{when.minute:02d}"
     return f"{stamp} {dash} {sender}{body}"
 
@@ -752,20 +756,19 @@ def transcripts(draw):
     when = draw(st.sampled_from(TRANSITIONS[tz]))
     lines = []
     entries = st.tuples(
-        st.sampled_from(LINE_KINDS), st.integers(-75, 40), st.integers(0, 59),
+        st.sampled_from(LINE_KINDS), STEPS, st.integers(0, 59),
         st.integers(0, 3), st.sampled_from(NOISE), st.booleans(),
     )
     for kind, minutes, second, who, noise, flip in draw(st.lists(entries, max_size=30)):
         if kind == "continuation":
-            lines.append(f"more é {who}" + (noise if noise in "\r\x85\u2028" else ""))
+            lines.append(f"more é {who}" + (noise if noise in ("\r", "\x85") else ""))
             continue
         when = when.replace(second=second) + timedelta(minutes=minutes)
         sender = ("Ana", "Bruno\u00a0Lima", "Carla", "Davi \u200fR")[who]
         body = ": oi \U0001f600" if kind == "message" else " joined"
         if noise in ("\r", "\x85", "\u2028", "\r\n"):
-            # a break inside the body, then a header an hour earlier
-            earlier = transcript_line(profile, when - timedelta(hours=1), "Zé", ": x")
-            body += noise + earlier
+            # a break inside the body, then text shaped as a header
+            body += noise + transcript_line(profile, when, "Zé", ": x")
         line = transcript_line(
             profile, when, sender, body, dash="–" if flip else "-",
             seconds=not flip, year4=flip and who == 0,
@@ -793,8 +796,15 @@ def parse_outcome(parse, lines, **kwargs):
     return parsed.log.users, parsed.log.timestamps, parsed.senders
 
 
+# a byte-order mark opening a later batch is text, as on any line but the first
+LATER_BOM = (
+    "whatsapp-en-dash", "UTC", "3/7/18, 10:00 - A: a\n\ufeff3/7/18, 10:01 - B: b",
+)
+
+
 @settings(max_examples=400, deadline=None)
 @given(transcripts(), st.sampled_from([0, 90, 3600]), st.sampled_from([1, 2, 3, None]))
+@example(LATER_BOM, 0, 1)
 def test_parse_transcript_agrees_with_a_line_at_a_time_parse(case, slack, batch):
     profile, tz, text = case
     kwargs = {"tz": tz, "profile": profile, "slack": slack}
