@@ -71,7 +71,7 @@ class MessageLog(FrozenRecord):
             )
         if users and min(users) < 0:
             raise ValueError(f"negative user ID {min(users)}")
-        if any(map(operator.gt, timestamps, timestamps[1:])):
+        if any(map(operator.gt, timestamps, islice(timestamps, 1, None))):
             seq = next(
                 i for i in range(1, len(timestamps))
                 if timestamps[i] < timestamps[i - 1]
@@ -333,11 +333,9 @@ def parse_transcript(
 
     if isinstance(lines, str):
         lines = lines.splitlines()
-    lines = iter(lines)
+    lines = _without_bom(lines)
     before = 0  # lines in the batches already parsed
     while batch := list(islice(lines, PARSE_BATCH)):
-        if not before:
-            batch[0] = batch[0].removeprefix("\ufeff")
         text = "\n".join(batch)
         if text.count("\n") >= len(batch):
             raise ValueError("a transcript line holds a line break")
@@ -531,17 +529,37 @@ def read_mapping(path: str | Path) -> dict[str, int]:
     return mapping
 
 
-def _row_from_jsonl(line: str, line_no: int, source: str) -> tuple[int, int]:
-    try:
-        obj = json.loads(line)
-    except (ValueError, RecursionError) as exc:  # a too-long int, deep nesting
-        raise SchemaError(f"{source}: line {line_no}: invalid JSON") from exc
+# what json.loads runs once it has skipped the whitespace before a value
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _json_lines(lines: Iterable[str], source) -> Iterator[tuple[int, object]]:
+    """``(line_no, value)`` for each line that ``str.strip`` does not empty,
+    read as ``json.loads`` reads it: any line the scanner alone does not read
+    to its end goes through ``json.loads``. A line ``json`` cannot decode
+    raises ``SchemaError``."""
+    for line_no, line in enumerate(lines, 1):
+        try:
+            value, end = _scan_json(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(line):
+            if not line.strip():
+                continue
+            try:
+                value = json.loads(line)
+            except (ValueError, RecursionError) as exc:  # a too-long int, deep nesting
+                raise SchemaError(f"{source}: line {line_no}: invalid JSON") from exc
+        yield line_no, value
+
+
+def _row_from_jsonl(obj, line_no: int, source: str) -> tuple[int, int]:
     if not isinstance(obj, dict) or "u" not in obj or "t" not in obj:
         raise SchemaError(f"{source}: line {line_no}: expected keys 'u' and 't'")
     user, ts = obj["u"], obj["t"]
-    if isinstance(user, bool) or not isinstance(user, int):
+    if type(user) is not int:
         raise SchemaError(f"{source}: line {line_no}: bad user ID {user!r}")
-    if isinstance(ts, bool) or not isinstance(ts, int):
+    if type(ts) is not int:
         raise SchemaError(f"{source}: line {line_no}: unparsable timestamp {ts!r}")
     if user < 0:
         raise SchemaError(f"{source}: line {line_no}: negative user ID {user}")
@@ -698,9 +716,9 @@ def load_log(path: str | Path) -> MessageLog:
     """Load a canonical log: JSONL if named ``*.jsonl``/``*.ndjson``, else CSV.
 
     A CSV log in ``dump_log``'s form is read a block of lines at a time;
-    any other CSV file, and every JSONL log, is read a line at a time, and
-    one leading byte-order mark is dropped. Only the line reader reports
-    what is wrong with a file.
+    any other CSV file is read a line at a time, and a JSONL log by
+    :func:`_json_lines`, which skips blank lines; one leading byte-order
+    mark is dropped. Only the line reader reports what is wrong with a file.
     """
     path = Path(path)
     source = str(path)
@@ -708,15 +726,13 @@ def load_log(path: str | Path) -> MessageLog:
     stamps: list[int] = []
     add_user, add_stamp = users.append, stamps.append
     if source.endswith((".jsonl", ".ndjson")):
-        # one int per user ID: json.loads makes a new object for every row
-        # above 256
+        # one int per user ID: json makes a new object for every row above 256
         known_ids: dict[int, int] = {}
         lines = _without_bom(utf8_lines(path, SchemaError))
-        for line_no, line in enumerate(lines, start=1):
-            if line.strip():
-                user, ts = _row_from_jsonl(line, line_no, source)
-                add_user(known_ids.setdefault(user, user))
-                add_stamp(ts)
+        for line_no, obj in _json_lines(lines, source):
+            user, ts = _row_from_jsonl(obj, line_no, source)
+            add_user(known_ids.setdefault(user, user))
+            add_stamp(ts)
     elif (columns := _canonical_columns(path)) is not None:
         users, stamps = columns
     else:

@@ -77,18 +77,23 @@ EXIT_INSUFFICIENT = 5
 EXIT_IO = 6
 
 _STD_MODES = {"pop": STD_POPULATION, "sample": STD_SAMPLE}
+MANIFEST = "manifest.json"
 
 
 def _write_artifact(path: Path, chunks) -> None:
     """Stream text chunks (newlines included) to a temp file, then rename.
 
     If a chunk or a write fails part-way, the temp file is deleted and any
-    artifact already at ``path`` is left as it was.
+    artifact already at ``path`` is left as it was. Any other artifact first
+    deletes the ``manifest.json`` beside it, which ``main`` writes again only
+    once the command succeeds: no manifest describes a half-replaced run.
     """
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
+        if path.name != MANIFEST:
+            path.with_name(MANIFEST).unlink(missing_ok=True)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -131,7 +136,7 @@ def _write_manifest(outdir: Path, args, inputs: dict, outputs: list[str]) -> Non
         "inputs": inputs,
         "outputs": sorted(outputs),
     }
-    _write_artifact(outdir / "manifest.json", (json.dumps(doc, indent=2), "\n"))
+    _write_artifact(outdir / MANIFEST, (json.dumps(doc, indent=2), "\n"))
 
 
 def _parse_thresholds(text: str) -> tuple[float, float]:

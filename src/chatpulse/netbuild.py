@@ -8,7 +8,6 @@ edges and is not a conversation. Transitions never span window boundaries.
 
 from __future__ import annotations
 
-import json
 import operator
 from bisect import bisect_left
 from collections import namedtuple
@@ -18,7 +17,7 @@ from pathlib import Path
 
 from . import _kernels
 from ._record import FrozenRecord, Record
-from .chatlog import MessageLog, utf8_lines
+from .chatlog import MessageLog, _json_lines, utf8_lines
 from .errors import ParameterError, SchemaError
 
 ALIGN_WALL = "wall"
@@ -196,9 +195,6 @@ def ensemble_lines(networks: Iterable[InteractionNetwork]) -> Iterator[str]:
         )
 
 
-# json.loads skips the whitespace around a value and reads the value with
-# this scanner; a line that holds the value alone needs only the scanner.
-_scan_json = json.JSONDecoder().scan_once
 _INT = {int}
 # the largest edge weight read: a float holds every int up to it exactly, so
 # no float conversion in the scoring can overflow
@@ -216,25 +212,13 @@ def _line_networks(path: Path) -> Iterator[InteractionNetwork]:
     A line holds a window's start, index, nodes and edges; every metric
     downstream works from nodes and edges alone. The nodes are listed in
     strictly ascending order, as :func:`ensemble_lines` writes them, and each
-    edge weight is an int from 1 to ``2**53``. Each line is read as
-    ``json.loads`` reads it: any line the scanner alone does not read to its
-    end goes through ``json.loads``, so both accept and reject the same
+    edge weight is an int from 1 to ``2**53``. The lines are decoded by
+    :func:`chatlog._json_lines`, the JSONL log's decoder, which skips blank
     lines. Each network keys its edges with its own ``(u, v)``
     tuples: no command holds more than a few networks at once, so sharing
     keys across networks would save nothing.
     """
-    for line_no, line in enumerate(utf8_lines(path, SchemaError), 1):
-        try:
-            obj, end = _scan_json(line, 0)
-        except (StopIteration, ValueError, RecursionError):
-            end = -1
-        if end != len(line):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # a too-long int, deep nesting
-                raise SchemaError(f"{path}: line {line_no}: invalid JSON") from exc
+    for line_no, obj in _json_lines(utf8_lines(path, SchemaError), path):
         try:
             raw_edges = obj["edges"]
             edges = {}

@@ -328,3 +328,34 @@ def load_log_csv_direct(path) -> MessageLog:
         raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from exc
     rows.sort(key=lambda row: row[1])  # stable, as load_log re-sorts
     return MessageLog(tuple(u for u, _ in rows), tuple(t for _, t in rows))
+
+
+def load_log_jsonl_direct(path) -> MessageLog:
+    """A JSONL log read whole, then ``json.loads`` on each line that is not
+    blank: no scanner, no line reader, no shared user-ID ints. One BOM is
+    dropped from line 1, and diagnostics are ``load_log``'s."""
+    path = Path(path)
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    rows: list[tuple[int, int]] = []
+    for line_no, line in enumerate(text.removeprefix("\ufeff").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # a too-long int, deep nesting
+            raise SchemaError(f"{path}: line {line_no}: invalid JSON") from exc
+        if not isinstance(obj, dict) or "u" not in obj or "t" not in obj:
+            raise SchemaError(f"{path}: line {line_no}: expected keys 'u' and 't'")
+        user, ts = obj["u"], obj["t"]
+        if isinstance(user, bool) or not isinstance(user, int):
+            raise SchemaError(f"{path}: line {line_no}: bad user ID {user!r}")
+        if isinstance(ts, bool) or not isinstance(ts, int):
+            raise SchemaError(f"{path}: line {line_no}: unparsable timestamp {ts!r}")
+        if user < 0:
+            raise SchemaError(f"{path}: line {line_no}: negative user ID {user}")
+        rows.append((user, ts))
+    rows.sort(key=lambda row: row[1])  # stable, as load_log re-sorts
+    return MessageLog(tuple(u for u, _ in rows), tuple(t for _, t in rows))

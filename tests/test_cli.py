@@ -532,6 +532,42 @@ def test_report_on_round_robin_gives_equality_one_everywhere(tmp_path):
         assert float(line.split(",")[eq_col]) == 1.0
 
 
+@pytest.mark.parametrize(
+    "regime",
+    [
+        {"regime": "round-robin", "users": 3, "rate": 3, "windows": 1},
+        {"regime": "round-robin", "users": 4, "rate": 9, "windows": 24},
+    ],
+    ids=["one-conversation", "equal-ei"],
+)
+def test_failed_report_into_a_used_directory_leaves_no_manifest(tmp_path, regime):
+    out = tmp_path / "mix"
+    assert run("report", simulate(tmp_path), "--out", out,
+               "--split", "2018-08-01T02:00") == EXIT_OK
+    first = artifacts(out)
+    failing = simulate(tmp_path / "failing", **regime)
+    assert run("report", failing, "--out", out) == EXIT_INSUFFICIENT
+    # the directory mixes both runs' artifacts, and no manifest names either
+    assert not (out / "manifest.json").exists()
+    alone = tmp_path / "alone"
+    assert run("report", failing, "--out", alone) == EXIT_INSUFFICIENT
+    written = artifacts(alone)
+    assert "ensemble.jsonl" in written and set(written) < set(first)
+    assert artifacts(out) == first | written
+
+
+def test_failure_before_the_first_artifact_leaves_the_directory_as_it_was(tmp_path):
+    log = simulate(tmp_path)
+    out = tmp_path / "used"
+    assert run("report", log, "--out", out) == EXIT_OK
+    before = artifacts(out, skip=())
+    bad = tmp_path / "bad.csv"
+    bad.write_text("user_id,timestamp\nx,1\n")
+    assert run("report", bad, "--out", out) == EXIT_SCHEMA
+    assert run("report", log, "--out", out, "--split", "not-a-date") == EXIT_USAGE
+    assert artifacts(out, skip=()) == before
+
+
 def test_pipeline_composition_matches_report(tmp_path):
     log = simulate(tmp_path)
     split = "2018-08-01T02:00"  # halfway through the 24 simulated windows

@@ -49,6 +49,7 @@ from oracles import (
     STRPTIME_PROFILES,
     load_ensemble_direct,
     load_log_csv_direct,
+    load_log_jsonl_direct,
     parse_transcript_direct,
     scope_means_direct,
     strptime_first_line,
@@ -467,6 +468,85 @@ def test_load_log_agrees_with_csv_reader(text, block):
         path = Path(tmp) / "log.csv"
         path.write_bytes(text)
         assert log_outcome(load_log, path) == log_outcome(load_log_csv_direct, path)
+
+
+@st.composite
+def mutated_jsonl_logs(draw) -> bytes:
+    """A JSONL log, as dump_log writes it, with odd values, keys and
+    characters in a few lines, blank lines and a BOM."""
+    lines = []
+    for user, ts in draw(CSV_ROWS):
+        obj = {"u": user, "t": ts}
+        if draw(st.integers(0, 3)) == 0:
+            kind = draw(st.sampled_from(["u", "t", "drop", "extra"]))
+            if kind == "drop":
+                del obj[draw(st.sampled_from(["u", "t"]))]
+            else:
+                obj["x" if kind == "extra" else kind] = draw(ODD_VALUES)
+        keys = draw(st.permutations(list(obj)))
+        separators = draw(st.sampled_from([(",", ":"), (", ", ": ")]))
+        text = json.dumps({k: obj[k] for k in keys}, separators=separators)
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1]))):
+            at = draw(st.integers(0, len(text)))
+            if draw(st.booleans()):
+                text = text[:at] + draw(ODD_CHARS) + text[at:]
+            else:
+                text = text[:at] + text[at + 1:]
+        lines.append(text)
+    for at in sorted(draw(st.lists(st.integers(0, len(lines)), max_size=2)), reverse=True):
+        lines.insert(at, draw(st.sampled_from(["", " ", "\t", "\u3000"])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    return (draw(st.sampled_from(["", "", "\ufeff"])) + text).encode("utf-8")
+
+
+@settings(max_examples=400)
+@given(mutated_jsonl_logs(), st.integers(3, 64))
+def test_load_log_jsonl_agrees_with_per_line_json_loads(data, block):
+    # blocks of a few lines, so that lines and quirks cross block edges
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chatlog, "READ_CHUNK", block)
+        path = Path(tmp) / "log.jsonl"
+        path.write_bytes(data)
+        assert log_outcome(load_log, path) == log_outcome(load_log_jsonl_direct, path)
+
+
+JSONL_ROW = '{"u":0,"t":600}\n'
+# each quirk's second line follows a valid row: the JSON Python cannot
+# decode, whitespace and line ends, values json reads its own way, and BOMs
+JSONL_LOG_QUIRKS = {
+    "long-int": '{"u":1,"t":%s}\n' % ("1" * 5000),
+    "deep": "[" * 200_000 + "\n",
+    "whitespace": ' \t{"u":1,"t":700}\x0c \n',
+    "ideographic-space": "\u3000\n",
+    "crlf": '{"u":1,"t":700}\r\n',
+    "unterminated": '{"u":1,"t":700}',
+    "exponent": '{"u":1,"t":1e5}\n',
+    "true": '{"u":true,"t":700}\n',
+    "nan": '{"u":1,"t":NaN}\n',
+    "minus-zero": '{"u":-0,"t":700}\n',
+    "leading-zero": '{"u":01,"t":700}\n',
+    "extra-data": '{"u":1,"t":700} {"u":2,"t":800}\n',
+    "duplicate-key": '{"u":1,"t":700,"u":2}\n',
+    "bom-line-2": '\ufeff{"u":1,"t":700}\n',
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 3], ids=["whole", "small-chunks"])
+@pytest.mark.parametrize("quirk", [*JSONL_LOG_QUIRKS, "bom-line-1"])
+def test_load_log_jsonl_agrees_on_quirks(tmp_path, monkeypatch, quirk, chunk):
+    if chunk is not None:  # lines cross block edges
+        monkeypatch.setattr(chatlog, "READ_CHUNK", chunk)
+    if quirk == "bom-line-1":
+        text = "\ufeff" + JSONL_ROW + '{"u":1,"t":700}\n'
+    else:
+        text = JSONL_ROW + JSONL_LOG_QUIRKS[quirk]
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(text.encode())
+    outcome = log_outcome(load_log, path)
+    assert outcome == log_outcome(load_log_jsonl_direct, path)
+    # an error names the quirk's line; otherwise the valid row was read
+    assert "line 2: " in outcome if isinstance(outcome, str) else 600 in outcome[1]
 
 
 def no_csv_reader(*args, **kwargs):
