@@ -278,15 +278,15 @@ def parse_transcript(
     ``lines`` is the transcript's lines without their terminators, as
     :func:`utf8_lines` yields them; a ``str`` is split with ``splitlines``.
     A line holding ``"\\n"`` raises ``ValueError``. One U+FEFF at the start
-    of the first line is a byte-order mark and is dropped, as the
-    ``utf-8-sig`` codec drops it.
+    of the first line is a byte-order mark and is dropped by
+    :func:`_without_bom`.
 
     Line classification: a line matching the profile's header regex whose
     remainder contains ``Sender: `` starts a message; a matching line without
     a sender is a system notice (dropped); anything else continues the most
-    recent message (dropped). A non-header line before the first message is a
-    parse error, as is a timestamp that moves backward by more than ``slack``
-    seconds (minute-precision exports legitimately produce same-minute ties,
+    recent message or notice (dropped). A first line that is not a header is
+    a parse error, as is a timestamp that moves backward by more than
+    ``slack`` seconds (minute-precision exports produce same-minute ties,
     broken by file order). In the hour a DST fall-back repeats, a time that
     would move backward that far reads as the hour's second occurrence.
 
@@ -506,8 +506,9 @@ def _csv_error(source, reader, exc: csv.Error) -> SchemaError:
 def read_mapping(path: str | Path) -> dict[str, int]:
     import csv
 
-    with _open_csv(Path(path)) as fh:
-        reader = csv.reader(fh)
+    _check_utf8(Path(path), SchemaError)
+    with open(path, "rb") as fh:
+        reader = csv.reader(_csv_lines(fh))
         try:
             rows = list(reader)
         except csv.Error as exc:
@@ -553,17 +554,57 @@ def _json_lines(lines: Iterable[str], source) -> Iterator[tuple[int, object]]:
         yield line_no, value
 
 
-def _row_from_jsonl(obj, line_no: int, source: str) -> tuple[int, int]:
-    if not isinstance(obj, dict) or "u" not in obj or "t" not in obj:
-        raise SchemaError(f"{source}: line {line_no}: expected keys 'u' and 't'")
-    user, ts = obj["u"], obj["t"]
-    if type(user) is not int:
-        raise SchemaError(f"{source}: line {line_no}: bad user ID {user!r}")
-    if type(ts) is not int:
-        raise SchemaError(f"{source}: line {line_no}: unparsable timestamp {ts!r}")
-    if user < 0:
-        raise SchemaError(f"{source}: line {line_no}: negative user ID {user}")
-    return user, ts
+def _jsonl_rows(lines: Iterable[str], source: str) -> Iterator[tuple]:
+    """``(line_no, u, t)`` of each JSONL log line, for :func:`_row_columns`."""
+    for line_no, obj in _json_lines(_without_bom(lines), source):
+        if not isinstance(obj, dict) or "u" not in obj or "t" not in obj:
+            raise SchemaError(f"{source}: line {line_no}: expected keys 'u' and 't'")
+        yield line_no, obj["u"], obj["t"]
+
+
+def _json_int(value):
+    if type(value) is not int:  # a bool or a float, which int() would take
+        raise ValueError(value)
+    return value
+
+
+def _csv_rows(reader, source: str) -> Iterator[tuple]:
+    """``(line_no, user, timestamp)`` of each CSV log row, for :func:`_row_columns`."""
+    if next(reader, None) != LOG_CSV_HEADER:
+        raise SchemaError(f"{source}: missing header {','.join(LOG_CSV_HEADER)}")
+    # line numbers count CSV records, as csv.reader yields them
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != 2:
+            raise SchemaError(
+                f"{source}: line {line_no}: expected 2 columns, got {len(row)}"
+            )
+        yield line_no, *row
+
+
+def _row_columns(rows: Iterable[tuple], source: str, to_int) -> tuple[list, list]:
+    """The user and timestamp columns of ``(line_no, user, timestamp)`` rows,
+    under the one row rule: the user ID converts with ``to_int``, then the
+    timestamp does, then the ID is not negative. Rows of one ID value share
+    one ``int``: ``int()`` and ``json`` make a new one for each row above 256."""
+    users, stamps, known = [], [], {}
+    add_user, add_stamp = users.append, stamps.append
+    for line_no, raw_user, raw_ts in rows:
+        try:
+            user = to_int(raw_user)
+        except ValueError as exc:
+            raise SchemaError(
+                f"{source}: line {line_no}: bad user ID {raw_user!r}"
+            ) from exc
+        try:
+            add_stamp(to_int(raw_ts))
+        except ValueError as exc:
+            raise SchemaError(
+                f"{source}: line {line_no}: unparsable timestamp {raw_ts!r}"
+            ) from exc
+        if user < 0:
+            raise SchemaError(f"{source}: line {line_no}: negative user ID {user}")
+        add_user(known.setdefault(user, user))
+    return users, stamps
 
 
 # Bytes read at a time. The CSV block reader's temporaries grow with the
@@ -626,19 +667,19 @@ def _decoded_lines(path: Path) -> Iterator[str]:
             yield from block.decode("utf-8").splitlines()
 
 
+def _csv_lines(fh) -> Iterator[str]:
+    """A binary UTF-8 file's lines as ``open(path, newline="")`` gives them to
+    ``csv.reader``, each block decoded alone as in :func:`_decoded_lines`,
+    less one leading byte-order mark. A file with no ``"\\n"`` is one block."""
+    blocks = (io.StringIO(b.decode("utf-8"), newline="") for b in _line_blocks(fh))
+    return _without_bom(chain.from_iterable(blocks))
+
+
 def _without_bom(lines: Iterable[str]) -> Iterator[str]:
-    """``lines`` with one U+FEFF dropped from the start of the first, as the
-    ``utf-8-sig`` codec drops a byte-order mark."""
+    """``lines`` with one U+FEFF, a byte-order mark, dropped from the start
+    of the first; every text reader drops it this way."""
     lines = iter(lines)
     return chain([line.removeprefix("\ufeff") for line in islice(lines, 1)], lines)
-
-
-def _open_csv(path: Path) -> io.TextIOWrapper:
-    """A UTF-8 CSV file opened for ``csv.reader``, once the whole file is
-    checked; the text is read a line at a time and one leading byte-order
-    mark is dropped. A file that is not UTF-8 raises ``SchemaError``."""
-    _check_utf8(path, SchemaError)
-    return open(path, encoding="utf-8-sig", newline="")
 
 
 _CANONICAL_HEADER = (",".join(LOG_CSV_HEADER) + "\n").encode()
@@ -715,70 +756,29 @@ def _short_digit_runs(fields: Collection[bytes]) -> bool:
 def load_log(path: str | Path) -> MessageLog:
     """Load a canonical log: JSONL if named ``*.jsonl``/``*.ndjson``, else CSV.
 
-    A CSV log in ``dump_log``'s form is read a block of lines at a time;
-    any other CSV file is read a line at a time, and a JSONL log by
-    :func:`_json_lines`, which skips blank lines; one leading byte-order
-    mark is dropped. Only the line reader reports what is wrong with a file.
+    A CSV log in ``dump_log``'s form is read a block of lines at a time.
+    ``csv.reader`` reads any other CSV file, and :func:`_json_lines` a JSONL
+    log (skipping blank lines), a row at a time under :func:`_row_columns`'
+    rule, less one leading byte-order mark; only they report a bad file.
     """
     path = Path(path)
     source = str(path)
-    users: list[int] = []
-    stamps: list[int] = []
-    add_user, add_stamp = users.append, stamps.append
     if source.endswith((".jsonl", ".ndjson")):
-        # one int per user ID: json makes a new object for every row above 256
-        known_ids: dict[int, int] = {}
-        lines = _without_bom(utf8_lines(path, SchemaError))
-        for line_no, obj in _json_lines(lines, source):
-            user, ts = _row_from_jsonl(obj, line_no, source)
-            add_user(known_ids.setdefault(user, user))
-            add_stamp(ts)
+        lines = utf8_lines(path, SchemaError)
+        try:
+            users, stamps = _row_columns(_jsonl_rows(lines, source), source, _json_int)
+        finally:
+            lines.close()
     elif (columns := _canonical_columns(path)) is not None:
         users, stamps = columns
     else:
         import csv
 
-        # one int per user-ID spelling: int() makes a new object for every
-        # row above 256, and int() and the sign check run once per spelling
-        known: dict[str, int] = {}
-        with _open_csv(path) as fh:
-            reader = csv.reader(fh)
+        _check_utf8(path, SchemaError)
+        with open(path, "rb") as fh:
+            reader = csv.reader(_csv_lines(fh))
             try:
-                if next(reader, None) != LOG_CSV_HEADER:
-                    raise SchemaError(
-                        f"{source}: missing header {','.join(LOG_CSV_HEADER)}"
-                    )
-                # line numbers count CSV records, as csv.reader yields them
-                for line_no, row in enumerate(reader, start=2):
-                    if len(row) != 2:
-                        raise SchemaError(
-                            f"{source}: line {line_no}: expected 2 columns,"
-                            f" got {len(row)}"
-                        )
-                    raw_user, raw_ts = row
-                    user = known.get(raw_user)
-                    if user is None:
-                        try:
-                            new_user = int(raw_user)
-                        except ValueError as exc:
-                            raise SchemaError(
-                                f"{source}: line {line_no}: bad user ID {raw_user!r}"
-                            ) from exc
-                    try:
-                        add_stamp(int(raw_ts))
-                    except ValueError as exc:
-                        raise SchemaError(
-                            f"{source}: line {line_no}: unparsable timestamp"
-                            f" {raw_ts!r}"
-                        ) from exc
-                    if user is None:
-                        if new_user < 0:
-                            raise SchemaError(
-                                f"{source}: line {line_no}: negative user ID"
-                                f" {new_user}"
-                            )
-                        user = known[raw_user] = new_user
-                    add_user(user)
+                users, stamps = _row_columns(_csv_rows(reader, source), source, int)
             except csv.Error as exc:
                 raise _csv_error(source, reader, exc) from exc
     users, stamps = tuple(users), tuple(stamps)
@@ -828,8 +828,13 @@ def dump_log(log: MessageLog, fmt: str = "csv") -> str:
 
 
 def utc_timestamp(text: str) -> int:
-    """Epoch seconds for an ISO date or datetime; naive values are UTC."""
+    """Epoch seconds for an ISO date or datetime; naive values are UTC. A
+    time between whole seconds raises ``ValueError``: no rounding keeps
+    both a bound and a window grid aligned to it where they were meant."""
     dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+    seconds, fraction = divmod(dt - _NAIVE_EPOCH.replace(tzinfo=timezone.utc), _SECOND)
+    if fraction:
+        raise ValueError("not a whole second")
+    return seconds

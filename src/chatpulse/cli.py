@@ -158,7 +158,7 @@ def _when(text: str | None) -> int | None:
     try:
         return utc_timestamp(text)
     except ValueError as exc:
-        raise ParameterError(f"bad ISO date/datetime {text!r}") from exc
+        raise ParameterError(f"bad ISO date/datetime {text!r} ({exc})") from exc
 
 
 def _log_and_spec(args) -> tuple[MessageLog, WindowSpec]:
@@ -433,9 +433,11 @@ def _add_window_flags(sp) -> None:
     sp.add_argument("--align", choices=["wall", "first"], default="wall",
                     help="window alignment: wall clock or first message")
     sp.add_argument("--from", dest="from_when", default=None, metavar="ISO",
-                    help="keep events at/after this UTC date or datetime")
+                    help="keep events at/after this UTC date or datetime"
+                    " (whole seconds)")
     sp.add_argument("--to", dest="to_when", default=None, metavar="ISO",
-                    help="keep events before this UTC date or datetime")
+                    help="keep events before this UTC date or datetime"
+                    " (whole seconds)")
 
 
 def _add_class_flags(sp) -> None:
@@ -513,7 +515,8 @@ def _build_parser() -> _Parser:
 
     sp = command("compare", _cmd_compare, "period-over-period engagement differences")
     sp.add_argument("--split", required=True, metavar="ISO",
-                    help="boundary date; the boundary belongs to the second period")
+                    help="boundary UTC date or datetime (whole seconds); the"
+                    " boundary belongs to the second period")
     sp.add_argument("--top-k", type=_POSITIVE, default=None)
     _add_avg(sp)
 
@@ -536,7 +539,8 @@ def _build_parser() -> _Parser:
     _add_avg(sp)
     sp.add_argument("--top-k", type=_POSITIVE, default=10)
     sp.add_argument("--split", default=None, metavar="ISO",
-                    help="also emit period comparison artifacts")
+                    help="also emit period comparison artifacts, split at this"
+                    " UTC date or datetime (whole seconds)")
 
     return parser
 

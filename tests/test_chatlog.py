@@ -542,12 +542,19 @@ def test_csv_rows_of_one_user_id_share_one_int(tmp_path):
     # int() and json.loads share their cached objects only up to 256
     users = [301, 4000, 70_000] * 4
     log = MessageLog(tuple(users), tuple(range(len(users))))
-    for fmt in ("csv", "jsonl"):
-        path = tmp_path / f"log.{fmt}"
-        path.write_text(dump_log(log, fmt))
+    texts = {f"log.{fmt}": dump_log(log, fmt) for fmt in ("csv", "jsonl")}
+    # CRLF is not dump_log's form, so csv.reader reads this one; each value
+    # is spelled three ways, as 301, " 301" and "0301"
+    texts["crlf.csv"] = "user_id,timestamp\r\n" + "".join(
+        f"{(f'{u}', f' {u}', f'0{u}')[i // 3 % 3]},{i}\r\n"
+        for i, u in enumerate(users)
+    )
+    for name, text in texts.items():
+        path = tmp_path / name
+        path.write_bytes(text.encode())
         loaded = load_log(path)
         assert loaded.users == tuple(users)
-        assert len({id(u) for u in loaded.users}) == len(set(users)) == 3, fmt
+        assert len({id(u) for u in loaded.users}) == len(set(users)) == 3, name
 
 
 def test_csv_user_id_spellings_load_as_one_value(tmp_path):

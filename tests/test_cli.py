@@ -483,6 +483,54 @@ def test_parse_reads_a_bad_mapping_before_the_export(
     assert list(out.iterdir()) == []
 
 
+# one message a second from 2018-08-01T00:00:00 UTC, alternating two users
+SECONDS_LOG = "user_id,timestamp\n0,1533081600\n1,1533081601\n0,1533081602\n1,1533081603\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # truncated to :00, this --from kept the message sent at :00
+        ["build", "LOG", "--from", "2018-08-01T00:00:00.5"],
+        # truncated to :02, this --to dropped the message sent at :02
+        ["build", "LOG", "--to", "2018-08-01T00:00:02.5"],
+        ["report", "LOG", "--split", "2018-08-01T00:00:01.25Z"],
+        ["compare", "ENS", "--split", "2018-08-01T00:00:01.999999"],
+    ],
+)
+def test_a_bound_between_whole_seconds_exits_before_any_artifact(
+    tmp_path, capsys, argv
+):
+    log = tmp_path / "log.csv"
+    log.write_text(SECONDS_LOG)
+    assert run("build", log, "--out", tmp_path / "built") == EXIT_OK
+    paths = {"LOG": log, "ENS": tmp_path / "built" / "ensemble.jsonl"}
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(*[paths.get(a, a) for a in argv], "--out", out) == EXIT_USAGE
+    [line] = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "parameter"
+    assert argv[-1] in err["detail"] and "not a whole second" in err["detail"]
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag, bound, weight", [
+    ("--from", "2018-08-01T00:00:01", 2),
+    ("--from", "2018-08-01T00:00:00.000", 3),
+    ("--to", "2018-08-01T00:00:03.000000Z", 2),
+])
+def test_a_whole_second_bound_with_a_zero_fraction_is_kept(
+    tmp_path, flag, bound, weight
+):
+    log = tmp_path / "log.csv"
+    log.write_text(SECONDS_LOG)
+    out = tmp_path / "out"
+    assert run("build", log, "--out", out, flag, bound) == EXIT_OK
+    [network] = map(json.loads, (out / "ensemble.jsonl").read_text().splitlines())
+    assert network["edges"] == [[0, 1, weight]]
+
+
 # each subcommand's positional input and its help text; simulate has none
 INPUT_HELP = {
     "parse": "transcript text export",

@@ -408,18 +408,27 @@ def quirky_csv_logs(draw) -> bytes:
     lines = [b"user_id,timestamp"] + [b"%d,%d" % row for row in rows]
     end = b"\n"
     quirk = draw(st.sampled_from([
-        None, "crlf", "quoted", "bom", "blank", "3+1 columns", "user ID",
-        "timestamp", "late non-UTF-8", "no final newline", "1 column, no final newline",
-        "header only", "empty",
+        None, "crlf", "cr", "quoted", "quoted line break", "bom", "blank",
+        "3+1 columns", "user ID", "timestamp", "late non-UTF-8", "no final newline",
+        "1 column, no final newline", "header only", "empty",
     ]))
     at = draw(st.integers(1, len(lines)))  # a row, or the end of the file
     row = min(at, len(lines) - 1)
     if quirk == "crlf":
         end = b"\r\n"
+    elif quirk == "cr":  # no "\n" at all: the whole file is one block
+        end = b"\r"
     elif quirk == "quoted" and row:
         fields = lines[row].split(b",")
         column = draw(st.integers(0, 1))
         fields[column] = b'"%s"' % fields[column]
+        lines[row] = b",".join(fields)
+    elif quirk == "quoted line break" and row:
+        # one record on two lines, which may fall in two blocks; int()
+        # strips the break around the digits, not between them
+        fields = lines[row].split(b",")
+        cut = draw(st.integers(0, len(fields[0])))
+        fields[0] = b'"%s\n%s"' % (fields[0][:cut], fields[0][cut:])
         lines[row] = b",".join(fields)
     elif quirk == "bom":
         lines[0] = b"\xef\xbb\xbf" + lines[0]
