@@ -534,12 +534,14 @@ def read_mapping(path: str | Path) -> dict[str, int]:
 _scan_json = json.JSONDecoder().scan_once
 
 
-def _json_lines(lines: Iterable[str], source) -> Iterator[tuple[int, object]]:
+def _json_lines(
+    lines: Iterable[str], source, first: int = 1
+) -> Iterator[tuple[int, object]]:
     """``(line_no, value)`` for each line that ``str.strip`` does not empty,
     read as ``json.loads`` reads it: any line the scanner alone does not read
     to its end goes through ``json.loads``. A line ``json`` cannot decode
-    raises ``SchemaError``."""
-    for line_no, line in enumerate(lines, 1):
+    raises ``SchemaError``. The lines are numbered from ``first``."""
+    for line_no, line in enumerate(lines, first):
         try:
             value, end = _scan_json(line, 0)
         except (StopIteration, ValueError, RecursionError):
@@ -710,7 +712,10 @@ def _canonical_columns(path: Path) -> tuple[tuple[int, ...], tuple[int, ...]] | 
     users = [0] * rows
     stamps = [0] * rows
     at = 0
-    known: dict[bytes, int] = {}  # one int per user-ID spelling, as in load_log
+    # a user ID's int for each spelling, and one int for each value, as
+    # _row_columns shares them: "301" and "0301" map to one object
+    known: dict[bytes, int] = {}
+    shared: dict[int, int] = {}
     with open(path, "rb") as fh:
         fh.seek(len(_CANONICAL_HEADER))
         for block in _line_blocks(fh):
@@ -731,7 +736,8 @@ def _canonical_columns(path: Path) -> tuple[tuple[int, ...], tuple[int, ...]] | 
                 new = set(ids).difference(known)
                 if not _short_digit_runs(new):
                     return None
-                known.update(zip(new, map(int, new)))
+                values = list(map(int, new))
+                known.update(zip(new, map(shared.setdefault, values, values)))
                 ids = list(map(known.__getitem__, ids))
             if not _short_digit_runs(times):
                 return None

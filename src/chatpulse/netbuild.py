@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import _kernels
 from ._record import FrozenRecord, Record
-from .chatlog import MessageLog, _json_lines, utf8_lines
+from .chatlog import MessageLog, _check_utf8, _json_lines, _line_blocks
 from .errors import ParameterError, SchemaError
 
 ALIGN_WALL = "wall"
@@ -94,7 +94,9 @@ class InteractionNetwork(Record):
     ``u < v``, to its transition count.
     """
 
-    __slots__ = ("window_start", "window_index", "nodes", "edges")
+    _fields = ("window_start", "window_index", "nodes", "edges")
+    # the strengths counted when the network was read, or None
+    __slots__ = _fields + ("_strengths",)
 
     def __init__(
         self,
@@ -107,17 +109,25 @@ class InteractionNetwork(Record):
         self.window_index = window_index
         self.nodes = nodes
         self.edges = edges
+        self._strengths = None
 
     @property
     def is_conversation(self) -> bool:
         return len(self.nodes) >= 2
 
     def strengths(self) -> dict[int, int]:
-        """Weighted degree per interacting node, in ascending user order."""
-        acc = dict.fromkeys(self.nodes, 0)
-        for (u, v), w in self.edges.items():
-            acc[u] += w
-            acc[v] += w
+        """Weighted degree per interacting node, in ascending user order.
+
+        A network read by :func:`ensemble_networks` returns the dict that its
+        read counted from ``edges``; do not change it. Any other network
+        counts its strengths on each call.
+        """
+        acc = self._strengths
+        if acc is None:
+            acc = dict.fromkeys(self.nodes, 0)
+            for (u, v), w in self.edges.items():
+                acc[u] += w
+                acc[v] += w
         return acc
 
 
@@ -195,10 +205,13 @@ def ensemble_lines(networks: Iterable[InteractionNetwork]) -> Iterator[str]:
         )
 
 
-_INT = {int}
 # the largest edge weight read: a float holds every int up to it exactly, so
 # no float conversion in the scoring can overflow
 _MAX_WEIGHT = 2**53
+# a block of lines in ensemble_lines' form keeps only these keys, once a
+# line, when its digits, commas, brackets, minus signs and line ends go
+_FORM_KEYS = b'{"w":"i":"nodes":"edges":}'
+_FORM_VALUES = b"0123456789,[]-\n"
 
 
 def ensemble_networks(path: str | Path) -> Iterator[InteractionNetwork]:
@@ -212,45 +225,108 @@ def _line_networks(path: Path) -> Iterator[InteractionNetwork]:
     A line holds a window's start, index, nodes and edges; every metric
     downstream works from nodes and edges alone. The nodes are listed in
     strictly ascending order, as :func:`ensemble_lines` writes them, and each
-    edge weight is an int from 1 to ``2**53``. The lines are decoded by
+    edge weight is an int from 1 to ``2**53``. The file must be UTF-8. It is
+    read a block of whole lines at a time, and each line is decoded by
     :func:`chatlog._json_lines`, the JSONL log's decoder, which skips blank
-    lines. Each network keys its edges with its own ``(u, v)``
-    tuples: no command holds more than a few networks at once, so sharing
-    keys across networks would save nothing.
+    lines and names the line it cannot decode.
+
+    A block in :func:`ensemble_lines`' form ends in ``\\n`` and holds nothing
+    but ``_FORM_KEYS`` once a line, digits, commas, brackets and minus signs.
+    A line of it that decodes then holds no float, bool or null, and no
+    string but the keys ``w``, ``i``, ``nodes`` and ``edges``, each at most
+    once: every value is an int or a list. So :func:`_form_network` checks
+    no value's type but the start's and index's. A line it rejects, and each line of a block in any other form
+    (CRLF, blank lines, spaces, another key order, extra keys, a byte-order
+    mark, a last line with no line end), goes to :func:`_checked_network`,
+    which alone words a diagnostic. Each network keys its edges with its own
+    ``(u, v)`` tuples: no command holds more than a few networks at once, so
+    sharing keys across networks would save nothing.
     """
-    for line_no, obj in _json_lines(utf8_lines(path, SchemaError), path):
-        try:
-            raw_edges = obj["edges"]
-            edges = {}
-            for u, v, w in raw_edges:
-                if not (u < v) or w <= 0 or w > _MAX_WEIGHT:
-                    raise SchemaError(
-                        f"{path}: line {line_no}: bad edge [{u},{v},{w}]"
-                    )
-                edges[u, v] = w
-            if len(edges) != len(raw_edges):
-                raise SchemaError(f"{path}: line {line_no}: duplicate edge")
-            start, index, nodes = obj["w"], obj["i"], obj["nodes"]
-            # compare types: a bool or 1.0 would pass as the int 1 otherwise,
-            # so each raw edge is read, not the deduplicated endpoints; nodes
-            # that cannot be iterated are malformed, whatever the start
-            if not (
-                set(map(type, chain(nodes, *raw_edges))) <= _INT
-                and type(start) is int
-                and type(index) is int
-            ):
-                raise SchemaError(
-                    f"{path}: line {line_no}: window start, index, node IDs"
-                    " and weights must be integers"
-                )
-            if any(map(operator.ge, nodes, nodes[1:])):
-                raise SchemaError(
-                    f"{path}: line {line_no}: nodes are not strictly ascending"
-                )
-            if set(chain.from_iterable(edges)) != set(nodes):
-                raise SchemaError(
-                    f"{path}: line {line_no}: nodes do not match edge endpoints"
-                )
-            yield InteractionNetwork(start, index, tuple(nodes), edges)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"{path}: line {line_no}: malformed network") from exc
+    _check_utf8(path, SchemaError)
+    with open(path, "rb") as fh:
+        line_no = 0
+        for block in _line_blocks(fh):
+            lines = block.decode("utf-8").splitlines()
+            first, line_no = line_no + 1, line_no + len(lines)
+            in_form = block.endswith(b"\n") and (
+                block.translate(None, _FORM_VALUES) == _FORM_KEYS * len(lines)
+            )
+            for n, obj in _json_lines(lines, path, first):
+                net = _form_network(obj) if in_form else None
+                yield _checked_network(obj, path, n) if net is None else net
+
+
+def _form_network(obj) -> InteractionNetwork | None:
+    """The network of a decoded line of a block in form, or None.
+
+    One pass over the edges checks each, keys it, and adds its weight to
+    both endpoints' strengths. A nested list fails to hash or compare, an
+    endpoint that is not a node is a ``KeyError``, and a zero strength is a
+    node with no edge. The network keeps the strengths, so
+    :meth:`InteractionNetwork.strengths` does not count them again.
+    """
+    try:
+        raw_edges, nodes, start, index = obj["edges"], obj["nodes"], obj["w"], obj["i"]
+        strengths = dict.fromkeys(nodes, 0)
+        edges = {}
+        for u, v, w in raw_edges:
+            if not (u < v and 0 < w <= _MAX_WEIGHT):
+                return None
+            edges[u, v] = w
+            strengths[u] += w
+            strengths[v] += w
+    except (KeyError, TypeError, ValueError):
+        return None
+    if not (
+        type(start) is int
+        and type(index) is int
+        and len(edges) == len(raw_edges)
+        and 0 not in strengths.values()
+        and len(strengths) == len(nodes)
+        and nodes == sorted(nodes)
+    ):
+        return None
+    net = InteractionNetwork(start, index, tuple(nodes), edges)
+    net._strengths = strengths
+    return net
+
+
+_INT = {int}
+
+
+def _checked_network(obj, path: Path, line_no: int) -> InteractionNetwork:
+    """The network of a decoded line, each check in turn, or the
+    ``SchemaError`` of the first check it fails."""
+    try:
+        raw_edges = obj["edges"]
+        edges = {}
+        for u, v, w in raw_edges:
+            if not (u < v) or w <= 0 or w > _MAX_WEIGHT:
+                raise SchemaError(f"{path}: line {line_no}: bad edge [{u},{v},{w}]")
+            edges[u, v] = w
+        if len(edges) != len(raw_edges):
+            raise SchemaError(f"{path}: line {line_no}: duplicate edge")
+        start, index, nodes = obj["w"], obj["i"], obj["nodes"]
+        # compare types: a bool or 1.0 would pass as the int 1 otherwise,
+        # so each raw edge is read, not the deduplicated endpoints; nodes
+        # that cannot be iterated are malformed, whatever the start
+        if not (
+            set(map(type, chain(nodes, *raw_edges))) <= _INT
+            and type(start) is int
+            and type(index) is int
+        ):
+            raise SchemaError(
+                f"{path}: line {line_no}: window start, index, node IDs"
+                " and weights must be integers"
+            )
+        if any(map(operator.ge, nodes, nodes[1:])):
+            raise SchemaError(
+                f"{path}: line {line_no}: nodes are not strictly ascending"
+            )
+        if set(chain.from_iterable(edges)) != set(nodes):
+            raise SchemaError(
+                f"{path}: line {line_no}: nodes do not match edge endpoints"
+            )
+        return InteractionNetwork(start, index, tuple(nodes), edges)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: line {line_no}: malformed network") from exc

@@ -549,12 +549,20 @@ def test_csv_rows_of_one_user_id_share_one_int(tmp_path):
         f"{(f'{u}', f' {u}', f'0{u}')[i // 3 % 3]},{i}\r\n"
         for i, u in enumerate(users)
     )
+    # LF and digits alone are dump_log's form, so the block reader reads
+    # this one, with each value spelled as 301 and 0301
+    texts["spelled.csv"] = "user_id,timestamp\n" + "".join(
+        f"{(f'{u}', f'0{u}')[i // 3 % 2]},{i}\n" for i, u in enumerate(users)
+    )
     for name, text in texts.items():
         path = tmp_path / name
         path.write_bytes(text.encode())
         loaded = load_log(path)
         assert loaded.users == tuple(users)
         assert len({id(u) for u in loaded.users}) == len(set(users)) == 3, name
+    path = tmp_path / "short.csv"
+    path.write_text("user_id,timestamp\n301,1\n0301,2\n301,3\n")
+    assert len({id(u) for u in load_log(path).users}) == 1
 
 
 def test_csv_user_id_spellings_load_as_one_value(tmp_path):

@@ -324,6 +324,12 @@ def load_outcome(load, path):
         nets = tuple(load(path))
     except Exception as exc:  # noqa: BLE001 - the two loaders must agree
         return type(exc).__name__, str(exc)
+    for n in nets:  # whether carried from the read or counted on the call
+        recount = dict.fromkeys(n.nodes, 0)
+        for (u, v), w in n.edges.items():
+            recount[u] += w
+            recount[v] += w
+        assert list(n.strengths().items()) == list(recount.items())
     return repr([
         (n.window_start, n.window_index, n.nodes, list(n.edges.items()))
         for n in nets
@@ -334,6 +340,85 @@ def load_outcome(load, path):
 @given(mutated_ensembles())
 def test_load_ensemble_agrees_with_per_line_json_loads(text):
     with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ensemble.jsonl"
+        path.write_text(text, encoding="utf-8")
+        assert load_outcome(ensemble_networks, path) == load_outcome(
+            load_ensemble_direct, path
+        )
+
+
+# weights at and past both ends of the range the reader takes
+FORM_WEIGHTS = st.sampled_from([0, -1, 1, 2, 2**53, 2**53 + 1])
+# changes to one line that keep it in ensemble_lines' form; the reader
+# rejects each, and a new weight when it is out of range
+FORM_CHANGES = st.sampled_from([
+    None, None, None, "weight", "weight", "reverse", "loop", "dup-edge",
+    "short-edge", "long-edge", "extra-node", "dup-node", "reversed-nodes",
+    "nested-node", "list-start",
+])
+# what may be inserted or deleted while a block stays in the form
+FORM_CHARS = "0123456789,[]-"
+
+
+@st.composite
+def form_ensembles(draw):
+    """Lines written as ``ensemble_lines`` writes them (compact JSON, its key
+    order), with negative IDs and at most one change each, then characters
+    of ``FORM_CHARS`` inserted or deleted, so most blocks stay in the form
+    and reach the fast path."""
+    lines = []
+    for index in range(draw(st.integers(1, 5))):
+        net = network_from_senders(draw(st.lists(st.integers(-3, 5), max_size=8)))
+        nodes = list(net.nodes)
+        edges = [[u, v, w] for (u, v), w in sorted(net.edges.items())]
+        obj = {"w": DELTA_T * index, "i": index, "nodes": nodes, "edges": edges}
+        change = draw(FORM_CHANGES)
+        edge = draw(st.sampled_from(edges)) if edges else None
+        if change == "list-start":
+            obj["w"] = [obj["w"]]
+        elif edge is None:
+            pass
+        elif change == "weight":
+            edge[2] = draw(FORM_WEIGHTS)
+        elif change == "reverse":
+            edge[:2] = edge[1::-1]
+        elif change == "loop":
+            edge[1] = edge[0]
+        elif change == "dup-edge":
+            edges.append(list(edge))
+        elif change == "short-edge":
+            del edge[2]
+        elif change == "long-edge":
+            edge.append(1)
+        elif change == "extra-node":
+            nodes.append(nodes[-1] + 1)
+        elif change == "dup-node":
+            nodes.insert(0, nodes[0])
+        elif change == "reversed-nodes":
+            nodes.reverse()
+        elif change == "nested-node":
+            nodes[0] = [nodes[0]]
+        lines.append(json.dumps(obj, separators=(",", ":")) + "\n")
+    text = "".join(lines)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2]))):
+        if draw(st.booleans()):
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.sampled_from(FORM_CHARS)) + text[at:]
+        else:
+            spots = [at for at, char in enumerate(text) if char in FORM_CHARS]
+            at = draw(st.sampled_from(spots))
+            text = text[:at] + text[at + 1:]
+    if draw(st.integers(0, 7)) == 0:  # the last block is then out of the form
+        text = text[:-1]
+    return text
+
+
+@settings(max_examples=400)
+@given(form_ensembles(), st.one_of(st.none(), st.integers(3, 64)))
+def test_load_ensemble_agrees_in_ensemble_lines_form(text, chunk):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:  # blocks of a line or a few
+            mp.setattr(chatlog, "READ_CHUNK", chunk)
         path = Path(tmp) / "ensemble.jsonl"
         path.write_text(text, encoding="utf-8")
         assert load_outcome(ensemble_networks, path) == load_outcome(
@@ -354,6 +439,18 @@ ENSEMBLE_QUIRKS = {
     "true": '{"w":600,"i":1,"nodes":[0,1],"edges":[[0,1,true]]}\n',
     "crlf": '{"w":600,"i":1,"nodes":[0,1],"edges":[[0,1,1]]}\r\n',
     "empty-edges": '{"w":600,"i":1,"nodes":[],"edges":[]}\n',
+    # quirks in ensemble_lines' form, which its fast path meets first
+    "list-start": '{"w":[600],"i":1,"nodes":[0,1],"edges":[[0,1,1]]}\n',
+    "nested-node": '{"w":600,"i":1,"nodes":[[0],1],"edges":[[0,1,1]]}\n',
+    "2-element-edge": '{"w":600,"i":1,"nodes":[0,1],"edges":[[0,1]]}\n',
+    "4-element-edge": '{"w":600,"i":1,"nodes":[0,1],"edges":[[0,1,1,1]]}\n',
+    "two-objects": '{"w":600,"i":1,"nodes":[0,1],"edges":[[0,1,1]]}'
+    '{"w":1200,"i":2,"nodes":[0,1],"edges":[[0,1,1]]}\n',
+    "weight-past-2**53": '{"w":600,"i":1,"nodes":[0,1],"edges":[[0,1,%d]]}\n'
+    % (2**53 + 1),
+    "loop-edge": '{"w":600,"i":1,"nodes":[1],"edges":[[1,1,1]]}\n',
+    "negative-ids": '{"w":600,"i":1,"nodes":[-2,-1],"edges":[[-2,-1,1]]}\n',
+    "weight-2**53": '{"w":600,"i":1,"nodes":[0,1],"edges":[[0,1,%d]]}\n' % 2**53,
 }
 
 
@@ -368,6 +465,26 @@ def test_load_ensemble_agrees_on_quirks(tmp_path, monkeypatch, quirk, chunk):
     assert outcome == load_outcome(load_ensemble_direct, path)
     # an error names the quirk's line; otherwise both lines were read
     assert "line 2" in outcome[1] if isinstance(outcome, tuple) else "(600, 1" in outcome
+
+
+@pytest.mark.parametrize("chunk", [None, 8], ids=["whole", "small-chunks"])
+def test_load_ensemble_counts_every_line_break_across_blocks(
+    tmp_path, monkeypatch, chunk
+):
+    if chunk is not None:  # a block for each "\n", read after the lines before
+        monkeypatch.setattr(chatlog, "READ_CHUNK", chunk)
+    lines = [
+        VALID_LINE.replace('"w":0,"i":0', f'"w":{600 * i},"i":{i}') for i in range(4)
+    ]
+    # "\r" and U+2028 end a line for str.splitlines, but only "\n" ends a
+    # block; the last line is in ensemble_lines' form, and its nodes are wrong
+    text = "\r".join(lines[:2]) + "\n" + "\u2028".join(lines[2:]) + "\n"
+    text += '{"w":2400,"i":4,"nodes":[0,1,2],"edges":[[0,1,1]]}\n'
+    path = tmp_path / "ensemble.jsonl"
+    path.write_text(text, encoding="utf-8")
+    outcome = load_outcome(ensemble_networks, path)
+    assert outcome == load_outcome(load_ensemble_direct, path)
+    assert outcome[1].endswith("line 5: nodes do not match edge endpoints")
 
 
 # every line boundary str.splitlines knows, a BOM, and characters of one to
