@@ -28,12 +28,11 @@ from .errors import (
     SchemaError,
 )
 
-# zoneinfo and logging serve only parse and the re-sort warning, and csv only
-# files not in dump_log's form, so they are imported where used, not by every
-# command. hashlib, hmac and secrets are imported nowhere: they load OpenSSL's
-# libcrypto, and the builtin SHA-256 below does their work. Type checkers read
-# this constant as true; importing it from typing would cost every command
-# that module.
+# zoneinfo serves only parse, and csv only files not in dump_log's form, so
+# they are imported where used, not by every command. hashlib, hmac and
+# secrets are imported nowhere: they load OpenSSL's libcrypto, and the builtin
+# SHA-256 below does their work. Type checkers read this constant as true;
+# importing it from typing would cost every command that module.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     import csv
@@ -759,13 +758,15 @@ def _short_digit_runs(fields: Collection[bytes]) -> bool:
     return b"" not in fields and max(map(len, fields), default=0) <= _MAX_DIGITS
 
 
-def load_log(path: str | Path) -> MessageLog:
+def load_log(path: str | Path, counts: dict | None = None) -> MessageLog:
     """Load a canonical log: JSONL if named ``*.jsonl``/``*.ndjson``, else CSV.
 
     A CSV log in ``dump_log``'s form is read a block of lines at a time.
     ``csv.reader`` reads any other CSV file, and :func:`_json_lines` a JSONL
     log (skipping blank lines), a row at a time under :func:`_row_columns`'
     rule, less one leading byte-order mark; only they report a bad file.
+    Rows out of timestamp order are sorted by (timestamp, row); given
+    ``counts``, its ``rows_resorted`` is set to how many rows the sort moved.
     """
     path = Path(path)
     source = str(path)
@@ -789,17 +790,16 @@ def load_log(path: str | Path) -> MessageLog:
                 raise _csv_error(source, reader, exc) from exc
     users, stamps = tuple(users), tuple(stamps)
     try:
-        return MessageLog(users, stamps)
+        log, moved = MessageLog(users, stamps), 0
     except ValueError:  # the readers reject negative IDs: rows out of order
-        import logging
-
-        logging.getLogger(__name__).warning(
-            "%s: rows out of order; re-sorting by (timestamp, row)", source
+        order = sorted(range(len(stamps)), key=stamps.__getitem__)  # stable
+        moved = sum(map(operator.ne, order, range(len(order))))
+        log = MessageLog(
+            tuple([users[i] for i in order]), tuple([stamps[i] for i in order])
         )
-    order = sorted(range(len(stamps)), key=stamps.__getitem__)  # stable
-    return MessageLog(
-        tuple([users[i] for i in order]), tuple([stamps[i] for i in order])
-    )
+    if counts is not None:
+        counts["rows_resorted"] = moved
+    return log
 
 
 # rows joined into one string per yield: one yield per row costs more time

@@ -47,7 +47,9 @@ from .ensemble import (
     WindowMetrics,
     conversation_metrics,
     ensemble_stats,
+    rank_means,
     rank_users,
+    scope_means,
     scored_window,
     window_scorer,
     zscore_classify,
@@ -62,12 +64,13 @@ from .errors import (
 )
 from .netbuild import (
     WindowSpec,
+    _Reprs,
     ensemble_lines,
     ensemble_networks,
     window_networks,
 )
 from .synth import REGIME_KINDS, Regime, dump_ground_truth, generate
-from .temporal import period_compare, user_series
+from .temporal import compare_means, period_compare, split_periods, user_series
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -123,11 +126,12 @@ def _input_digests(args) -> dict[str, str]:
 
 
 def _write_manifest(outdir: Path, args, inputs: dict, outputs: list[str]) -> None:
-    """Record the command, every flag under its long name, inputs and outputs."""
+    """Record the command, every flag under its long name, inputs and outputs,
+    and the ``counts`` a command that reads a log sets on ``args``."""
     params = {
         _RECORDED_AS.get(key, key): value
         for key, value in vars(args).items()
-        if key not in ("command", "handler")
+        if key not in ("command", "handler", "counts")
     }
     doc = {
         "command": args.command,
@@ -136,6 +140,8 @@ def _write_manifest(outdir: Path, args, inputs: dict, outputs: list[str]) -> Non
         "inputs": inputs,
         "outputs": sorted(outputs),
     }
+    if hasattr(args, "counts"):
+        doc["counts"] = args.counts
     _write_artifact(outdir / MANIFEST, (json.dumps(doc, indent=2), "\n"))
 
 
@@ -162,12 +168,15 @@ def _when(text: str | None) -> int | None:
 
 
 def _log_and_spec(args) -> tuple[MessageLog, WindowSpec]:
+    """The log at ``args.input`` and the window flags' spec; the load's
+    counts go to ``args.counts`` for the manifest."""
     spec = WindowSpec(
         delta_t=args.interval * 60,
         alignment=args.align,
         time_range=(_when(args.from_when), _when(args.to_when)),
     )
-    return load_log(args.input), spec
+    args.counts = {}
+    return load_log(args.input, args.counts), spec
 
 
 def _scored(args, users=None) -> list[WindowMetrics]:
@@ -193,24 +202,16 @@ def _classified(args, wms, thresholds: tuple[float, float]):
 # ---------------------------------------------------------------------------
 # artifact emitters (shared between the step commands and `report`)
 
-def _emit_ensemble(outdir: Path, networks) -> list[str]:
-    _write_artifact(outdir / "ensemble.jsonl", ensemble_lines(networks))
+# ``ints``, given to the emitters that write node IDs, is one int -> text
+# cache, so that report formats each ID once for the ensemble and the
+# centralities both.
+
+def _emit_ensemble(outdir: Path, networks, ints: _Reprs) -> list[str]:
+    _write_artifact(outdir / "ensemble.jsonl", ensemble_lines(networks, ints))
     return ["ensemble.jsonl"]
 
 
-class _Reprs(dict):
-    """Float -> ``repr`` text, each distinct value formatted once.
-
-    Keys must be nonzero, since a dict merges 0.0 and -0.0, whose reprs
-    differ; the centralities cached here are strictly positive.
-    """
-
-    def __missing__(self, value: float) -> str:
-        text = self[value] = repr(value)
-        return text
-
-
-def _emit_metrics(outdir: Path, wms) -> list[str]:
+def _emit_metrics(outdir: Path, wms, ints: _Reprs) -> list[str]:
     def metrics_rows():
         # windows of one shape share their metrics object, and so its text
         tails: dict[int, str] = {}
@@ -228,14 +229,14 @@ def _emit_metrics(outdir: Path, wms) -> list[str]:
         "window_start,window_index,n,total_weight,equality,intensity,ei",
         metrics_rows(),
     )
-    reprs = _Reprs()
+    reprs = _Reprs()  # centralities are strictly positive floats, never -0.0
     _write_csv(
         outdir / "centralities.csv",
         "window_start,user_id,strength,ei_centrality",
         (
-            f"{w.window_start},{user},{s},{reprs[s * scale]}\n"
+            f"{start}{ints[user]},{ints[s]},{reprs[s * scale]}\n"
             for w in wms
-            for users, strengths, scale in (w.columns(),)
+            for start, (users, strengths, scale) in ((f"{w.window_start},", w.columns()),)
             for user, s in zip(users, strengths)
         ),
     )
@@ -259,9 +260,9 @@ def _emit_classify(outdir: Path, classified) -> list[str]:
     return ["classified.csv", "histogram.json"]
 
 
-def _emit_rankings(outdir: Path, wms, classified, top_k: int, avg: str):
+def _emit_rankings(outdir: Path, rankings) -> list[str]:
     files = []
-    for scope, ranking in rank_users(wms, classified, top_k, avg=avg).items():
+    for scope, ranking in rankings.items():
         name = f"ranking_{scope.value}.csv"
         _write_csv(
             outdir / name,
@@ -275,8 +276,7 @@ def _emit_rankings(outdir: Path, wms, classified, top_k: int, avg: str):
     return files
 
 
-def _emit_compare(outdir: Path, wms, split: int, top_k: int | None, avg: str):
-    cmp = period_compare(wms, split, top_k=top_k, avg=avg)
+def _emit_compare(outdir: Path, cmp) -> list[str]:
     _write_csv(
         outdir / "period_compare.csv",
         "user_id,whole,p1,p2,diff",
@@ -326,11 +326,11 @@ def _cmd_parse(args, outdir: Path) -> list[str]:
 
 def _cmd_build(args, outdir: Path) -> list[str]:
     # each network is written as it is built; no ensemble is held
-    return _emit_ensemble(outdir, window_networks(*_log_and_spec(args)))
+    return _emit_ensemble(outdir, window_networks(*_log_and_spec(args)), _Reprs())
 
 
 def _cmd_metrics(args, outdir: Path) -> list[str]:
-    return _emit_metrics(outdir, _scored(args))
+    return _emit_metrics(outdir, _scored(args), _Reprs())
 
 
 def _cmd_classify(args, outdir: Path) -> list[str]:
@@ -348,7 +348,7 @@ def _cmd_rank(args, outdir: Path) -> list[str]:
     thresholds = _parse_thresholds(args.thresholds)  # read before the ensemble
     wms = _scored(args)
     classified = _classified(args, wms, thresholds)
-    return _emit_rankings(outdir, wms, classified, args.top_k, args.avg)
+    return _emit_rankings(outdir, rank_users(wms, classified, args.top_k, avg=args.avg))
 
 
 def _cmd_series(args, outdir: Path) -> list[str]:
@@ -365,7 +365,8 @@ def _cmd_series(args, outdir: Path) -> list[str]:
 
 def _cmd_compare(args, outdir: Path) -> list[str]:
     split = _when(args.split)  # read before the ensemble is loaded
-    return _emit_compare(outdir, _scored(args), split, args.top_k, args.avg)
+    cmp = period_compare(_scored(args), split, top_k=args.top_k, avg=args.avg)
+    return _emit_compare(outdir, cmp)
 
 
 def _cmd_simulate(args, outdir: Path) -> list[str]:
@@ -389,7 +390,7 @@ def _cmd_report(args, outdir: Path) -> list[str]:
     # every flag is read before the first artifact is written
     thresholds = _parse_thresholds(args.thresholds)
     split = _when(args.split)
-    score, wms = window_scorer(), []
+    score, wms, ints = window_scorer(), [], _Reprs()
 
     def scored(networks):
         # each network is scored once its line is written, then dropped
@@ -398,13 +399,22 @@ def _cmd_report(args, outdir: Path) -> list[str]:
             if net.is_conversation:
                 wms.append(scored_window(net, score(net)))
 
-    files = _emit_ensemble(outdir, scored(window_networks(*_log_and_spec(args))))
-    files += _emit_metrics(outdir, wms)
+    files = _emit_ensemble(outdir, scored(window_networks(*_log_and_spec(args))), ints)
+    files += _emit_metrics(outdir, wms, ints)
     classified = _classified(args, wms, thresholds)
     files += _emit_classify(outdir, classified)
-    files += _emit_rankings(outdir, wms, classified, args.top_k, args.avg)
+    # one pass sums the rankings' class means and the comparison's period
+    # means, with GLOBAL, which both share
+    labels = [c.label for c in classified]
+    if split is None:
+        (by_class,) = scope_means(wms, args.avg, labels)
+    else:
+        by_class, by_period = scope_means(
+            wms, args.avg, labels, split_periods(wms, split)
+        )
+    files += _emit_rankings(outdir, rank_means(by_class, args.top_k))
     if split is not None:
-        files += _emit_compare(outdir, wms, split, None, args.avg)
+        files += _emit_compare(outdir, compare_means(by_period, split))
     return files
 
 

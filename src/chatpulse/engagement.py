@@ -24,15 +24,18 @@ from .netbuild import InteractionNetwork
 
 
 # Built once per distinct conversation shape and shared by every window of
-# that shape (see ensemble.window_scorer), so it is frozen.
+# that shape (see ensemble.window_scorer), so it is frozen. Its centrality
+# scale is derived once, when it is built, for every window of the shape.
 class EngagementMetrics(FrozenRecord):
-    __slots__ = ("n", "total_weight", "gini", "equality", "intensity", "ei")
+    _fields = ("n", "total_weight", "gini", "equality", "intensity", "ei")
+    __slots__ = _fields + ("_scale",)
 
     def __init__(
         self, n: int, total_weight: int, gini: float, equality: float,
         intensity: float, ei: float,
     ) -> None:
         self._fill(n, total_weight, gini, equality, intensity, ei)
+        object.__setattr__(self, "_scale", centrality_scale(self))
 
 
 def gini(values) -> float:
@@ -61,5 +64,8 @@ def engagement_index(net: InteractionNetwork) -> EngagementMetrics:
 
 
 def centrality_scale(metrics: EngagementMetrics) -> float:
-    """The factor from a node's strength to its engagement centrality."""
+    """The factor from a node's strength to its engagement centrality.
+
+    Each ``EngagementMetrics`` keeps its own, derived here when it is built.
+    """
     return metrics.n * metrics.ei / (2.0 * metrics.total_weight)

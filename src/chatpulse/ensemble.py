@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from enum import Enum
 
 from ._record import FrozenRecord, Record
-from .engagement import EngagementMetrics, centrality_scale, engagement_index
+from .engagement import EngagementMetrics, engagement_index
 from .errors import DegenerateEnsembleError, InsufficientDataError, ParameterError
 from .netbuild import InteractionNetwork
 
@@ -30,8 +30,9 @@ class WindowMetrics:
 
     ``columns()`` is the one way to read a window's per-user data: the
     users, ascending, their strengths, and the ``centrality_scale`` that
-    makes a strength its user's ei centrality. The columns are those given;
-    a window given none holds its metrics alone.
+    makes a strength its user's ei centrality, which the metrics shared by
+    the windows of one shape derived once. The columns are those given; a
+    window given none holds its metrics alone.
     """
 
     __slots__ = ("window_start", "window_index", "metrics", "_users", "_strengths")
@@ -53,7 +54,7 @@ class WindowMetrics:
 
     def columns(self) -> tuple[tuple[int, ...], tuple[int, ...], float]:
         """Users, their strengths, and the scale from a strength to its centrality."""
-        return self._users, self._strengths, centrality_scale(self.metrics)
+        return self._users, self._strengths, self.metrics._scale
 
 
 def window_scorer():
@@ -170,51 +171,70 @@ def check_avg(avg: str) -> None:
         raise ParameterError(f"avg must be 'zero' or 'present', got {avg!r}")
 
 
-def scope_means(windows, scopes, avg: str) -> dict:
+def scope_means(windows, avg: str, *scopings) -> tuple[dict, ...]:
     """Mean ei centrality of each user over every window and over each scope.
 
-    ``scopes`` gives each window's scope key, in the order of ``windows``;
-    the key GLOBAL covers every window. One pass in window order sums each
-    user's centrality into GLOBAL and into its window's scope, so every mean
-    adds in window order. With avg='zero' the denominator is the scope's
-    window count and every user of ``windows`` has a mean in every scope,
-    0.0 where absent; with avg='present' it is the user's appearances in the
-    scope and only those users are listed. A scope no window has is absent.
+    Each scoping gives each window's scope key, in the order of ``windows``,
+    and the result holds one dict per scoping, scope -> user -> mean, with
+    the key GLOBAL covering every window in each. One pass in window order
+    adds each user's centrality into GLOBAL and into its window's scope
+    under every scoping, so every mean adds in window order and does not
+    depend on the other scopings given. With avg='zero' the denominator is
+    the scope's window count and every user of ``windows`` has a mean in
+    every scope, 0.0 where absent; with avg='present' it is the user's
+    appearances in the scope and only those users are listed. A scope no
+    window has is absent.
     """
     check_avg(avg)
     present = avg == AVG_PRESENT
     whole: defaultdict[int, float] = defaultdict(float)
-    sums: dict = {}  # scope -> user -> summed centrality
-    seen: dict = {}  # scope -> user -> appearances, counted for avg='present'
-    sizes: dict = {}  # scope -> windows
-    for w, scope in zip(windows, scopes):
-        if scope not in sums:
-            sums[scope], seen[scope] = defaultdict(float), defaultdict(int)
-            sizes[scope] = 0
-        part, part_seen = sums[scope], seen[scope]
-        sizes[scope] += 1
+    sums: list[dict] = [{} for _ in scopings]  # scope -> user -> summed centrality
+    seen: list[dict] = [{} for _ in scopings]  # scope -> user -> appearances
+    targets: dict = {}  # a window's scope keys -> the sums and counts it adds to
+    for w, keys in zip(windows, zip(*scopings)):
+        target = targets.get(keys)
+        if target is None:
+            target = targets[keys] = (
+                tuple([acc.setdefault(key, defaultdict(float)) for acc, key in zip(sums, keys)]),
+                tuple([acc.setdefault(key, defaultdict(int)) for acc, key in zip(seen, keys)]),
+            )
+        parts, part_seen = target
         users, strengths, scale = w.columns()
         for user, s in zip(users, strengths):
             value = s * scale
             whole[user] += value
-            part[user] += value
-            if present:
-                part_seen[user] += 1
-    GLOBAL = EngagementClass.GLOBAL
-    sums[GLOBAL], sizes[GLOBAL] = whole, len(windows)
-    if not present:
-        return {
-            scope: {user: acc.get(user, 0.0) / sizes[scope] for user in whole}
-            for scope, acc in sums.items()
+            for part in parts:
+                part[user] += value
+        if present:
+            for counts in part_seen:
+                for user in users:
+                    counts[user] += 1
+    if present:
+        # a scoping gives each window one scope, so a user's appearances in
+        # the first scoping's scopes add up to its appearances in all; all
+        # the scopings' counts would count each appearance once a scoping
+        overall = {
+            user: s / sum([counts.get(user, 0) for counts in seen[0].values()])
+            for user, s in whole.items()
         }
-    # appearances are integers, so the scopes' counts add up exactly
-    seen[GLOBAL] = {
-        user: sum(counts.get(user, 0) for counts in seen.values()) for user in whole
-    }
-    return {
-        scope: {user: s / seen[scope][user] for user, s in acc.items()}
-        for scope, acc in sums.items()
-    }
+    else:
+        overall = {user: s / len(windows) for user, s in whole.items()}
+    out = []
+    for scoping, by_scope, seen_by_scope in zip(scopings, sums, seen):
+        if present:
+            means = {
+                scope: {user: s / seen_by_scope[scope][user] for user, s in acc.items()}
+                for scope, acc in by_scope.items()
+            }
+        else:
+            sizes = Counter(scoping)
+            means = {
+                scope: {user: acc.get(user, 0.0) / sizes[scope] for user in whole}
+                for scope, acc in by_scope.items()
+            }
+        means[EngagementClass.GLOBAL] = overall
+        out.append(means)
+    return tuple(out)
 
 
 class UserRanking(FrozenRecord):
@@ -247,7 +267,14 @@ def rank_users(
     if top_k < 1:
         raise ParameterError(f"top_k must be >= 1, got {top_k}")
     label = {c.window_index: c.label for c in classified}
-    means = scope_means(windows, [label.get(w.window_index) for w in windows], avg)
+    (means,) = scope_means(windows, avg, [label.get(w.window_index) for w in windows])
+    return rank_means(means, top_k)
+
+
+def rank_means(means: dict, top_k: int) -> dict[EngagementClass, UserRanking]:
+    """The top ``top_k`` users of each EngagementClass, GLOBAL included, from
+    :func:`scope_means`' result for a scoping by class; ties go to the
+    lower user ID."""
     rankings = {}
     for scope in EngagementClass:
         scoped = means.get(scope, {})

@@ -95,7 +95,7 @@ class InteractionNetwork(Record):
     """
 
     _fields = ("window_start", "window_index", "nodes", "edges")
-    # the strengths counted when the network was read, or None
+    # the strengths counted when the network was built or read, or None
     __slots__ = _fields + ("_strengths",)
 
     def __init__(
@@ -118,9 +118,10 @@ class InteractionNetwork(Record):
     def strengths(self) -> dict[int, int]:
         """Weighted degree per interacting node, in ascending user order.
 
-        A network read by :func:`ensemble_networks` returns the dict that its
-        read counted from ``edges``; do not change it. Any other network
-        counts its strengths on each call.
+        A network built by :func:`network_from_senders` (and so by
+        :func:`window_networks`) or read by :func:`ensemble_networks` returns
+        the dict that its one pass over ``edges`` counted; do not change it.
+        Any other network counts its strengths on each call.
         """
         acc = self._strengths
         if acc is None:
@@ -134,14 +135,23 @@ class InteractionNetwork(Record):
 def network_from_senders(
     senders, *, window_start: int = 0, window_index: int = 0
 ) -> InteractionNetwork:
-    """Build a window network from an ordered sequence of sender IDs."""
+    """Build a window network from an ordered sequence of sender IDs.
+
+    One pass over the counted edges adds each weight to both endpoints'
+    strengths. The endpoints, sorted, are the nodes, and the network keeps
+    the strengths in their order, so :meth:`InteractionNetwork.strengths`
+    does not count them again.
+    """
     edges = _kernels.pair_counts(senders)
-    return InteractionNetwork(
-        window_start=window_start,
-        window_index=window_index,
-        nodes=tuple(sorted(set(chain.from_iterable(edges)))),
-        edges=edges,
-    )
+    counted: dict[int, int] = {}
+    get = counted.get
+    for (u, v), w in edges.items():
+        counted[u] = get(u, 0) + w
+        counted[v] = get(v, 0) + w
+    nodes = tuple(sorted(counted))
+    net = InteractionNetwork(window_start, window_index, nodes, edges)
+    net._strengths = {u: counted[u] for u in nodes}
+    return net
 
 
 def in_window_order(networks: Iterable) -> Iterator[InteractionNetwork]:
@@ -191,14 +201,34 @@ def window_networks(
         )
 
 
-def ensemble_lines(networks: Iterable[InteractionNetwork]) -> Iterator[str]:
+class _Reprs(dict):
+    """Value -> ``repr`` text, each distinct value formatted once.
+
+    Keep the keys of one cache to one type: a dict merges equal keys, so
+    ``1`` and ``1.0`` would share one text, as would 0.0 and -0.0, whose
+    reprs differ.
+    """
+
+    def __missing__(self, value) -> str:
+        text = self[value] = repr(value)
+        return text
+
+
+def ensemble_lines(
+    networks: Iterable[InteractionNetwork], ints: _Reprs | None = None
+) -> Iterator[str]:
     """Each network's JSONL line, newline included, edges in (u < v) order.
 
     Every value is an int, so each line is written as compact JSON directly.
+    Each node ID and weight is formatted once, through ``ints``, an
+    int -> text cache that a caller may share with its other writers.
     """
+    text = _Reprs() if ints is None else ints
     for net in networks:
-        nodes = ",".join(map(str, net.nodes))
-        edges = ",".join([f"[{u},{v},{w}]" for (u, v), w in sorted(net.edges.items())])
+        nodes = ",".join(map(text.__getitem__, net.nodes))
+        edges = ",".join([
+            f"[{text[u]},{text[v]},{text[w]}]" for (u, v), w in sorted(net.edges.items())
+        ])
         yield (
             f'{{"w":{net.window_start},"i":{net.window_index},'
             f'"nodes":[{nodes}],"edges":[{edges}]}}\n'

@@ -57,6 +57,21 @@ class PeriodComparison(FrozenRecord):
         self._fill(split, rows)
 
 
+def split_periods(windows, split: int) -> list[str]:
+    """Each window's period, in order: "p1" before ``split``, "p2" from it.
+
+    Periods are half-open around the split: a window starting exactly at the
+    split belongs to p2. Raises when either period has no conversation.
+    """
+    periods = ["p2" if w.window_start >= split else "p1" for w in windows]
+    if "p1" not in periods or "p2" not in periods:
+        raise InsufficientDataError(
+            f"both periods need at least one conversation network "
+            f"(p1={periods.count('p1')}, p2={periods.count('p2')})"
+        )
+    return periods
+
+
 def period_means(
     windows,
     split: int,
@@ -65,18 +80,16 @@ def period_means(
 ) -> tuple[dict[int, float], dict[int, float], dict[int, float]]:
     """Raw per-user mean ei centrality over (whole, p1, p2) of scored windows.
 
-    Periods are half-open around the split: a window starting exactly at the
-    split belongs to p2. Every user of ``windows`` is in all three vectors,
-    with 0.0 where absent. Raises when either period has no conversation.
+    The periods are :func:`split_periods`'. Every user of ``windows`` is in
+    all three vectors, with 0.0 where absent. Raises when either period has
+    no conversation.
     """
     check_avg(avg)
-    periods = ["p2" if w.window_start >= split else "p1" for w in windows]
-    if "p1" not in periods or "p2" not in periods:
-        raise InsufficientDataError(
-            f"both periods need at least one conversation network "
-            f"(p1={periods.count('p1')}, p2={periods.count('p2')})"
-        )
-    means = scope_means(windows, periods, avg)
+    (means,) = scope_means(windows, avg, split_periods(windows, split))
+    return _period_vectors(means)
+
+
+def _period_vectors(means: dict) -> tuple[dict, dict, dict]:
     whole = means[EngagementClass.GLOBAL]
     p1, p2 = (
         {user: means[period].get(user, 0.0) for user in whole}
@@ -108,7 +121,17 @@ def period_compare(
     """
     if top_k is not None and top_k < 1:
         raise ParameterError(f"top_k must be >= 1, got {top_k}")
-    whole, p1, p2 = period_means(windows, split, avg=avg)
+    check_avg(avg)
+    (means,) = scope_means(windows, avg, split_periods(windows, split))
+    return compare_means(means, split, top_k=top_k)
+
+
+def compare_means(
+    means: dict, split: int, *, top_k: int | None = None
+) -> PeriodComparison:
+    """:func:`period_compare`'s result from :func:`scope_means`' result for
+    the scoping by :func:`split_periods` at ``split``."""
+    whole, p1, p2 = _period_vectors(means)
     users = [u for u, v in whole.items() if v > 0.0]
     whole_n = _normalized({u: whole[u] for u in users})
     p1_n = _normalized({u: p1[u] for u in users})

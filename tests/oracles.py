@@ -14,6 +14,7 @@ import json
 import math
 import operator
 import re
+import struct
 from collections import Counter
 from datetime import datetime
 from itertools import accumulate
@@ -62,16 +63,21 @@ def network_metrics_direct(edges: dict[tuple[int, int], int]) -> dict[str, float
             "equality": eq, "intensity": inten, "ei": eq * inten}
 
 
-def centralities_direct(edges: dict[tuple[int, int], int]) -> dict[int, float]:
-    """Per-node engagement by direct substitution: n * w_i * ei / (2 m)."""
-    m = network_metrics_direct(edges)
+def strengths_direct(edges: dict[tuple[int, int], int]) -> dict[int, int]:
+    """Each endpoint's weighted degree: the weights of its edges, summed."""
     strengths: dict[int, int] = {}
     for (u, v), w in edges.items():
         strengths[u] = strengths.get(u, 0) + w
         strengths[v] = strengths.get(v, 0) + w
+    return strengths
+
+
+def centralities_direct(edges: dict[tuple[int, int], int]) -> dict[int, float]:
+    """Per-node engagement by direct substitution: n * w_i * ei / (2 m)."""
+    m = network_metrics_direct(edges)
     return {
         u: m["n"] * s * m["ei"] / (2.0 * m["total_weight"])
-        for u, s in strengths.items()
+        for u, s in strengths_direct(edges).items()
     }
 
 
@@ -359,3 +365,34 @@ def load_log_jsonl_direct(path) -> MessageLog:
         rows.append((user, ts))
     rows.sort(key=lambda row: row[1])  # stable, as load_log re-sorts
     return MessageLog(tuple(u for u, _ in rows), tuple(t for _, t in rows))
+
+
+def tzif_offsets(data: bytes) -> tuple[int, list[tuple[int, int]]]:
+    """A TZif file's UTC offset before its first transition, and each
+    transition as (UTC epoch, offset from then on), in file order.
+
+    Reads RFC 8536's 64-bit block when the version is 2 or later, else the
+    32-bit one. The POSIX-TZ footer that may follow is not read: it gives a
+    rule for the years after the last transition, at most two changes a
+    year.
+    """
+
+    def header(at: int) -> tuple[bytes, tuple[int, ...]]:
+        if data[at:at + 4] != b"TZif":
+            raise ValueError("not a TZif file")
+        return data[at + 4:at + 5], struct.unpack(">6l", data[at + 20:at + 44])
+
+    version, counts = header(0)
+    at, time_format = 44, "l"
+    if version >= b"2":  # skip the 32-bit block for the 64-bit one
+        isut, isstd, leap, timecnt, typecnt, charcnt = counts
+        at += 5 * timecnt + 6 * typecnt + charcnt + 8 * leap + isstd + isut
+        version, counts = header(at)
+        at, time_format = at + 44, "q"
+    _, _, _, timecnt, typecnt, _ = counts
+    times = struct.unpack_from(f">{timecnt}{time_format}", data, at)
+    at += struct.calcsize(time_format) * timecnt
+    types = data[at:at + timecnt]
+    at += timecnt
+    utoffs = [struct.unpack_from(">l", data, at + 6 * i)[0] for i in range(typecnt)]
+    return utoffs[0], [(t, utoffs[i]) for t, i in zip(times, types)]

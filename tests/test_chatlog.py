@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import importlib.resources
 import json
 import logging
 import sys
 import tracemalloc
+import zoneinfo
 from datetime import date, datetime, timedelta, timezone
+from pathlib import Path
 from types import SimpleNamespace
 from zoneinfo import ZoneInfo, available_timezones
 
@@ -37,6 +40,7 @@ from chatpulse.chatlog import (
     utf8_lines,
 )
 from chatpulse.cli import EXIT_OK, main
+import oracles
 from oracles import read_utf8
 
 
@@ -268,6 +272,56 @@ def test_hour_offsets_match_aware_timestamps_in_every_zone():
     assert split_hours  # some hours change their offset inside
 
 
+def tzdata_files() -> dict[str, bytes]:
+    """The TZif bytes of each zone of the tzdata that zoneinfo reads here:
+    the first ``zoneinfo.TZPATH`` directory that holds the zone, else the
+    ``tzdata`` package."""
+    files = {}
+    for key in sorted(available_timezones()):
+        for base in zoneinfo.TZPATH:
+            path = Path(base, key)
+            if path.is_file():
+                files[key] = path.read_bytes()
+                break
+        else:
+            try:
+                package = importlib.resources.files("tzdata.zoneinfo")
+                files[key] = package.joinpath(*key.split("/")).read_bytes()
+            except (ModuleNotFoundError, OSError):
+                pass
+    return files
+
+
+def test_no_zone_changes_its_offset_twice_within_an_hour():
+    # _hour_start reads one offset through a local hour when the offsets at
+    # its first and last second agree; a zone that changed its offset and
+    # changed it back less than an hour later would fool it. Every zone of
+    # the tzdata here is read from its TZif file, and the reader is checked
+    # against zoneinfo at each change from 1900 to 2037.
+    files = tzdata_files()
+    if not files:
+        pytest.skip("no tzdata found")
+    changes = 0
+    near = []  # (zone, first change, second change) less than an hour apart
+    for key, data in files.items():
+        zone = ZoneInfo(key)
+        offset, transitions = oracles.tzif_offsets(data)
+        last = None
+        for at, new in transitions:
+            if new == offset:
+                continue  # a change of name or of DST flag alone
+            if -2_208_988_800 <= at < 2_145_916_800:  # 1900 to 2037
+                before = datetime.fromtimestamp(at - 1, zone).utcoffset()
+                after = datetime.fromtimestamp(at, zone).utcoffset()
+                assert (before.total_seconds(), after.total_seconds()) == (offset, new)
+            if last is not None and at - last < 3600:
+                near.append((key, last, at))
+            changes += 1
+            last, offset = at, new
+    assert near == []
+    assert changes > 1000  # the files were read
+
+
 def test_same_minute_ties_are_fine_and_ordered_by_file():
     text = "3/7/18, 23:31 - Alice: a\n3/7/18, 23:31 - Bob: b"
     log = parse_transcript(text).log
@@ -453,16 +507,20 @@ def test_round_trip_is_byte_identical(tmp_path):
         assert out.read_bytes() == original
 
 
-def test_out_of_order_rows_resorted_with_warning(tmp_path, caplog):
+def test_out_of_order_rows_resorted_and_counted(tmp_path, caplog):
     path = tmp_path / "log.csv"
     path.write_text("user_id,timestamp\n0,300\n1,100\n2,200\n3,100\n")
-    with caplog.at_level(logging.WARNING):
-        log = load_log(path)
-    assert [r.getMessage() for r in caplog.records] == [
-        f"{path}: rows out of order; re-sorting by (timestamp, row)"
-    ]
+    counts = {}
+    with caplog.at_level(logging.DEBUG):
+        log = load_log(path, counts)
+    assert caplog.records == []  # the re-sort is counted, not logged
     assert log.timestamps == (100, 100, 200, 300)
     assert log.users == (1, 3, 2, 0)  # ties keep their row order
+    assert counts == {"rows_resorted": 3}  # the row at 200 stays third
+    assert load_log(path) == log
+    path.write_text("user_id,timestamp\n1,100\n3,100\n2,200\n0,300\n")
+    assert load_log(path, counts) == log
+    assert counts == {"rows_resorted": 0}
 
 
 def test_ordered_log_is_checked_for_order_once(tmp_path, monkeypatch):

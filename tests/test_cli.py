@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import chatpulse
-from chatpulse import chatlog, cli, engagement
+from chatpulse import chatlog, cli, engagement, ensemble
 from chatpulse.cli import (
     EXIT_INSUFFICIENT,
     EXIT_IO,
@@ -1031,6 +1031,71 @@ def test_rerun_from_manifest_reproduces_artifacts(tmp_path):
     assert artifacts(out) == artifacts(replay)
 
 
+def test_out_of_order_log_is_counted_with_nothing_on_stderr(tmp_path):
+    log = simulate(tmp_path)
+    header, *rows = log.read_text().splitlines()
+    # the first row alone holds the first timestamp, so the stable sort puts
+    # it back first and moves every row of the copy with it last
+    assert int(rows[0].split(",")[1]) < int(rows[1].split(",")[1])
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text("\n".join([header, *rows[1:], rows[0]]) + "\n")
+    ordered, resorted = tmp_path / "ordered", tmp_path / "resorted"
+    code = f"""
+import sys
+sys.path.insert(0, {str(Path(chatpulse.__file__).parents[1])!r})
+from chatpulse import cli
+for log, out in (({str(log)!r}, {str(ordered)!r}), ({str(shuffled)!r}, {str(resorted)!r})):
+    print(cli.main(["report", log, "--out", out, "--split", "2018-08-01T02:00"]))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True
+    )
+    assert (proc.stdout, proc.stderr) == (f"{EXIT_OK}\n{EXIT_OK}\n", "")
+    assert artifacts(resorted) == artifacts(ordered)
+    for out, moved in ((ordered, 0), (resorted, len(rows))):
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["counts"] == {"rows_resorted": moved}
+    # build records the count too; the commands that read no log record none
+    assert run("build", shuffled, "--out", tmp_path / "built") == EXIT_OK
+    manifest = json.loads((tmp_path / "built" / "manifest.json").read_text())
+    assert manifest["counts"] == {"rows_resorted": len(rows)}
+    ens = tmp_path / "built" / "ensemble.jsonl"
+    assert run("metrics", ens, "--out", tmp_path / "metrics") == EXIT_OK
+    assert "counts" not in json.loads((tmp_path / "metrics" / "manifest.json").read_text())
+
+
+def count_scope_means(monkeypatch) -> list[int]:
+    """Patch ``scope_means`` wherever chatpulse binds it; each call appends
+    the number of scopings it was given."""
+    calls = []
+    original = ensemble.scope_means
+
+    def counted(windows, avg, *scopings):
+        calls.append(len(scopings))
+        return original(windows, avg, *scopings)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("chatpulse") and getattr(mod, "scope_means", None) is original:
+            monkeypatch.setattr(mod, "scope_means", counted)
+    return calls
+
+
+def test_report_sums_rankings_and_comparison_in_one_pass(tmp_path, monkeypatch):
+    log = simulate(tmp_path)
+    calls = count_scope_means(monkeypatch)
+    split = ("--split", "2018-08-01T02:00")
+    assert run("report", log, "--out", tmp_path / "split", *split) == EXIT_OK
+    assert calls == [2]  # the classes and the periods, in one call
+    calls.clear()
+    assert run("report", log, "--out", tmp_path / "unsplit") == EXIT_OK
+    assert calls == [1]
+    ens = tmp_path / "split" / "ensemble.jsonl"
+    for command, flags in (("rank", ()), ("compare", split)):
+        calls.clear()
+        assert run(command, ens, "--out", tmp_path / command, *flags) == EXIT_OK
+        assert calls == [1], command
+
+
 def test_expected_report_artifacts_exist(tmp_path):
     log = simulate(tmp_path)
     out = tmp_path / "report"
@@ -1111,10 +1176,10 @@ def test_module_entry_point_runs():
     assert proc.stdout.strip()
 
 
-# parse, the re-sort warning and the line-at-a-time CSV reader import these
-# where they run; input digests and parse's HMAC use the builtin SHA-256 and
-# the salt comes from os.urandom, so no command loads OpenSSL (_hashlib);
-# chatpulse imports dataclasses, hashlib, hmac, inspect and secrets nowhere
+# parse and the line-at-a-time CSV reader import these where they run; input
+# digests and parse's HMAC use the builtin SHA-256 and the salt comes from
+# os.urandom, so no command loads OpenSSL (_hashlib); chatpulse imports
+# dataclasses, hashlib, hmac, inspect, logging and secrets nowhere
 UNUSED_AT_START_UP = (
     "_hashlib", "csv", "dataclasses", "hashlib", "hmac", "inspect", "logging",
     "random", "secrets", "zoneinfo",

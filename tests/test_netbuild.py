@@ -22,7 +22,7 @@ from chatpulse.cli import EXIT_SCHEMA, main
 from chatpulse.netbuild import ensemble_networks, in_window_order
 
 from conftest import make_log, random_log
-from oracles import brute_pair_counts, load_ensemble_direct
+from oracles import brute_pair_counts, load_ensemble_direct, strengths_direct
 
 T2330 = utc_timestamp("2018-07-03T23:30:00Z")
 
@@ -126,6 +126,24 @@ def test_matches_brute_force_oracle_on_random_sequences():
         expected = brute_pair_counts(seq)
         assert net.edges == expected
         assert net.nodes == tuple(sorted({u for p in expected for u in p}))
+
+
+def test_built_networks_carry_their_strengths():
+    rng = random.Random(31)
+    for _ in range(200):
+        seq = [rng.randrange(rng.randrange(1, 10) + 1) for _ in range(rng.randrange(0, 120))]
+        net = network_from_senders(seq)
+        expected = brute_pair_counts(seq)
+        assert net.nodes == tuple(sorted({u for p in expected for u in p}))
+        strengths = net.strengths()
+        assert strengths == strengths_direct(expected)
+        assert tuple(strengths) == net.nodes  # keys in nodes order
+        # counted when the network was built, not again on each call
+        assert net.strengths() is strengths
+    log = random_log(seed=31, users=5, count=300, horizon=6 * 3600)
+    for net in window_networks(log, WindowSpec(delta_t=600)):
+        assert net.strengths() is net.strengths()
+        assert net.strengths() == strengths_direct(net.edges)
 
 
 def test_strengths_sum_to_twice_total_weight():

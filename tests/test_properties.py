@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import hmac
+import io
 import json
 import math
 import tempfile
@@ -33,6 +35,7 @@ from chatpulse import (
     load_log,
     network_from_senders,
     parse_transcript,
+    period_compare,
     period_means,
     rank_users,
     window_networks,
@@ -40,9 +43,11 @@ from chatpulse import (
 )
 from chatpulse import chatlog
 from chatpulse.chatlog import PROFILES, READ_CHUNK, sender_digest, utf8_lines
-from chatpulse.cli import EXIT_OK, main
+from chatpulse.cli import EXIT_INSUFFICIENT, EXIT_OK, main
 from chatpulse.engagement import centrality_scale
+from chatpulse.ensemble import rank_means, scope_means
 from chatpulse.netbuild import ensemble_networks, in_window_order
+from chatpulse.temporal import compare_means, split_periods
 
 from conftest import make_log
 from oracles import (
@@ -812,6 +817,67 @@ def test_stepwise_rank_and_compare_match_report(rows, avg, data):
         }
         assert len(written) == 7  # ensemble, four rankings, two comparison files
         assert {name: (report / name).read_bytes() for name in written} == written
+
+
+def same_bits(shared, separate) -> bool:
+    """Equal records whose floats also have the same reprs, so the same bits."""
+    return shared == separate and repr(shared) == repr(separate)
+
+
+# (-50, 1) leaves LOW empty and (-1, 50) leaves HIGH empty; the splits at the
+# first window and past the last leave a period empty
+@given(
+    chats(DELTA_T // 2, min_size=10),
+    st.sampled_from([(-1.0, 1.0), (-0.5, 0.5), (-50.0, 1.0), (-1.0, 50.0)]),
+    st.sampled_from(["zero", "present"]),
+    st.data(),
+)
+def test_one_pass_for_rankings_and_comparison_equals_a_pass_each(
+    rows, thresholds, avg, data
+):
+    wms = scored(rows)
+    low, high = thresholds
+    try:
+        classified = zscore_classify(wms, ensemble_stats(wms), low=low, high=high)
+    except (InsufficientDataError, DegenerateEnsembleError):
+        assume(False)
+    labels = [c.label for c in classified]
+    top_k = data.draw(st.integers(1, 8))
+    starts = [w.window_start for w in wms]
+    middle = starts[data.draw(st.integers(1, len(starts) - 1))]
+    empty_period = {starts[0], starts[-1] + 1}
+    for split in (starts[0], middle, starts[-1], starts[-1] + 1):
+        if split in empty_period:
+            with pytest.raises(InsufficientDataError) as separate:
+                period_compare(wms, split, avg=avg)
+            with pytest.raises(InsufficientDataError) as shared:
+                scope_means(wms, avg, labels, split_periods(wms, split))
+            assert str(shared.value) == str(separate.value)
+            continue
+        by_class, by_period = scope_means(wms, avg, labels, split_periods(wms, split))
+        rankings = rank_users(wms, classified, top_k, avg=avg)
+        assert same_bits(rank_means(by_class, top_k), rankings)
+        assert same_bits(compare_means(by_period, split), period_compare(wms, split, avg=avg))
+        if low == -50.0:
+            assert rankings[EngagementClass.LOW].entries == ()
+        if high == 50.0:
+            assert rankings[EngagementClass.HIGH].entries == ()
+    # report, which makes the one pass, fails with the separate pass's text
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "log.csv"
+        log.write_text(dump_log(log_of(rows)))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([
+                "report", str(log), "--out", str(Path(tmp) / "out"),
+                f"--thresholds={low},{high}", "--avg", avg, "--split", iso(starts[0]),
+            ])
+    assert code == EXIT_INSUFFICIENT
+    with pytest.raises(InsufficientDataError) as separate:
+        period_compare(wms, starts[0], avg=avg)
+    assert json.loads(err.getvalue()) == {
+        "error": "insufficient-data", "detail": str(separate.value)
+    }
 
 
 # --- transcript header times against strptime --------------------------------
