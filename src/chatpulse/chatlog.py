@@ -13,9 +13,10 @@ import json
 import operator
 import os
 import re
-from collections.abc import Collection, Iterable, Iterator
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from datetime import datetime, timedelta, timezone
-from itertools import accumulate, chain, islice
+from itertools import chain, islice
 from pathlib import Path
 
 from ._record import FrozenRecord
@@ -59,11 +60,23 @@ class MessageLog(FrozenRecord):
     The log is two integer columns; row ``i`` is message ``i``, so a
     message's ``seq`` is its row position. User IDs are non-negative and
     timestamps never decrease.
+
+    ``users`` is a tuple of ints, and rows of one ID share one ``int``.
+    ``timestamps`` is one ``array('q')``: 8 bytes a row, with no ``int``
+    object behind each. An ``array('q')`` is kept as given, and any other
+    sequence of ints is converted; a timestamp outside the signed 64-bit
+    range raises ``ValueError``. The log holds the array itself, so do not
+    change it. An array has no hash, so neither has a log.
     """
 
     __slots__ = ("users", "timestamps")
 
-    def __init__(self, users: tuple[int, ...], timestamps: tuple[int, ...]) -> None:
+    def __init__(self, users: tuple[int, ...], timestamps: Sequence[int]) -> None:
+        if type(timestamps) is not array or timestamps.typecode != "q":
+            try:
+                timestamps = array("q", timestamps)
+            except OverflowError as exc:
+                raise ValueError("a timestamp outside the int64 range") from exc
         if len(users) != len(timestamps):
             raise ValueError(
                 f"{len(users)} user IDs but {len(timestamps)} timestamps"
@@ -317,9 +330,9 @@ def parse_transcript(
     minute_at, second_at = at["minute"], at["second"]
 
     users: list[int] = []
-    stamps: list[int] = []
+    stamps = array("q")
     senders: list[str] = []
-    add_user, add_stamp = users.append, stamps.append
+    add_user = users.append
     ids: dict[str, int] = {}
     # the latest time so far, and the earliest the next one may read
     prev_ts = floor = float("-inf")
@@ -335,6 +348,12 @@ def parse_transcript(
     lines = _without_bom(lines)
     before = 0  # lines in the batches already parsed
     while batch := list(islice(lines, PARSE_BATCH)):
+        # the batch's times, packed onto stamps at its end. On an 80k-message
+        # export, appending to the array one at a time took parse about 10 ms
+        # longer, and packing one list of all the times raised the peak of
+        # the seven step commands, run in one process, by about 0.5 MiB.
+        times: list[int] = []
+        add_time = times.append
         text = "\n".join(batch)
         if text.count("\n") >= len(batch):
             raise ValueError("a transcript line holds a line break")
@@ -393,14 +412,14 @@ def parse_transcript(
                 ids[sender] = len(senders)
                 senders.append(sender)
                 add_user(ids[sender])
-            add_stamp(ts)
+            # the latest time so far: a regression within slack is clamped,
+            # so the log stays non-decreasing
+            add_time(prev_ts)
+        stamps.fromlist(times)
         before += len(batch)
-        del batch, text, matches  # no two batches are held at once
+        del batch, text, matches, times  # no two batches are held at once
 
-    # Within-slack regressions are clamped so the log stays non-decreasing.
-    if slack > 0:
-        stamps = accumulate(stamps, max)
-    log = MessageLog(tuple(users), tuple(stamps))
+    log = MessageLog(tuple(users), stamps)
     return ParsedTranscript(log=log, senders=tuple(senders))
 
 
@@ -582,12 +601,13 @@ def _csv_rows(reader, source: str) -> Iterator[tuple]:
         yield line_no, *row
 
 
-def _row_columns(rows: Iterable[tuple], source: str, to_int) -> tuple[list, list]:
+def _row_columns(rows: Iterable[tuple], source: str, to_int) -> tuple[list, array]:
     """The user and timestamp columns of ``(line_no, user, timestamp)`` rows,
     under the one row rule: the user ID converts with ``to_int``, then the
-    timestamp does, then the ID is not negative. Rows of one ID value share
-    one ``int``: ``int()`` and ``json`` make a new one for each row above 256."""
-    users, stamps, known = [], [], {}
+    timestamp does and fits in int64, then the ID is not negative. Rows of
+    one ID value share one ``int``: ``int()`` and ``json`` make a new one for
+    each row above 256."""
+    users, stamps, known = [], array("q"), {}
     add_user, add_stamp = users.append, stamps.append
     for line_no, raw_user, raw_ts in rows:
         try:
@@ -597,10 +617,16 @@ def _row_columns(rows: Iterable[tuple], source: str, to_int) -> tuple[list, list
                 f"{source}: line {line_no}: bad user ID {raw_user!r}"
             ) from exc
         try:
-            add_stamp(to_int(raw_ts))
+            ts = to_int(raw_ts)
         except ValueError as exc:
             raise SchemaError(
                 f"{source}: line {line_no}: unparsable timestamp {raw_ts!r}"
+            ) from exc
+        try:
+            add_stamp(ts)
+        except OverflowError as exc:
+            raise SchemaError(
+                f"{source}: line {line_no}: timestamp {raw_ts!r} outside int64"
             ) from exc
         if user < 0:
             raise SchemaError(f"{source}: line {line_no}: negative user ID {user}")
@@ -684,32 +710,31 @@ def _without_bom(lines: Iterable[str]) -> Iterator[str]:
 
 
 _CANONICAL_HEADER = (",".join(LOG_CSV_HEADER) + "\n").encode()
-_MAX_DIGITS = 18  # a longer field goes through csv.reader and int(str)
 
 
-def _canonical_columns(path: Path) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+def _canonical_columns(path: Path) -> tuple[tuple[int, ...], array] | None:
     """The columns of a CSV log in ``dump_log``'s form, or None for a file in
     any other form.
 
     That form is the header line, then rows of two ASCII digit runs, each
-    row ending in ``\\n``. Each block of whole lines is checked and split
-    by bytes methods, with no Python code per row. A file that passes is
-    ASCII, so it needs no UTF-8 check.
+    row ending in ``\\n``, whose timestamps fit in int64. Each block of
+    whole lines is checked and split by bytes methods, with no Python code
+    per row. A file that passes is ASCII, so it needs no UTF-8 check.
     """
     with open(path, "rb") as fh:
         if fh.read(len(_CANONICAL_HEADER)) != _CANONICAL_HEADER:
             return None
-        rows = 8  # spare slots (see below), then one per line end
+        rows = 0
         while chunk := fh.read(READ_CHUNK):
             rows += chunk.count(b"\n")
-    # Both columns are allocated at full length before any block is split,
-    # with a few spare slots: the stamps tuple, whose header makes it 40
-    # bytes longer than a list's item array, then fits where the users list
-    # was. On 80k-row logs, a report's peak RSS rose by 0.6 MiB with exact
-    # allocation and no spare slots, by 0.9-2.6 MiB with lists grown by +=,
-    # and by 1.0-1.6 MiB with per-block lists joined by chain.
+    # The users list is allocated at full length before any block is split,
+    # and each block's timestamps are packed onto the array, so no row's time
+    # outlives its block as an int object. Fresh-process report peaks on the
+    # seed-12 corpora read 23.1 MiB (c9) and 17.7 MiB (burst) this way, 23.5
+    # and 18.4 MiB with the users list grown by +=, and 24.0 and 19.6 MiB with
+    # both columns allocated as lists and copied into tuples.
     users = [0] * rows
-    stamps = [0] * rows
+    stamps = array("q")
     at = 0
     # a user ID's int for each spelling, and one int for each value, as
     # _row_columns shares them: "301" and "0301" map to one object
@@ -729,33 +754,27 @@ def _canonical_columns(path: Path) -> tuple[tuple[int, ...], tuple[int, ...]] | 
             fields = block.replace(b"\n", b",").split(b",")
             del fields[-1]  # the empty field after the last line end
             ids, times = fields[::2], fields[1::2]
+            # int() rejects an empty field and the array a time past int64;
+            # a file with either goes to csv.reader, which names the row
             try:
                 ids = list(map(known.__getitem__, ids))
             except KeyError:  # a spelling first seen in this block
                 new = set(ids).difference(known)
-                if not _short_digit_runs(new):
+                try:
+                    values = list(map(int, new))
+                except ValueError:
                     return None
-                values = list(map(int, new))
                 known.update(zip(new, map(shared.setdefault, values, values)))
                 ids = list(map(known.__getitem__, ids))
-            if not _short_digit_runs(times):
+            try:
+                stamps.fromlist(list(map(int, times)))
+            except (ValueError, OverflowError):
                 return None
             end = at + len(ids)
             users[at:end] = ids
-            stamps[at:end] = map(int, times)
             at = end
-    del users[at:], stamps[at:]
-    # each list goes as soon as its tuple exists, so that three of the four
-    # arrays are live at once, not all four
-    users_column = tuple(users)
-    del users
-    return users_column, tuple(stamps)
-
-
-def _short_digit_runs(fields: Collection[bytes]) -> bool:
-    """Whether every field holds 1 to ``_MAX_DIGITS`` digits, given that
-    each holds nothing else."""
-    return b"" not in fields and max(map(len, fields), default=0) <= _MAX_DIGITS
+    del users[at:]
+    return tuple(users), stamps
 
 
 def load_log(path: str | Path, counts: dict | None = None) -> MessageLog:
@@ -788,14 +807,15 @@ def load_log(path: str | Path, counts: dict | None = None) -> MessageLog:
                 users, stamps = _row_columns(_csv_rows(reader, source), source, int)
             except csv.Error as exc:
                 raise _csv_error(source, reader, exc) from exc
-    users, stamps = tuple(users), tuple(stamps)
+    users = tuple(users)
     try:
         log, moved = MessageLog(users, stamps), 0
     except ValueError:  # the readers reject negative IDs: rows out of order
         order = sorted(range(len(stamps)), key=stamps.__getitem__)  # stable
         moved = sum(map(operator.ne, order, range(len(order))))
         log = MessageLog(
-            tuple([users[i] for i in order]), tuple([stamps[i] for i in order])
+            tuple([users[i] for i in order]),
+            array("q", map(stamps.__getitem__, order)),
         )
     if counts is not None:
         counts["rows_resorted"] = moved

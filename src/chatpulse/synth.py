@@ -208,7 +208,7 @@ def generate(regime: Regime, spec: WindowSpec | None = None) -> SynthResult:
             )
         )
 
-    log = MessageLog(tuple(users), tuple(stamps))
+    log = MessageLog(tuple(users), stamps)
     return SynthResult(regime=regime, log=log, truth=tuple(truth))
 
 

@@ -297,6 +297,10 @@ def read_utf8(path: Path, error: type[ChatpulseError]) -> str:
         raise error(f"{path}: not UTF-8 text (byte {exc.start})") from exc
 
 
+# the range of a timestamp, a signed 64-bit int
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
 def load_log_csv_direct(path) -> MessageLog:
     """A CSV log read whole, then row by row with ``csv.reader`` alone: no
     block reader, no shared user-ID ints. Diagnostics are ``load_log``'s."""
@@ -327,6 +331,10 @@ def load_log_csv_direct(path) -> MessageLog:
                 raise SchemaError(
                     f"{path}: line {line_no}: unparsable timestamp {row[1]!r}"
                 ) from exc
+            if not INT64_MIN <= ts <= INT64_MAX:
+                raise SchemaError(
+                    f"{path}: line {line_no}: timestamp {row[1]!r} outside int64"
+                )
             if user < 0:
                 raise SchemaError(f"{path}: line {line_no}: negative user ID {user}")
             rows.append((user, ts))
@@ -360,6 +368,8 @@ def load_log_jsonl_direct(path) -> MessageLog:
             raise SchemaError(f"{path}: line {line_no}: bad user ID {user!r}")
         if isinstance(ts, bool) or not isinstance(ts, int):
             raise SchemaError(f"{path}: line {line_no}: unparsable timestamp {ts!r}")
+        if not INT64_MIN <= ts <= INT64_MAX:
+            raise SchemaError(f"{path}: line {line_no}: timestamp {ts!r} outside int64")
         if user < 0:
             raise SchemaError(f"{path}: line {line_no}: negative user ID {user}")
         rows.append((user, ts))

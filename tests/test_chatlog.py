@@ -8,6 +8,7 @@ import logging
 import sys
 import tracemalloc
 import zoneinfo
+from array import array
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from types import SimpleNamespace
@@ -39,7 +40,7 @@ from chatpulse.chatlog import (
     utc_timestamp,
     utf8_lines,
 )
-from chatpulse.cli import EXIT_OK, main
+from chatpulse.cli import EXIT_OK, EXIT_SCHEMA, main
 import oracles
 from oracles import read_utf8
 
@@ -132,11 +133,11 @@ def test_dst_fall_back_hour_reads_second_occurrence_when_needed():
         "17/2/19, 00:05 - Alice: ok"
     )
     log = parse_transcript(text, tz="America/Sao_Paulo").log
-    assert log.timestamps == (1550368200, 1550369400, 1550372700)
+    assert log.timestamps == array("q", [1550368200, 1550369400, 1550372700])
     # a regression within --slack is jitter: clamped, not moved an hour ahead
     jitter = "16/2/19, 23:50 - Alice: hi\n16/2/19, 23:49 - Bob: yo"
     log = parse_transcript(jitter, tz="America/Sao_Paulo", slack=120).log
-    assert log.timestamps == (1550368200, 1550368200)
+    assert log.timestamps == array("q", [1550368200, 1550368200])
 
 
 def test_repeated_time_token_in_fall_back_hour_keeps_second_reading():
@@ -148,7 +149,9 @@ def test_repeated_time_token_in_fall_back_hour_keeps_second_reading():
         "16/2/19, 23:50 - Bob: later"
     )
     log = parse_transcript(text, tz="America/Sao_Paulo").log
-    assert log.timestamps == (1550368200, 1550369400, 1550369400, 1550371800)
+    assert log.timestamps == array(
+        "q", [1550368200, 1550369400, 1550369400, 1550371800]
+    )
 
 
 def test_dst_spring_forward_gap_keeps_offset_before_the_gap():
@@ -350,7 +353,7 @@ def test_us_meridiem_without_space_reads_like_spaced():
     spaced = parse_transcript("8/1/18, 9:05 PM - Ann: hi\n", profile="whatsapp-us-dash")
     tight = parse_transcript("8/1/18, 9:05PM - Ann: hi\n", profile="whatsapp-us-dash")
     assert tight == spaced
-    assert tight.log.timestamps == (utc_timestamp("2018-08-01T21:05:00Z"),)
+    assert tight.log.timestamps == array("q", [utc_timestamp("2018-08-01T21:05:00Z")])
 
 
 @pytest.mark.parametrize(
@@ -399,7 +402,7 @@ def test_en_dash_separator_accepted():
 
 def test_empty_transcript_gives_empty_log():
     log = parse_transcript("").log
-    assert len(log) == 0 and log.users == () and log.timestamps == ()
+    assert len(log) == 0 and log.users == () and log.timestamps == array("q")
 
 
 # --- anonymization -----------------------------------------------------------
@@ -488,7 +491,7 @@ def test_load_log_csv_and_jsonl_equivalence(tmp_path):
     a = load_log(csv_path)
     b = load_log(jsonl_path)
     assert a.users == b.users == (0, 1, 0)
-    assert a.timestamps == b.timestamps == (100, 160, 220)
+    assert a.timestamps == b.timestamps == array("q", [100, 160, 220])
 
 
 def test_round_trip_is_byte_identical(tmp_path):
@@ -514,7 +517,7 @@ def test_out_of_order_rows_resorted_and_counted(tmp_path, caplog):
     with caplog.at_level(logging.DEBUG):
         log = load_log(path, counts)
     assert caplog.records == []  # the re-sort is counted, not logged
-    assert log.timestamps == (100, 100, 200, 300)
+    assert log.timestamps == array("q", [100, 100, 200, 300])
     assert log.users == (1, 3, 2, 0)  # ties keep their row order
     assert counts == {"rows_resorted": 3}  # the row at 200 stays third
     assert load_log(path) == log
@@ -533,7 +536,7 @@ def test_ordered_log_is_checked_for_order_once(tmp_path, monkeypatch):
         return a > b
 
     monkeypatch.setattr(chatlog, "operator", SimpleNamespace(gt=gt))
-    assert load_log(path).timestamps == (100, 100, 200, 300)
+    assert load_log(path).timestamps == array("q", [100, 100, 200, 300])
     assert compared == [(100, 100), (100, 200), (200, 300)]
 
 
@@ -593,7 +596,7 @@ def test_quoted_and_spaced_csv_values_accepted(tmp_path, body):
     path = tmp_path / "log.csv"
     path.write_text(body)
     log = load_log(path)
-    assert (log.users, log.timestamps) == ((1,), (2,))
+    assert (log.users, log.timestamps) == ((1,), array("q", [2]))
 
 
 def test_csv_rows_of_one_user_id_share_one_int(tmp_path):
@@ -660,7 +663,7 @@ def test_log_with_leading_bom_loads_as_without(tmp_path, fmt):
     text = dump_log(MessageLog((0, 1, 0), (100, 160, 220)), fmt)
     path.write_text(BOM + text, encoding="utf-8")
     log = load_log(path)
-    assert (log.users, log.timestamps) == ((0, 1, 0), (100, 160, 220))
+    assert (log.users, log.timestamps) == ((0, 1, 0), array("q", [100, 160, 220]))
     path.write_text(BOM + BOM + text, encoding="utf-8")
     with pytest.raises(SchemaError, match="missing header|line 1: invalid JSON"):
         load_log(path)
@@ -714,6 +717,143 @@ def test_message_log_invariants_enforced():
     with pytest.raises(ValueError, match="2 user IDs but 3 timestamps"):
         MessageLog((0, 1), (100, 200, 300))
     assert len(MessageLog((0, 1, 0), (100, 100, 200))) == 3
+
+
+# --- the timestamp column ----------------------------------------------------
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+def assert_int64_column(log, expected):
+    assert type(log.timestamps) is array and log.timestamps.typecode == "q"
+    assert list(log.timestamps) == list(expected)
+
+
+def test_message_log_keeps_an_int64_array_and_converts_other_sequences():
+    stamps = array("q", [100, 100, 200])
+    assert MessageLog((0, 1, 0), stamps).timestamps is stamps
+    for other in ((100, 100, 200), [100, 100, 200], range(100, 300, 100)):
+        assert_int64_column(MessageLog((0,) * len(other), other), other)
+    assert_int64_column(MessageLog((0, 1), (INT64_MIN, INT64_MAX)), [INT64_MIN, INT64_MAX])
+    for value in (INT64_MAX + 1, INT64_MIN - 1):
+        with pytest.raises(ValueError, match="outside the int64 range"):
+            MessageLog((0,), (value,))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(MessageLog((0,), (5,)))
+
+
+# the timestamps just past either end of int64, and a 23-digit field
+OUT_OF_RANGE = ["9223372036854775808", "-9223372036854775809", "12345678901234567890123"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("raw", OUT_OF_RANGE)
+def test_timestamp_outside_int64_exits_schema_code(tmp_path, capsys, fmt, raw):
+    path = tmp_path / f"log.{fmt}"
+    if fmt == "csv":
+        path.write_text(f"user_id,timestamp\n0,100\n1,{raw}\n")
+        quoted = repr(raw)
+    else:
+        path.write_text(f'{{"u":0,"t":100}}\n{{"u":1,"t":{raw}}}\n')
+        quoted = raw
+    detail = f"{path}: line {2 if fmt == 'jsonl' else 3}: timestamp {quoted} outside int64"
+    reader = oracles.load_log_csv_direct if fmt == "csv" else oracles.load_log_jsonl_direct
+    for load in (load_log, reader):
+        with pytest.raises(SchemaError) as err:
+            load(path)
+        assert str(err.value) == detail
+    out = tmp_path / "out"
+    assert main(["build", str(path), "--out", str(out)]) == EXIT_SCHEMA
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0]) == {"error": "schema", "detail": detail}
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_timestamps_at_the_ends_of_int64_load(tmp_path, fmt):
+    path = tmp_path / f"log.{fmt}"
+    path.write_text(dump_log(MessageLog((0, 1), (INT64_MIN, INT64_MAX)), fmt))
+    assert_int64_column(load_log(path), [INT64_MIN, INT64_MAX])
+    # a field longer than 19 digits that fits stays in the block reader
+    if fmt == "csv":
+        path.write_text(f"user_id,timestamp\n7,{INT64_MAX:025d}\n")
+        assert_int64_column(load_log(path), [INT64_MAX])
+
+
+LOG_ROWS = [(3, 1_533_081_600 + 7 * i) for i in range(40)]
+
+
+def test_every_log_reader_yields_an_int64_column(tmp_path):
+    text = dump_log(MessageLog(*map(tuple, zip(*LOG_ROWS))), "csv")
+    copies = {
+        "block.csv": text,
+        "crlf.csv": text.replace("\n", "\r\n"),  # read by csv.reader
+        # rows out of order, which load_log re-sorts
+        "resort.csv": text.splitlines(keepends=True)[0] + "".join(
+            sorted(text.splitlines(keepends=True)[1:], reverse=True)
+        ),
+    }
+    for name, body in copies.items():
+        path = tmp_path / name
+        path.write_bytes(body.encode())
+        expected = oracles.load_log_csv_direct(path).timestamps
+        assert_int64_column(load_log(path), expected)
+    path = tmp_path / "log.jsonl"
+    path.write_text(dump_log(MessageLog(*map(tuple, zip(*LOG_ROWS))), "jsonl"))
+    assert_int64_column(load_log(path), oracles.load_log_jsonl_direct(path).timestamps)
+
+
+def minute_export(lines: int, late: bool) -> str:
+    """An export of one message a minute from 10:00; with ``late``, every
+    25th message reads two minutes back, 60 s before the one above it."""
+    minutes = [i - 2 if late and i % 25 == 24 else i for i in range(lines)]
+    return "\n".join(
+        f"3/7/18, {10 + m // 60}:{m % 60:02d} - Sender {i % 5}: body"
+        for i, m in enumerate(minutes)
+    )
+
+
+@pytest.mark.parametrize("slack", [0, 60])
+@pytest.mark.parametrize("lines", [40, 3 * PARSE_BATCH])
+def test_parse_and_anonymize_yield_an_int64_column(slack, lines):
+    # slack 60 clamps each late time to the one above it
+    text = minute_export(lines, late=slack > 0)
+    parsed = parse_transcript(text, slack=slack)
+    expected = oracles.parse_transcript_direct(text, slack=slack).log.timestamps
+    assert_int64_column(parsed.log, expected)
+    assert_int64_column(anonymize(parsed, salt=b"column").log, expected)
+    if slack:
+        assert len(set(expected)) < lines  # some times were clamped
+
+
+def test_synth_yields_an_int64_column(tmp_path):
+    from chatpulse.synth import Regime, generate
+
+    result = generate(Regime(kind="uniform-random", users=5, rate=6, windows=4, seed=3))
+    path = tmp_path / "log.csv"
+    path.write_text(dump_log(result.log, "csv"))
+    assert_int64_column(result.log, oracles.load_log_csv_direct(path).timestamps)
+
+
+def test_loaded_log_keeps_no_int_object_per_timestamp(tmp_path):
+    # distinct times, so no two rows could share a boxed int; shared user IDs
+    rows = 50_000
+    path = tmp_path / "log.csv"
+    path.write_text(
+        "user_id,timestamp\n"
+        + "".join(f"{i % 40},{1_533_081_600 + 3 * i}\n" for i in range(rows))
+    )
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        log = load_log(path)
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(log) == rows
+    # a users tuple slot and an array item are 16 bytes a row; a boxed
+    # timestamp in a tuple was 48
+    assert live < 24 * rows
 
 
 # Text whose "\r\n" or four-byte character straddles a READ_CHUNK boundary,

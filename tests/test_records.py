@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+from array import array
 
 import pytest
 
@@ -32,7 +33,7 @@ ROW = ComparisonRow(7, 1.0, 0.5, 0.25, -0.25)
 
 # each type with its fields, in declaration order, and whether it is frozen
 RECORDS = [
-    (MessageLog, {"users": (0, 1, 0), "timestamps": (5, 5, 9)}, True),
+    (MessageLog, {"users": (0, 1, 0), "timestamps": array("q", [5, 5, 9])}, True),
     (ParsedTranscript, {"log": LOG, "senders": ("Ana", "Bo")}, True),
     (AnonymizedLog, {"log": LOG, "mapping": {"ab": 0, "cd": 1}, "salt": b"s"}, True),
     (
