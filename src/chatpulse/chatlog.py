@@ -617,13 +617,11 @@ def _row_columns(rows: Iterable[tuple], source: str, to_int) -> tuple[list, arra
                 f"{source}: line {line_no}: bad user ID {raw_user!r}"
             ) from exc
         try:
-            ts = to_int(raw_ts)
+            add_stamp(to_int(raw_ts))
         except ValueError as exc:
             raise SchemaError(
                 f"{source}: line {line_no}: unparsable timestamp {raw_ts!r}"
             ) from exc
-        try:
-            add_stamp(ts)
         except OverflowError as exc:
             raise SchemaError(
                 f"{source}: line {line_no}: timestamp {raw_ts!r} outside int64"

@@ -185,6 +185,11 @@ def generate(regime: Regime, spec: WindowSpec | None = None) -> SynthResult:
     spec = spec or WindowSpec()
     delta = spec.delta_t
     origin = ((DEFAULT_START + delta - 1) // delta) * delta
+    if origin + regime.windows * delta > 2**63:
+        raise ParameterError(
+            f"{regime.windows} windows of {delta} s end past the int64 "
+            "timestamp range"
+        )
     rng = random.Random(regime.seed)
 
     users: list[int] = []

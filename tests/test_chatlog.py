@@ -42,7 +42,7 @@ from chatpulse.chatlog import (
 )
 from chatpulse.cli import EXIT_OK, EXIT_SCHEMA, main
 import oracles
-from oracles import read_utf8
+from oracles import INT64_MAX, INT64_MIN, read_utf8
 
 
 def test_two_lines_same_sender():
@@ -720,8 +720,6 @@ def test_message_log_invariants_enforced():
 
 
 # --- the timestamp column ----------------------------------------------------
-
-INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
 def assert_int64_column(log, expected):

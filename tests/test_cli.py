@@ -1154,6 +1154,25 @@ def test_simulate_emits_ground_truth(tmp_path):
     assert json.loads(lines[0])["metrics"]["equality"] == 1.0
 
 
+def test_simulate_past_int64_exits_usage(tmp_path, capsys):
+    # an interval of M minutes passes the default start, so the first window
+    # starts at 60 * M s and two windows end at 180 * M s
+    fits = 2**63 // 180
+    argv = ["simulate", "--regime", "round-robin", "--users", 3, "--rate", 3,
+            "--windows", 2, "--interval"]
+    out = tmp_path / "fits"
+    assert run(*argv, fits, "--out", out) == EXIT_OK
+    assert run("build", out / "log.csv", "--out", tmp_path / "built") == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "past"
+    assert run(*argv, fits + 1, "--out", out) == EXIT_USAGE
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "parameter" and "int64" in err["detail"]
+    assert captured.out == "" and list(out.iterdir()) == []
+
+
 def test_jsonl_log_format_flag(tmp_path):
     out = tmp_path / "sim"
     assert run(
