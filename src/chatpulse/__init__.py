@@ -30,11 +30,10 @@ from .engagement import (
     gini,
 )
 from .ensemble import (
-    ClassifiedNetwork,
     EngagementClass,
     EnsembleStats,
+    ScoredWindows,
     UserRanking,
-    WindowMetrics,
     conversation_metrics,
     ensemble_stats,
     rank_users,

@@ -94,6 +94,17 @@ class MessageLog(FrozenRecord):
             )
         self._fill(users, timestamps)
 
+    @classmethod
+    def _relabeled(cls, log: MessageLog, users: tuple[int, ...]) -> MessageLog:
+        """``log`` with each row's user replaced by the one in ``users``.
+
+        The timestamps are ``log``'s own array, already checked, and the new
+        IDs come from a relabeling, so no check runs again.
+        """
+        relabeled = object.__new__(cls)
+        relabeled._fill(users, log.timestamps)
+        return relabeled
+
     def __len__(self) -> int:
         return len(self.users)
 
@@ -499,7 +510,7 @@ def anonymize(
     log = parsed.log
     users = tuple(map(relabel.__getitem__, log.users))
     return AnonymizedLog(
-        log=MessageLog(users, log.timestamps),
+        log=MessageLog._relabeled(log, users),
         mapping=mapping,
         salt=salt,
     )

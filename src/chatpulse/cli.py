@@ -27,6 +27,7 @@ from . import __version__
 from .chatlog import (
     DEFAULT_PROFILE,
     PROFILES,
+    READ_CHUNK,
     MessageLog,
     _new_sha256,
     _resolve_zone,
@@ -44,13 +45,12 @@ from .ensemble import (
     AVG_ZERO,
     STD_POPULATION,
     STD_SAMPLE,
-    WindowMetrics,
+    ScoredWindows,
     conversation_metrics,
     ensemble_stats,
     rank_means,
     rank_users,
     scope_means,
-    scored_window,
     window_scorer,
     zscore_classify,
     zscore_histogram,
@@ -108,9 +108,12 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 def _sha256(path: Path) -> str:
+    # READ_CHUNK reads, as every reader makes: freeing a 1 MiB buffer, which
+    # glibc maps on its own, would raise glibc's mmap threshold, so that
+    # later large lists come from the heap and stay in the peak RSS
     digest = _new_sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        while chunk := fh.read(READ_CHUNK):
             digest.update(chunk)
     return digest.hexdigest()
 
@@ -179,12 +182,13 @@ def _log_and_spec(args) -> tuple[MessageLog, WindowSpec]:
     return load_log(args.input, args.counts), spec
 
 
-def _scored(args, users=None) -> list[WindowMetrics]:
+def _scored(args, users=None) -> ScoredWindows:
     """Score each conversation of the ensemble at ``args.input`` as it is read.
 
-    ``conversation_metrics`` scores them, so each window holds its metrics
-    and columns, not its network. Given ``users``, only the conversations
-    holding one of them are scored. A bad line raises before any write.
+    ``conversation_metrics`` scores them, so each window's row holds its
+    metrics and columns, not its network. Given ``users``, only the
+    conversations holding one of them are scored. A bad line raises before
+    any write.
     """
     networks = ensemble_networks(args.input)
     if users is not None:
@@ -193,7 +197,8 @@ def _scored(args, users=None) -> list[WindowMetrics]:
 
 
 def _classified(args, wms, thresholds: tuple[float, float]):
-    """Classify the scored windows by the parsed ``--thresholds`` and ``--std``."""
+    """The scored windows' z-scores and classes by the parsed ``--thresholds``
+    and ``--std``."""
     low, high = thresholds
     stats = ensemble_stats(wms, std=_STD_MODES[args.std])
     return zscore_classify(wms, stats, low=low, high=high)
@@ -215,14 +220,13 @@ def _emit_metrics(outdir: Path, wms, ints: _Reprs) -> list[str]:
     def metrics_rows():
         # windows of one shape share their metrics object, and so its text
         tails: dict[int, str] = {}
-        for w in wms:
-            m = w.metrics
+        for start, index, m in zip(wms.starts, wms.indices, wms.metrics):
             tail = tails.get(id(m))
             if tail is None:
                 tail = tails[id(m)] = (
                     f"{m.n},{m.total_weight},{m.equality!r},{m.intensity!r},{m.ei!r}\n"
                 )
-            yield f"{w.window_start},{w.window_index},{tail}"
+            yield f"{start},{index},{tail}"
 
     _write_csv(
         outdir / "metrics.csv",
@@ -230,32 +234,40 @@ def _emit_metrics(outdir: Path, wms, ints: _Reprs) -> list[str]:
         metrics_rows(),
     )
     reprs = _Reprs()  # centralities are strictly positive floats, never -0.0
+    users, strengths, bounds = wms.users, wms.strengths, wms.bounds
     _write_csv(
         outdir / "centralities.csv",
         "window_start,user_id,strength,ei_centrality",
         (
             f"{start}{ints[user]},{ints[s]},{reprs[s * scale]}\n"
-            for w in wms
-            for start, (users, strengths, scale) in ((f"{w.window_start},", w.columns()),)
-            for user, s in zip(users, strengths)
+            for start, m, lo, hi in zip(
+                map("{},".format, wms.starts),
+                wms.metrics,
+                bounds,
+                itertools.islice(bounds, 1, None),
+            )
+            for scale in (m._scale,)
+            for user, s in zip(users[lo:hi], strengths[lo:hi])
         ),
     )
     return ["metrics.csv", "centralities.csv"]
 
 
-def _emit_classify(outdir: Path, classified) -> list[str]:
+def _emit_classify(outdir: Path, wms, classes) -> list[str]:
+    zs, labels = classes
+
     def classified_rows():
         # z and the label are functions of ei for fixed stats and thresholds;
         # ei is strictly positive, so no key is -0.0
         tails: dict[float, str] = {}
-        for c in classified:
-            tail = tails.get(c.ei)
+        for index, m, z, label in zip(wms.indices, wms.metrics, zs, labels):
+            tail = tails.get(m.ei)
             if tail is None:
-                tail = tails[c.ei] = f"{c.ei!r},{c.z!r},{c.label.value}\n"
-            yield f"{c.window_index},{tail}"
+                tail = tails[m.ei] = f"{m.ei!r},{z!r},{label.value}\n"
+            yield f"{index},{tail}"
 
     _write_csv(outdir / "classified.csv", "window_index,ei,z,label", classified_rows())
-    hist = zscore_histogram(classified)
+    hist = zscore_histogram(zs)
     _write_artifact(outdir / "histogram.json", (json.dumps(hist), "\n"))
     return ["classified.csv", "histogram.json"]
 
@@ -335,20 +347,16 @@ def _cmd_metrics(args, outdir: Path) -> list[str]:
 
 def _cmd_classify(args, outdir: Path) -> list[str]:
     thresholds = _parse_thresholds(args.thresholds)  # read before the ensemble
-    score = window_scorer()
-    wms = [  # a class reads only the metrics, so no window gets columns
-        WindowMetrics(net.window_start, net.window_index, score(net))
-        for net in ensemble_networks(args.input)
-        if net.is_conversation
-    ]
-    return _emit_classify(outdir, _classified(args, wms, thresholds))
+    # a class reads only the metrics, so no window gets columns
+    wms = conversation_metrics(ensemble_networks(args.input), columns=False)
+    return _emit_classify(outdir, wms, _classified(args, wms, thresholds))
 
 
 def _cmd_rank(args, outdir: Path) -> list[str]:
     thresholds = _parse_thresholds(args.thresholds)  # read before the ensemble
     wms = _scored(args)
-    classified = _classified(args, wms, thresholds)
-    return _emit_rankings(outdir, rank_users(wms, classified, args.top_k, avg=args.avg))
+    _, labels = _classified(args, wms, thresholds)
+    return _emit_rankings(outdir, rank_users(wms, labels, args.top_k, avg=args.avg))
 
 
 def _cmd_series(args, outdir: Path) -> list[str]:
@@ -390,22 +398,22 @@ def _cmd_report(args, outdir: Path) -> list[str]:
     # every flag is read before the first artifact is written
     thresholds = _parse_thresholds(args.thresholds)
     split = _when(args.split)
-    score, wms, ints = window_scorer(), [], _Reprs()
+    score, wms, ints = window_scorer(), ScoredWindows(), _Reprs()
 
     def scored(networks):
         # each network is scored once its line is written, then dropped
         for net in networks:
             yield net
             if net.is_conversation:
-                wms.append(scored_window(net, score(net)))
+                wms.append(net, score(net))
 
     files = _emit_ensemble(outdir, scored(window_networks(*_log_and_spec(args))), ints)
     files += _emit_metrics(outdir, wms, ints)
-    classified = _classified(args, wms, thresholds)
-    files += _emit_classify(outdir, classified)
-    # one pass sums the rankings' class means and the comparison's period
+    classes = _classified(args, wms, thresholds)
+    files += _emit_classify(outdir, wms, classes)
+    # one call sums the rankings' class means and the comparison's period
     # means, with GLOBAL, which both share
-    labels = [c.label for c in classified]
+    _, labels = classes
     if split is None:
         (by_class,) = scope_means(wms, args.avg, labels)
     else:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter, defaultdict
 from enum import Enum
+from itertools import islice, repeat
 
-from ._record import FrozenRecord, Record
+from ._record import FrozenRecord
 from .engagement import EngagementMetrics, engagement_index
 from .errors import DegenerateEnsembleError, InsufficientDataError, ParameterError
 from .netbuild import InteractionNetwork
@@ -25,36 +27,50 @@ class EngagementClass(str, Enum):
     GLOBAL = "GLOBAL"  # ranking scope only, never a network label
 
 
-class WindowMetrics:
-    """One scored conversation window: its metrics and two per-user columns.
+class ScoredWindows:
+    """Scored conversation windows, one row each, held as columns.
 
-    ``columns()`` is the one way to read a window's per-user data: the
-    users, ascending, their strengths, and the ``centrality_scale`` that
-    makes a strength its user's ei centrality, which the metrics shared by
-    the windows of one shape derived once. The columns are those given; a
-    window given none holds its metrics alone.
+    Row ``i`` is the window that starts at ``starts[i]``, has index
+    ``indices[i]`` and scored ``metrics[i]``, the ``EngagementMetrics`` that
+    the windows of one shape share. Its users, ascending, are
+    ``users[bounds[i]:bounds[i + 1]]``, and the same slice of ``strengths``
+    holds their strengths; a user's ei centrality is its strength times
+    ``metrics[i]._scale``, which the metrics derived once for their shape.
+    ``starts``, ``indices`` and ``bounds`` are ``array('q')`` columns, and
+    ``users`` and ``strengths`` flat lists of shared ints, so a row costs
+    8 bytes a column and 16 a user, with no object of its own. Read the rows
+    through ``zip(bounds, bounds[1:])``; do not change the columns.
     """
 
-    __slots__ = ("window_start", "window_index", "metrics", "_users", "_strengths")
+    __slots__ = ("starts", "indices", "metrics", "bounds", "users", "strengths")
 
-    def __init__(
-        self,
-        window_start: int,
-        window_index: int,
-        metrics: EngagementMetrics,
-        users: tuple[int, ...] = (),
-        strengths: tuple[int, ...] = (),
+    def __init__(self) -> None:
+        self.starts = array("q")
+        self.indices = array("q")
+        self.metrics: list[EngagementMetrics] = []
+        self.bounds = array("q", (0,))
+        self.users: list[int] = []
+        self.strengths: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.metrics)
+
+    def append(
+        self, net: InteractionNetwork, metrics: EngagementMetrics, columns: bool = True
     ) -> None:
-        if len(users) != len(strengths):
-            raise ValueError("give one strength per user")
-        self.window_start = window_start
-        self.window_index = window_index
-        self.metrics = metrics
-        self._users, self._strengths = users, strengths
+        """Add ``net``'s window with its ``metrics`` as the last row.
 
-    def columns(self) -> tuple[tuple[int, ...], tuple[int, ...], float]:
-        """Users, their strengths, and the scale from a strength to its centrality."""
-        return self._users, self._strengths, self.metrics._scale
+        With ``columns``, the row holds the network's nodes and their
+        strengths; without, it holds no users, for a reader of the metrics
+        alone, which then never calls ``strengths()``.
+        """
+        self.starts.append(net.window_start)
+        self.indices.append(net.window_index)
+        self.metrics.append(metrics)
+        if columns:
+            self.users += net.nodes
+            self.strengths += net.strengths().values()
+        self.bounds.append(len(self.users))
 
 
 def window_scorer():
@@ -78,23 +94,18 @@ def window_scorer():
     return score
 
 
-def scored_window(net: InteractionNetwork, metrics: EngagementMetrics) -> WindowMetrics:
-    """``net``'s window with its ``metrics`` and its columns: nodes, strengths."""
-    return WindowMetrics(
-        net.window_start, net.window_index, metrics,
-        net.nodes, tuple(net.strengths().values()),
-    )
-
-
-def conversation_metrics(networks) -> list[WindowMetrics]:
+def conversation_metrics(networks, *, columns: bool = True) -> ScoredWindows:
     """Score the conversations among ``networks``, in order, through one scorer.
 
     Any iterable of networks serves: ``window_networks``, ``ensemble_networks``
-    or a tuple. Each window's columns are built as it is scored, so no window
-    holds its network.
+    or a tuple. Each window's row is added as it is scored, so no window
+    holds its network; ``columns`` is :meth:`ScoredWindows.append`'s.
     """
-    score = window_scorer()
-    return [scored_window(net, score(net)) for net in networks if net.is_conversation]
+    score, windows = window_scorer(), ScoredWindows()
+    for net in networks:
+        if net.is_conversation:
+            windows.append(net, score(net), columns)
+    return windows
 
 
 class EnsembleStats(FrozenRecord):
@@ -110,7 +121,7 @@ def ensemble_stats(
     """Mean and standard deviation of ei over conversation networks."""
     if std not in (STD_POPULATION, STD_SAMPLE):
         raise ParameterError(f"std must be 'population' or 'sample', got {std!r}")
-    eis = [w.metrics.ei for w in windows]
+    eis = [m.ei for m in windows.metrics]
     k = len(eis)
     if k < 2:
         raise InsufficientDataError(
@@ -122,28 +133,18 @@ def ensemble_stats(
     return EnsembleStats(mean_ei=mean, std_ei=math.sqrt(var), count=k)
 
 
-class ClassifiedNetwork(Record):
-    __slots__ = ("window_index", "ei", "z", "label")
-
-    def __init__(
-        self, window_index: int, ei: float, z: float, label: EngagementClass
-    ) -> None:
-        self.window_index = window_index
-        self.ei = ei
-        self.z = z
-        self.label = label
-
-
 def zscore_classify(
-    windows,
+    windows: ScoredWindows,
     stats: EnsembleStats,
     *,
     low: float = -1.0,
     high: float = 1.0,
-) -> list[ClassifiedNetwork]:
-    """Label each network HIGH (z >= high), LOW (z <= low) or MEDIUM.
+) -> tuple[array, list[EngagementClass]]:
+    """Each window's ei z-score and class, in the rows' order.
 
-    Both boundaries are inclusive for their extreme class.
+    The z-scores are an ``array('d')`` and the classes a list: HIGH
+    (z >= high), LOW (z <= low) or MEDIUM. Both boundaries are inclusive for
+    their extreme class.
     """
     if stats.std_ei == 0:
         raise DegenerateEnsembleError(
@@ -151,19 +152,17 @@ def zscore_classify(
         )
     if low >= high:
         raise ParameterError(f"need low < high, got ({low}, {high})")
-    out = []
-    for w in windows:
-        z = (w.metrics.ei - stats.mean_ei) / stats.std_ei
+    zs, labels = array("d"), []
+    for m in windows.metrics:
+        z = (m.ei - stats.mean_ei) / stats.std_ei
+        zs.append(z)
         if z >= high:
-            label = EngagementClass.HIGH
+            labels.append(EngagementClass.HIGH)
         elif z <= low:
-            label = EngagementClass.LOW
+            labels.append(EngagementClass.LOW)
         else:
-            label = EngagementClass.MEDIUM
-        out.append(
-            ClassifiedNetwork(window_index=w.window_index, ei=w.metrics.ei, z=z, label=label)
-        )
-    return out
+            labels.append(EngagementClass.MEDIUM)
+    return zs, labels
 
 
 def check_avg(avg: str) -> None:
@@ -171,12 +170,15 @@ def check_avg(avg: str) -> None:
         raise ParameterError(f"avg must be 'zero' or 'present', got {avg!r}")
 
 
-def scope_means(windows, avg: str, *scopings) -> tuple[dict, ...]:
+def scope_means(
+    windows: ScoredWindows, avg: str, scoping, *others
+) -> tuple[dict, ...]:
     """Mean ei centrality of each user over every window and over each scope.
 
-    Each scoping gives each window's scope key, in the order of ``windows``,
-    and the result holds one dict per scoping, scope -> user -> mean, with
-    the key GLOBAL covering every window in each. One pass in window order
+    Each scoping, ``scoping`` and any ``others``, gives each window's scope
+    key in the order of the rows, and the result holds one dict per
+    scoping, scope -> user -> mean, with the key GLOBAL covering every
+    window in each. One pass in window order
     adds each user's centrality into GLOBAL and into its window's scope
     under every scoping, so every mean adds in window order and does not
     depend on the other scopings given. With avg='zero' the denominator is
@@ -186,29 +188,38 @@ def scope_means(windows, avg: str, *scopings) -> tuple[dict, ...]:
     window has is absent.
     """
     check_avg(avg)
+    scopings = (scoping, *others)
     present = avg == AVG_PRESENT
+    users, strengths, bounds = windows.users, windows.strengths, windows.bounds
     whole: defaultdict[int, float] = defaultdict(float)
-    sums: list[dict] = [{} for _ in scopings]  # scope -> user -> summed centrality
-    seen: list[dict] = [{} for _ in scopings]  # scope -> user -> appearances
-    targets: dict = {}  # a window's scope keys -> the sums and counts it adds to
-    for w, keys in zip(windows, zip(*scopings)):
-        target = targets.get(keys)
-        if target is None:
-            target = targets[keys] = (
-                tuple([acc.setdefault(key, defaultdict(float)) for acc, key in zip(sums, keys)]),
-                tuple([acc.setdefault(key, defaultdict(int)) for acc, key in zip(seen, keys)]),
-            )
-        parts, part_seen = target
-        users, strengths, scale = w.columns()
-        for user, s in zip(users, strengths):
+    # per scoping, scope -> user -> summed centrality, and -> appearances
+    sums = [defaultdict(lambda: defaultdict(float)) for _ in scopings]
+    seen = [defaultdict(lambda: defaultdict(int)) for _ in scopings]
+
+    def each_window(by_scope):
+        """Each window's dicts under each scoping, in window order."""
+        return [map(acc.__getitem__, keys) for acc, keys in zip(by_scope, scopings)]
+
+    # the first scoping's sums are added to inline, and the others' only
+    # when there are others, so a single scoping costs no inner loop
+    first, *rest = each_window(sums)
+    rest = zip(*rest) if others else repeat(())
+    counted = zip(*each_window(seen)) if present else repeat(())
+    for m, lo, hi, acc, parts, counts in zip(
+        windows.metrics, bounds, islice(bounds, 1, None), first, rest, counted
+    ):
+        scale = m._scale
+        window_users = users[lo:hi]
+        for user, s in zip(window_users, strengths[lo:hi]):
             value = s * scale
             whole[user] += value
-            for part in parts:
-                part[user] += value
-        if present:
-            for counts in part_seen:
-                for user in users:
-                    counts[user] += 1
+            acc[user] += value
+            if parts:
+                for part in parts:
+                    part[user] += value
+        for part_seen in counts:
+            for user in window_users:
+                part_seen[user] += 1
     if present:
         # a scoping gives each window one scope, so a user's appearances in
         # the first scoping's scopes add up to its appearances in all; all
@@ -249,25 +260,26 @@ class UserRanking(FrozenRecord):
 
 
 def rank_users(
-    windows,
-    classified,
+    windows: ScoredWindows,
+    labels,
     top_k: int,
     *,
     avg: str = AVG_ZERO,
 ) -> dict[EngagementClass, UserRanking]:
     """Rank users by mean ei centrality, globally and within each class.
 
-    Returns one ranking per EngagementClass, GLOBAL included. With
-    avg='zero' (default) every user of the whole ensemble is ranked, a user
-    absent from a window contributes 0 and the denominator is the class
-    size, which rewards sustained participation; avg='present' ranks only
-    the users of the class and averages over their appearances. A class
-    without windows gets an empty ranking.
+    ``labels`` gives each window's class in the order of the rows, as
+    :func:`zscore_classify` returns them. Returns one ranking per
+    EngagementClass, GLOBAL included. With avg='zero' (default) every user
+    of the whole ensemble is ranked, a user absent from a window contributes
+    0 and the denominator is the class size, which rewards sustained
+    participation; avg='present' ranks only the users of the class and
+    averages over their appearances. A class without windows gets an empty
+    ranking.
     """
     if top_k < 1:
         raise ParameterError(f"top_k must be >= 1, got {top_k}")
-    label = {c.window_index: c.label for c in classified}
-    (means,) = scope_means(windows, avg, [label.get(w.window_index) for w in windows])
+    (means,) = scope_means(windows, avg, labels)
     return rank_means(means, top_k)
 
 
@@ -288,12 +300,12 @@ HIST_HI = 3.0
 HIST_WIDTH = 0.5
 
 
-def zscore_histogram(classified) -> dict[str, list[float] | list[int]]:
-    """Fixed-bin z-score histogram (width 0.5 over [-3, 3], clamped tails)."""
+def zscore_histogram(zs) -> dict[str, list[float] | list[int]]:
+    """Fixed-bin histogram of z-scores (width 0.5 over [-3, 3], clamped tails)."""
     nbins = int(round((HIST_HI - HIST_LO) / HIST_WIDTH))
     edges = [HIST_LO + i * HIST_WIDTH for i in range(nbins + 1)]
     counts = [0] * nbins
-    for c in classified:
-        pos = int((c.z - HIST_LO) // HIST_WIDTH)
+    for z in zs:
+        pos = int((z - HIST_LO) // HIST_WIDTH)
         counts[min(max(pos, 0), nbins - 1)] += 1
     return {"edges": edges, "counts": counts}

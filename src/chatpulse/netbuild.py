@@ -22,6 +22,8 @@ from .errors import ParameterError, SchemaError
 
 ALIGN_WALL = "wall"
 ALIGN_FIRST = "first"
+# window starts and indices are held in int64 columns once scored
+_INT64 = range(-(2**63), 2**63)
 
 
 class WindowSpec(FrozenRecord):
@@ -59,7 +61,9 @@ def slice_windows(log: MessageLog, spec: WindowSpec) -> Iterator[WindowSlice]:
 
     Yields the windows in order, each once, so no list of them is held.
     Empty windows are omitted, but indices stay gap-aware: index arithmetic is
-    anchored to the origin, not to the previous nonempty window.
+    anchored to the origin, not to the previous nonempty window. Raises
+    ``ParameterError`` when a window would start or be numbered outside the
+    int64 range.
     """
     stamps = log.timestamps
     lo, hi = spec.time_range
@@ -73,6 +77,13 @@ def slice_windows(log: MessageLog, spec: WindowSpec) -> Iterator[WindowSlice]:
         origin = (anchor // delta) * delta
     else:
         origin = stamps[first]
+    # the first window starts lowest and the last has the highest index
+    low = origin + (stamps[first] - origin) // delta * delta
+    if low not in _INT64 or (stamps[end - 1] - origin) // delta not in _INT64:
+        raise ParameterError(
+            f"windows of {delta} s from {origin} start or are numbered"
+            " outside the int64 range"
+        )
 
     row = first
     while row < end:
@@ -254,8 +265,9 @@ def _line_networks(path: Path) -> Iterator[InteractionNetwork]:
 
     A line holds a window's start, index, nodes and edges; every metric
     downstream works from nodes and edges alone. The nodes are listed in
-    strictly ascending order, as :func:`ensemble_lines` writes them, and each
-    edge weight is an int from 1 to ``2**53``. The file must be UTF-8. It is
+    strictly ascending order, as :func:`ensemble_lines` writes them, the
+    window start and index fit in int64, and each edge weight is an int from
+    1 to ``2**53``. The file must be UTF-8. It is
     read a block of whole lines at a time, and each line is decoded by
     :func:`chatlog._json_lines`, the JSONL log's decoder, which skips blank
     lines and names the line it cannot decode.
@@ -310,6 +322,8 @@ def _form_network(obj) -> InteractionNetwork | None:
     if not (
         type(start) is int
         and type(index) is int
+        and start in _INT64
+        and index in _INT64
         and len(edges) == len(raw_edges)
         and 0 not in strengths.values()
         and len(strengths) == len(nodes)
@@ -348,6 +362,10 @@ def _checked_network(obj, path: Path, line_no: int) -> InteractionNetwork:
             raise SchemaError(
                 f"{path}: line {line_no}: window start, index, node IDs"
                 " and weights must be integers"
+            )
+        if start not in _INT64 or index not in _INT64:
+            raise SchemaError(
+                f"{path}: line {line_no}: window start and index must fit in int64"
             )
         if any(map(operator.ge, nodes, nodes[1:])):
             raise SchemaError(

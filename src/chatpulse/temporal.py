@@ -10,8 +10,10 @@ a property of the method, not an artifact.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from ._record import FrozenRecord
-from .ensemble import AVG_ZERO, EngagementClass, check_avg, scope_means
+from .ensemble import AVG_ZERO, EngagementClass, ScoredWindows, check_avg, scope_means
 from .errors import InsufficientDataError, ParameterError
 
 
@@ -26,15 +28,23 @@ class UserSeries(FrozenRecord):
         self._fill(user, points)
 
 
-def user_series(windows, user: int) -> UserSeries:
-    """All (window_start, ei centrality) points for one user; gaps where absent."""
-    points = tuple(
-        (w.window_start, strengths[users.index(user)] * scale)
-        for w in windows
-        for users, strengths, scale in (w.columns(),)
-        if user in users
-    )
-    return UserSeries(user=user, points=points)
+def user_series(windows: ScoredWindows, user: int) -> UserSeries:
+    """All (window_start, ei centrality) points for one user; gaps where absent.
+
+    Each of the user's rows in the flat ``users`` column is found by
+    ``list.index`` from the one before, and its window by bisecting
+    ``bounds``, so windows without the user cost no Python code.
+    """
+    users, bounds, points = windows.users, windows.bounds, []
+    row = -1
+    while True:
+        try:
+            row = users.index(user, row + 1)
+        except ValueError:  # no later row holds the user
+            return UserSeries(user=user, points=tuple(points))
+        i = bisect_right(bounds, row) - 1
+        scale = windows.metrics[i]._scale
+        points.append((windows.starts[i], windows.strengths[row] * scale))
 
 
 class ComparisonRow(FrozenRecord):
@@ -57,13 +67,13 @@ class PeriodComparison(FrozenRecord):
         self._fill(split, rows)
 
 
-def split_periods(windows, split: int) -> list[str]:
+def split_periods(windows: ScoredWindows, split: int) -> list[str]:
     """Each window's period, in order: "p1" before ``split``, "p2" from it.
 
     Periods are half-open around the split: a window starting exactly at the
     split belongs to p2. Raises when either period has no conversation.
     """
-    periods = ["p2" if w.window_start >= split else "p1" for w in windows]
+    periods = ["p2" if start >= split else "p1" for start in windows.starts]
     if "p1" not in periods or "p2" not in periods:
         raise InsufficientDataError(
             f"both periods need at least one conversation network "
@@ -73,7 +83,7 @@ def split_periods(windows, split: int) -> list[str]:
 
 
 def period_means(
-    windows,
+    windows: ScoredWindows,
     split: int,
     *,
     avg: str = AVG_ZERO,
@@ -106,7 +116,7 @@ def _normalized(vec: dict[int, float]) -> dict[int, float]:
 
 
 def period_compare(
-    windows,
+    windows: ScoredWindows,
     split: int,
     *,
     top_k: int | None = None,

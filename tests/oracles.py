@@ -15,7 +15,7 @@ import math
 import operator
 import re
 import struct
-from collections import Counter
+from collections import Counter, namedtuple
 from datetime import datetime
 from itertools import accumulate
 from pathlib import Path
@@ -30,6 +30,7 @@ from chatpulse import (
     SchemaError,
 )
 from chatpulse.chatlog import PROFILES, utf8_lines
+from chatpulse.ensemble import ScoredWindows
 from chatpulse.netbuild import InteractionNetwork, in_window_order
 
 
@@ -90,18 +91,48 @@ def random_conversation_edges(rng, max_n: int = 50) -> dict[tuple[int, int], int
     return {pair: rng.randrange(1, 21) for pair in chosen}
 
 
+TableRow = namedtuple(
+    "TableRow", "window_start window_index metrics users strengths scale"
+)
+
+
+def table_rows(windows) -> list[TableRow]:
+    """Each row of a ``ScoredWindows`` table, read from its columns by its
+    bounds: the users and strengths as tuples, with the scale that makes a
+    strength its user's ei centrality."""
+    b = windows.bounds
+    return [
+        TableRow(
+            start, index, m,
+            tuple(windows.users[lo:hi]), tuple(windows.strengths[lo:hi]), m._scale,
+        )
+        for start, index, m, lo, hi in zip(
+            windows.starts, windows.indices, windows.metrics, b, b[1:]
+        )
+    ]
+
+
+def metrics_table(metrics) -> ScoredWindows:
+    """A table of windows ``0, 1, ...``, 600 s apart, holding the given
+    ``EngagementMetrics`` in order and no users."""
+    table = ScoredWindows()
+    for i, m in enumerate(metrics):
+        table.append(InteractionNetwork(i * 600, i, (), {}), m, columns=False)
+    return table
+
+
 def scope_means_direct(scoped, avg: str, population=()) -> dict[int, float]:
     """Mean ei centrality per user over the windows of one scope, by definition.
 
-    Sums each user's centralities in window order, then divides by the
-    number of windows (avg='zero') or by the user's appearances
-    (avg='present'). With 'zero', every user of ``population`` who is absent
-    from the scope gets 0.0.
+    ``scoped`` holds the scope's :func:`table_rows`. Sums each user's
+    centralities in window order, then divides by the number of windows
+    (avg='zero') or by the user's appearances (avg='present'). With 'zero',
+    every user of ``population`` who is absent from the scope gets 0.0.
     """
     sums: dict[int, float] = {}
     appearances: dict[int, int] = {}
     for w in scoped:
-        users, strengths, scale = w.columns()
+        users, strengths, scale = w.users, w.strengths, w.scale
         for user, s in zip(users, strengths):
             sums[user] = sums.get(user, 0.0) + s * scale
             appearances[user] = appearances.get(user, 0) + 1

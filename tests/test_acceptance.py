@@ -17,7 +17,6 @@ from chatpulse import (
     EngagementClass,
     EngagementMetrics,
     InteractionNetwork,
-    WindowMetrics,
     WindowSpec,
     conversation_metrics,
     dump_log,
@@ -39,7 +38,9 @@ from oracles import (
     brute_pair_counts,
     centralities_direct,
     gini_pairwise,
+    metrics_table,
     random_conversation_edges,
+    table_rows,
 )
 
 
@@ -103,8 +104,8 @@ def test_criterion_4_mean_centrality_identity():
     worst = 0.0
     for _ in range(1000):
         net = net_from_edges(random_conversation_edges(rng, max_n=50))
-        [w] = conversation_metrics([net])
-        users, strengths, scale = w.columns()
+        [w] = table_rows(conversation_metrics([net]))
+        users, strengths, scale = w.users, w.strengths, w.scale
         mean = sum(s * scale for s in strengths) / len(users)
         worst = max(worst, abs(mean - w.metrics.ei))
     report(4, f"mean node centrality equals network EI on 1000 networks "
@@ -134,31 +135,25 @@ def test_criterion_6_classification_partition_and_boundaries():
         )
         nets = window_networks(result.log, WindowSpec())
         convs = [n for n in nets if n.is_conversation]
-        windows = [
-            WindowMetrics(n.window_start, n.window_index, engagement_index(n))
-            for n in convs
-        ]
+        windows = metrics_table(map(engagement_index, convs))
         stats = ensemble_stats(windows)
-        classified = zscore_classify(windows, stats)
+        zs, classified = zscore_classify(windows, stats)
         sizes = {
-            label: sum(1 for c in classified if c.label == label)
+            label: sum(1 for c in classified if c == label)
             for label in (
                 EngagementClass.HIGH, EngagementClass.MEDIUM, EngagementClass.LOW
             )
         }
         ok &= sum(sizes.values()) == len(convs)
-        zs = [c.z for c in classified]
         zmean = math.fsum(zs) / len(zs)
         zstd = math.sqrt(math.fsum((z - zmean) ** 2 for z in zs) / len(zs))
         ok &= abs(zmean) <= 1e-9 and abs(zstd - 1.0) <= 1e-9
 
     # crafted boundary: ei values {3,5} give z exactly -1 and +1
-    def wm(i, ei):
-        metrics = EngagementMetrics(2, 1, 0.0, 1.0, ei, ei)
-        return WindowMetrics(i * 600, i, metrics)
-
-    boundary = [wm(0, 3.0), wm(1, 5.0)]
-    labels = [c.label for c in zscore_classify(boundary, ensemble_stats(boundary))]
+    boundary = metrics_table(
+        EngagementMetrics(2, 1, 0.0, 1.0, ei, ei) for ei in (3.0, 5.0)
+    )
+    _, labels = zscore_classify(boundary, ensemble_stats(boundary))
     ok &= labels == [EngagementClass.LOW, EngagementClass.HIGH]
     report(6, "classes partition the ensemble, z-scores standardized, "
               "boundaries inclusive", ok)

@@ -420,6 +420,25 @@ def test_anonymize_deterministic_under_fixed_salt():
     assert a.log == b.log
 
 
+def test_anonymize_keeps_the_checked_timestamps(monkeypatch):
+    parsed = parse_transcript(FIXTURE)
+    compared = []
+
+    def gt(a, b):
+        compared.append((a, b))
+        return a > b
+
+    monkeypatch.setattr(chatlog, "operator", SimpleNamespace(gt=gt))
+    anon = anonymize(parsed, salt=b"\x01" * 16)
+    # relabeling leaves the column parse checked as it was: no check runs again
+    assert compared == []
+    assert anon.log.timestamps is parsed.log.timestamps
+    assert anon.log == MessageLog(anon.log.users, parsed.log.timestamps)
+    relabel = {sender: anon.mapping[chatlog.sender_digest(anon.salt, sender)]
+               for sender in parsed.senders}
+    assert anon.log.users == tuple(relabel[parsed.senders[u]] for u in parsed.log.users)
+
+
 def test_anonymize_different_salts_permute_same_id_set():
     parsed = parse_transcript(FIXTURE)
     a = anonymize(parsed, salt=b"\x01" * 16)

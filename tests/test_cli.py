@@ -883,7 +883,7 @@ def test_series_writes_a_repeated_user_once(tmp_path):
 
 
 def test_manifest_digests_equal_hashlib_sha256(tmp_path):
-    # a log over 1 MiB is hashed in more than one read
+    # a log over 1 MiB, hashed in many READ_CHUNK reads
     log = tmp_path / "big.csv"
     log.write_text("user_id,timestamp\n" + "".join(
         f"{i % 7},{1533081600 + i}\n" for i in range(90_000)

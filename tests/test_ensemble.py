@@ -4,18 +4,18 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from chatpulse import (
-    ClassifiedNetwork,
     DegenerateEnsembleError,
     EngagementClass,
     EngagementMetrics,
     InsufficientDataError,
     InteractionNetwork,
     ParameterError,
-    WindowMetrics,
+    ScoredWindows,
     WindowSpec,
     conversation_metrics,
     ensemble_stats,
@@ -28,29 +28,57 @@ from chatpulse.ensemble import window_scorer
 from chatpulse.synth import Regime, generate
 
 from conftest import make_log
+from oracles import metrics_table, table_rows
 
 
-def wm(index: int, ei: float) -> WindowMetrics:
-    metrics = EngagementMetrics(
+def metrics(ei: float) -> EngagementMetrics:
+    return EngagementMetrics(
         n=2, total_weight=1, gini=0.0, equality=1.0, intensity=ei, ei=ei
     )
-    return WindowMetrics(window_start=index * 600, window_index=index, metrics=metrics)
 
 
-def wms(*eis: float) -> list[WindowMetrics]:
-    return [wm(i, ei) for i, ei in enumerate(eis)]
+def wms(*eis: float) -> ScoredWindows:
+    return metrics_table(map(metrics, eis))
 
 
-def test_window_metrics_keep_given_node_rows():
-    metrics = wm(0, 2.0).metrics  # n=2, total_weight=1: the scale is ei
-    given = WindowMetrics(0, 0, metrics, (0, 1), (1, 3))
-    assert given.columns() == ((0, 1), (1, 3), 2.0)
-    assert wm(0, 2.0).columns() == ((), (), 2.0)
-    # given strengths are never dropped: one per user
-    with pytest.raises(ValueError):
-        WindowMetrics(0, 0, metrics, (0, 1), (1,))
-    with pytest.raises(ValueError):
-        WindowMetrics(0, 0, metrics, (0,), ())
+def test_scored_windows_hold_given_rows():
+    table = ScoredWindows()
+    assert len(table) == 0 and list(table.bounds) == [0]
+    # metrics with n=2 and total_weight=1 make the scale ei
+    path = InteractionNetwork(600, 1, (0, 1, 2), {(0, 1): 1, (1, 2): 2})
+    table.append(path, metrics(2.0))
+    # a row without columns holds no users
+    table.append(InteractionNetwork(1800, 3, (2, 5), {(2, 5): 4}), metrics(3.0), False)
+    table.append(InteractionNetwork(2400, 4, (0, 2), {(0, 2): 7}), metrics(1.0))
+    assert len(table) == 3
+    assert (list(table.starts), list(table.indices)) == ([600, 1800, 2400], [1, 3, 4])
+    assert list(table.bounds) == [0, 3, 3, 5]
+    assert (table.users, table.strengths) == ([0, 1, 2, 0, 2], [1, 3, 2, 7, 7])
+    assert [(r.users, r.strengths, r.scale) for r in table_rows(table)] == [
+        ((0, 1, 2), (1, 3, 2), 2.0), ((), (), 3.0), ((0, 2), (7, 7), 1.0),
+    ]
+
+
+def test_scored_windows_keep_no_object_per_window():
+    # c9-like windows: seven messages each among 600 users, about seven users
+    # a window; the log holds the users' ints, which the table shares
+    rng = random.Random(9)
+    windows = 10_000
+    log = make_log(
+        (rng.randrange(600), w * 600 + k * 60) for w in range(windows) for k in range(7)
+    )
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = conversation_metrics(window_networks(log, WindowSpec()))
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(table) == windows
+    # four 8-byte columns and 16 bytes a user, with the metrics shared by
+    # shape, read about 146 bytes a window; a record per window, with two
+    # tuples and a boxed start and index, read about 335
+    assert live < 200 * windows
 
 
 def test_conversation_metrics_build_strengths_once_while_scoring(monkeypatch):
@@ -68,10 +96,11 @@ def test_conversation_metrics_build_strengths_once_while_scoring(monkeypatch):
     assert calls == [0, 1]  # one column per conversation, built as it is scored
     zscore_classify(windows, ensemble_stats(windows))
     score = window_scorer()
-    for net, w in zip(nets, windows, strict=True):
+    rows = table_rows(windows)
+    for net, w in zip(nets, rows, strict=True):
         assert w.metrics == score(net)
-        assert w.columns()[:2] == (net.nodes, tuple(original(net).values()))
-    assert windows[1].columns()[:2] == ((0, 2, 3), (1, 1, 2))
+        assert (w.users, w.strengths) == (net.nodes, tuple(original(net).values()))
+    assert (rows[1].users, rows[1].strengths) == ((0, 2, 3), (1, 1, 2))
     assert calls == [0, 1]
 
 
@@ -106,16 +135,16 @@ def test_classification_boundaries_inclusive():
     windows = wms(3, 5)  # mean 4, population std 1 -> z exactly -1 and +1
     stats = ensemble_stats(windows)
     assert (stats.mean_ei, stats.std_ei) == (4.0, 1.0)
-    labels = [c.label for c in zscore_classify(windows, stats)]
+    _, labels = zscore_classify(windows, stats)
     assert labels == [EngagementClass.LOW, EngagementClass.HIGH]
 
 
 def test_mean_value_is_medium():
     windows = wms(2, 4, 6)
     stats = ensemble_stats(windows)
-    classified = zscore_classify(windows, stats)
-    assert classified[1].z == 0.0
-    assert classified[1].label == EngagementClass.MEDIUM
+    zs, labels = zscore_classify(windows, stats)
+    assert zs[1] == 0.0
+    assert labels[1] == EngagementClass.MEDIUM
 
 
 def test_degenerate_ensemble_rejected():
@@ -128,13 +157,12 @@ def test_partition_and_standardization():
     rng = random.Random(99)
     windows = wms(*(rng.uniform(0.5, 9.0) for _ in range(400)))
     stats = ensemble_stats(windows)
-    classified = zscore_classify(windows, stats)
+    zs, labels = zscore_classify(windows, stats)
     by_label = {
-        label: sum(1 for c in classified if c.label == label)
+        label: sum(1 for c in labels if c == label)
         for label in (EngagementClass.HIGH, EngagementClass.MEDIUM, EngagementClass.LOW)
     }
     assert sum(by_label.values()) == len(windows)
-    zs = [c.z for c in classified]
     zmean = math.fsum(zs) / len(zs)
     zvar = math.fsum((z - zmean) ** 2 for z in zs) / len(zs)
     assert zmean == pytest.approx(0.0, abs=1e-9)
@@ -147,15 +175,15 @@ def test_labels_affine_invariant():
     a, b = 3.7, 11.0
     base = wms(*values)
     shifted = wms(*(a * v + b for v in values))
-    labels = lambda ws: [c.label for c in zscore_classify(ws, ensemble_stats(ws))]
+    labels = lambda ws: zscore_classify(ws, ensemble_stats(ws))[1]
     assert labels(base) == labels(shifted)
 
 
 def test_custom_thresholds():
     windows = wms(0, 10, 20)
     stats = ensemble_stats(windows)
-    classified = zscore_classify(windows, stats, low=-2.0, high=2.0)
-    assert all(c.label == EngagementClass.MEDIUM for c in classified)
+    _, labels = zscore_classify(windows, stats, low=-2.0, high=2.0)
+    assert all(c == EngagementClass.MEDIUM for c in labels)
     with pytest.raises(ParameterError):
         zscore_classify(windows, stats, low=1.0, high=-1.0)
 
@@ -169,9 +197,7 @@ def two_window_ensemble():
 
 
 def label_all(windows, label):
-    return [
-        ClassifiedNetwork(w.window_index, w.metrics.ei, 0.0, label) for w in windows
-    ]
+    return [label] * len(windows)
 
 
 def test_absent_users_count_as_zero_in_class_means():
@@ -181,8 +207,8 @@ def test_absent_users_count_as_zero_in_class_means():
     means = dict(ranking.entries)
     assert set(means) == {0, 1, 2, 3}
     # every user appears in exactly one of the two windows
-    ei0 = windows[0].metrics.ei
-    ei1 = windows[1].metrics.ei
+    ei0 = windows.metrics[0].ei
+    ei1 = windows.metrics[1].ei
     assert means[0] == pytest.approx(ei0 / 2)
     assert means[2] == pytest.approx(ei1 / 2)
 
@@ -194,8 +220,8 @@ def test_present_mode_averages_over_appearances():
         EngagementClass.MEDIUM
     ]
     means = dict(ranking.entries)
-    assert means[0] == pytest.approx(windows[0].metrics.ei)
-    assert means[2] == pytest.approx(windows[1].metrics.ei)
+    assert means[0] == pytest.approx(windows.metrics[0].ei)
+    assert means[2] == pytest.approx(windows.metrics[1].ei)
 
 
 def test_ranking_order_descending_with_user_tiebreak():
@@ -223,13 +249,13 @@ def test_global_mean_is_classsize_weighted_combination():
     )
     windows = conversation_metrics(window_networks(result.log, WindowSpec()))
     stats = ensemble_stats(windows)
-    classified = zscore_classify(windows, stats)
+    _, classified = zscore_classify(windows, stats)
     rankings = {
         scope: dict(ranking.entries)
         for scope, ranking in rank_users(windows, classified, top_k=10_000).items()
     }
     sizes = {
-        scope: sum(1 for c in classified if c.label == scope)
+        scope: sum(1 for c in classified if c == scope)
         for scope in (EngagementClass.HIGH, EngagementClass.MEDIUM, EngagementClass.LOW)
     }
     total = sum(sizes.values())
@@ -260,8 +286,8 @@ def test_top_k_truncates():
 def test_histogram_bins_and_clamping():
     windows = wms(3, 5, 4, 4, 4, 400)
     stats = ensemble_stats(windows)
-    classified = zscore_classify(windows, stats)
-    hist = zscore_histogram(classified)
+    zs, _ = zscore_classify(windows, stats)
+    hist = zscore_histogram(zs)
     assert hist["edges"][0] == -3.0 and hist["edges"][-1] == 3.0
     assert len(hist["edges"]) == 13 and len(hist["counts"]) == 12
     assert sum(hist["counts"]) == len(windows)  # clamped tails keep everything

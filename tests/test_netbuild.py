@@ -86,6 +86,34 @@ def test_range_filter_is_half_open():
     assert [log.timestamps[row] for row in rows] == [100, 200]
 
 
+def test_windows_start_and_are_numbered_inside_int64():
+    lowest, highest = -(2**63), 2**63 - 1
+    # -2**63 is not a multiple of 600: its wall-clock window starts lower
+    with pytest.raises(ParameterError, match="outside the int64 range"):
+        next(slice_windows(make_log([(0, lowest)]), WindowSpec(delta_t=600)))
+    first = WindowSpec(delta_t=600, alignment="first")
+    assert list(slice_windows(make_log([(0, lowest)]), first)) == [(lowest, 0, 0, 1)]
+    # one-second windows over the whole range number past 2**63 - 1
+    spread = make_log([(0, lowest), (1, highest)])
+    with pytest.raises(ParameterError, match="outside the int64 range"):
+        next(slice_windows(spread, WindowSpec(delta_t=1, alignment="first")))
+    two = WindowSpec(delta_t=2, alignment="first")
+    assert [s.index for s in slice_windows(spread, two)] == [0, 2**63 - 1]
+
+
+def test_ensemble_at_the_int64_bounds_is_scored(tmp_path):
+    path = tmp_path / "edges.jsonl"
+    path.write_text(
+        f'{{"w":{-(2**63)},"i":{-(2**63)},"nodes":[0,1],"edges":[[0,1,2]]}}\n'
+        f'{{"w":{2**63 - 1},"i":{-(2**63) + 1},"nodes":[0,1],"edges":[[0,1,1]]}}\n'
+    )
+    assert main(["metrics", str(path), "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "metrics.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [
+        [str(-(2**63)), str(-(2**63))], [str(2**63 - 1), str(-(2**63) + 1)],
+    ]
+
+
 def test_invalid_specs_rejected():
     with pytest.raises(ParameterError):
         WindowSpec(delta_t=0)
@@ -217,6 +245,7 @@ VALID_LINE = '{"w":0,"i":0,"nodes":[0,1],"edges":[[0,1,2]]}'
 INTEGERS = (
     "window start, index, node IDs and weights must be integers"
 )
+INT64 = "window start and index must fit in int64"
 BOOL_ENDPOINT = '{"w":0,"i":0,"nodes":[0,1,2],"edges":[[0,1,1],[false,2,1]]}'
 FLOAT_ENDPOINT = '{"w":0,"i":0,"nodes":[0,1,2],"edges":[[0,2,1],[1,2.0,1]]}'
 # each line's exact diagnostic, as per-line json.loads and the checks give it
@@ -256,6 +285,13 @@ BAD_ENSEMBLE = {
         "{path}: line 3: invalid JSON",
     '{"w":0,"i":0,"nodes":[0,1],"edges":[[0,1,NaN]]}':  # NaN weight
         f"{{path}}: line 1: {INTEGERS}",
+    # scored windows keep their starts and indices in int64 columns
+    f'{{"w":{2**63},"i":0,"nodes":[0,1],"edges":[[0,1,2]]}}':
+        f"{{path}}: line 1: {INT64}",
+    f'{{"w":{-(2**63) - 1},"i":0,"nodes":[0,1],"edges":[[0,1,2]]}}':
+        f"{{path}}: line 1: {INT64}",
+    f'{{"w":0,"i":{2**63},"nodes":[0,1],"edges":[[0,1,2]]}}':
+        f"{{path}}: line 1: {INT64}",
 }
 
 

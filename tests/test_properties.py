@@ -58,6 +58,7 @@ from oracles import (
     parse_transcript_direct,
     scope_means_direct,
     strptime_first_line,
+    table_rows,
 )
 
 DELTA_T = 600
@@ -95,22 +96,22 @@ def test_classes_partition_the_conversations(rows, low, width):
     wms = scored(rows)
     try:
         stats = ensemble_stats(wms)
-        classified = zscore_classify(wms, stats, low=low, high=low + width)
+        zs, classes = zscore_classify(wms, stats, low=low, high=low + width)
     except (InsufficientDataError, DegenerateEnsembleError):
         assume(False)
-    labels = {c.window_index: c.label for c in classified}
-    assert len(labels) == len(classified) == len(wms)
-    assert set(labels) == {w.window_index for w in wms}
-    for c in classified:
-        assert (c.label is EngagementClass.HIGH) == (c.z >= low + width)
-        assert (c.label is EngagementClass.LOW) == (c.z <= low)
-        assert c.label is not EngagementClass.GLOBAL
+    labels = dict(zip(wms.indices, classes))
+    assert len(labels) == len(classes) == len(zs) == len(wms)
+    assert set(labels) == set(wms.indices)
+    for z, label in zip(zs, classes, strict=True):
+        assert (label is EngagementClass.HIGH) == (z >= low + width)
+        assert (label is EngagementClass.LOW) == (z <= low)
+        assert label is not EngagementClass.GLOBAL
 
 
 @given(chats(30))  # about 20 messages per window
 def test_mean_centrality_is_the_window_ei(rows):
-    for w in scored(rows):
-        users, strengths, scale = w.columns()
+    for w in table_rows(scored(rows)):
+        users, strengths, scale = w.users, w.strengths, w.scale
         mean = math.fsum(s * scale for s in strengths) / len(users)
         assert math.isclose(mean, w.metrics.ei, rel_tol=1e-12)
 
@@ -132,12 +133,12 @@ def reprs(row, fields) -> list[str]:
 def test_shared_scores_equal_scoring_each_window_alone(rows):
     built = tuple(window_networks(log_of(rows), WindowSpec(DELTA_T)))
     nets = [net for net in built if net.is_conversation]
-    wms = conversation_metrics(built)
+    wms = table_rows(conversation_metrics(built))
     assert [w.window_index for w in wms] == [net.window_index for net in nets]
     for w, net in zip(wms, nets):
         alone = engagement_index(net)
         assert reprs(w.metrics, METRIC_FIELDS) == reprs(alone, METRIC_FIELDS)
-        users, strengths, scale = w.columns()
+        users, strengths, scale = w.users, w.strengths, w.scale
         alone_scale = centrality_scale(alone)
         assert [(u, s, repr(s * scale)) for u, s in zip(users, strengths)] == [
             (u, s, repr(s * alone_scale)) for u, s in net.strengths().items()
@@ -148,9 +149,9 @@ def test_shared_scores_equal_scoring_each_window_alone(rows):
 def test_memoized_float_keys_are_strictly_positive(rows):
     # classified.csv formats once per ei and centralities.csv once per
     # centrality; a dict merges 0.0 and -0.0, whose reprs differ
-    for w in scored(rows):
+    for w in table_rows(scored(rows)):
         assert w.metrics.ei > 0
-        _, strengths, scale = w.columns()
+        strengths, scale = w.strengths, w.scale
         assert all(s * scale > 0 for s in strengths)
 
 
@@ -759,17 +760,18 @@ def test_rankings_and_period_means_match_the_definition(rows, thresholds, avg, d
     wms = scored(rows)
     low, high = thresholds
     try:
-        classified = zscore_classify(wms, ensemble_stats(wms), low=low, high=high)
+        _, classified = zscore_classify(wms, ensemble_stats(wms), low=low, high=high)
     except (InsufficientDataError, DegenerateEnsembleError):
         assume(False)
-    population = {user for w in wms for user in w.columns()[0]}
-    label = {c.window_index: c.label for c in classified}
+    table = table_rows(wms)
+    population = {user for w in table for user in w.users}
+    label = dict(zip(wms.indices, classified))
 
     rankings = rank_users(wms, classified, top_k=len(population), avg=avg)
     assert set(rankings) == set(EngagementClass)
     for scope, ranking in rankings.items():
         scoped = [
-            w for w in wms
+            w for w in table
             if scope is EngagementClass.GLOBAL or label[w.window_index] is scope
         ]
         expected = descending(scope_means_direct(scoped, avg, population)) if scoped else ()
@@ -778,11 +780,11 @@ def test_rankings_and_period_means_match_the_definition(rows, thresholds, avg, d
     if low == -50.0:
         assert rankings[EngagementClass.LOW].entries == ()
 
-    split = wms[data.draw(st.integers(1, len(wms) - 1))].window_start
+    split = wms.starts[data.draw(st.integers(1, len(wms) - 1))]
     periods = (
-        wms,
-        [w for w in wms if w.window_start < split],
-        [w for w in wms if w.window_start >= split],
+        table,
+        [w for w in table if w.window_start < split],
+        [w for w in table if w.window_start >= split],
     )
     for vector, scoped in zip(period_means(wms, split, avg=avg), periods):
         assert vector == dict.fromkeys(population, 0.0) | scope_means_direct(
@@ -798,7 +800,7 @@ def iso(ts: int) -> str:
 def test_stepwise_rank_and_compare_match_report(rows, avg, data):
     wms = scored(rows)
     assume(len(wms) >= 2)
-    split = iso(wms[data.draw(st.integers(1, len(wms) - 1))].window_start)
+    split = iso(wms.starts[data.draw(st.integers(1, len(wms) - 1))])
     with tempfile.TemporaryDirectory() as tmp:
         log, report, steps = Path(tmp) / "log.csv", Path(tmp) / "report", Path(tmp) / "steps"
         log.write_text(dump_log(log_of(rows)))
@@ -838,12 +840,11 @@ def test_one_pass_for_rankings_and_comparison_equals_a_pass_each(
     wms = scored(rows)
     low, high = thresholds
     try:
-        classified = zscore_classify(wms, ensemble_stats(wms), low=low, high=high)
+        _, labels = zscore_classify(wms, ensemble_stats(wms), low=low, high=high)
     except (InsufficientDataError, DegenerateEnsembleError):
         assume(False)
-    labels = [c.label for c in classified]
     top_k = data.draw(st.integers(1, 8))
-    starts = [w.window_start for w in wms]
+    starts = list(wms.starts)
     middle = starts[data.draw(st.integers(1, len(starts) - 1))]
     empty_period = {starts[0], starts[-1] + 1}
     for split in (starts[0], middle, starts[-1], starts[-1] + 1):
@@ -855,7 +856,7 @@ def test_one_pass_for_rankings_and_comparison_equals_a_pass_each(
             assert str(shared.value) == str(separate.value)
             continue
         by_class, by_period = scope_means(wms, avg, labels, split_periods(wms, split))
-        rankings = rank_users(wms, classified, top_k, avg=avg)
+        rankings = rank_users(wms, labels, top_k, avg=avg)
         assert same_bits(rank_means(by_class, top_k), rankings)
         assert same_bits(compare_means(by_period, split), period_compare(wms, split, avg=avg))
         if low == -50.0:

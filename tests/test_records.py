@@ -11,7 +11,6 @@ import pytest
 
 from chatpulse import (
     AnonymizedLog,
-    ClassifiedNetwork,
     ComparisonRow,
     EngagementClass,
     EngagementMetrics,
@@ -43,11 +42,6 @@ RECORDS = [
         True,
     ),
     (EnsembleStats, {"mean_ei": 1.5, "std_ei": 0.5, "count": 4}, True),
-    (
-        ClassifiedNetwork,
-        {"window_index": 4, "ei": 1.5, "z": -0.25, "label": EngagementClass.LOW},
-        False,
-    ),
     (UserRanking, {"scope": EngagementClass.GLOBAL, "entries": ((1, 0.5),)}, True),
     (WindowSpec, {"delta_t": 60, "alignment": "first", "time_range": (0, 600)}, True),
     (

@@ -17,7 +17,7 @@ from chatpulse import (
 from chatpulse.synth import Regime, generate
 
 from conftest import make_log
-from oracles import centralities_direct
+from oracles import centralities_direct, table_rows
 
 
 def test_absent_user_has_empty_series():
@@ -39,6 +39,21 @@ def test_series_skips_windows_where_user_is_absent():
     nets = tuple(window_networks(log, WindowSpec(delta_t=600)))
     series = user_series(conversation_metrics(nets), 0)
     assert [start for start, _ in series.points] == [0, 1200]
+
+
+def test_series_are_the_users_rows_of_the_table():
+    result = generate(Regime(kind="uniform-random", users=9, rate=8, windows=40, seed=4))
+    table = conversation_metrics(window_networks(result.log, WindowSpec()))
+    rows = table_rows(table)
+    for user in range(10):  # user 9 never speaks
+        expected = tuple(
+            (w.window_start, s * w.scale)
+            for w in rows
+            for u, s in zip(w.users, w.strengths)
+            if u == user
+        )
+        assert user_series(table, user).points == expected
+    assert user_series(table, 9).points == ()
 
 
 def mirrored_ensemble():
