@@ -19,6 +19,7 @@ import gc
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 from pathlib import Path
@@ -234,20 +235,16 @@ def _emit_metrics(outdir: Path, wms, ints: _Reprs) -> list[str]:
         metrics_rows(),
     )
     reprs = _Reprs()  # centralities are strictly positive floats, never -0.0
-    users, strengths, bounds = wms.users, wms.strengths, wms.bounds
+    # each window takes its rows from one iterator over both columns
+    rows, bounds = zip(wms.users, wms.strengths), wms.bounds
+    sizes = map(operator.sub, itertools.islice(bounds, 1, None), bounds)
     _write_csv(
         outdir / "centralities.csv",
         "window_start,user_id,strength,ei_centrality",
         (
-            f"{start}{ints[user]},{ints[s]},{reprs[s * scale]}\n"
-            for start, m, lo, hi in zip(
-                map("{},".format, wms.starts),
-                wms.metrics,
-                bounds,
-                itertools.islice(bounds, 1, None),
-            )
-            for scale in (m._scale,)
-            for user, s in zip(users[lo:hi], strengths[lo:hi])
+            f"{start}{ints[user]},{ints[s]},{reprs[s * m._scale]}\n"
+            for start, m, n in zip(map("{},".format, wms.starts), wms.metrics, sizes)
+            for user, s in itertools.islice(rows, n)
         ),
     )
     return ["metrics.csv", "centralities.csv"]

@@ -190,7 +190,7 @@ def scope_means(
     check_avg(avg)
     scopings = (scoping, *others)
     present = avg == AVG_PRESENT
-    users, strengths, bounds = windows.users, windows.strengths, windows.bounds
+    users, bounds = windows.users, windows.bounds
     whole: defaultdict[int, float] = defaultdict(float)
     # per scoping, scope -> user -> summed centrality, and -> appearances
     sums = [defaultdict(lambda: defaultdict(float)) for _ in scopings]
@@ -205,12 +205,14 @@ def scope_means(
     first, *rest = each_window(sums)
     rest = zip(*rest) if others else repeat(())
     counted = zip(*each_window(seen)) if present else repeat(())
+    # each window takes its rows from one iterator over both columns, so no
+    # window slices them
+    rows = zip(users, windows.strengths)
     for m, lo, hi, acc, parts, counts in zip(
         windows.metrics, bounds, islice(bounds, 1, None), first, rest, counted
     ):
         scale = m._scale
-        window_users = users[lo:hi]
-        for user, s in zip(window_users, strengths[lo:hi]):
+        for user, s in islice(rows, hi - lo):
             value = s * scale
             whole[user] += value
             acc[user] += value
@@ -218,7 +220,7 @@ def scope_means(
                 for part in parts:
                     part[user] += value
         for part_seen in counts:
-            for user in window_users:
+            for user in users[lo:hi]:
                 part_seen[user] += 1
     if present:
         # a scoping gives each window one scope, so a user's appearances in
