@@ -178,14 +178,13 @@ def scope_means(
     Each scoping, ``scoping`` and any ``others``, gives each window's scope
     key in the order of the rows, and the result holds one dict per
     scoping, scope -> user -> mean, with the key GLOBAL covering every
-    window in each. One pass in window order
-    adds each user's centrality into GLOBAL and into its window's scope
-    under every scoping, so every mean adds in window order and does not
-    depend on the other scopings given. With avg='zero' the denominator is
-    the scope's window count and every user of ``windows`` has a mean in
-    every scope, 0.0 where absent; with avg='present' it is the user's
-    appearances in the scope and only those users are listed. A scope no
-    window has is absent.
+    window in each. One pass in window order adds each user's centrality
+    into GLOBAL and into its window's scope under every scoping, so every
+    mean adds in window order and does not depend on the other scopings
+    given. With avg='zero' the denominator is the scope's window count and
+    every user of ``windows`` has a mean in every scope, 0.0 where absent;
+    with avg='present' it is the user's appearances in the scope and only
+    those users are listed. A scope no window has is absent.
     """
     check_avg(avg)
     scopings = (scoping, *others)
@@ -233,14 +232,14 @@ def scope_means(
     else:
         overall = {user: s / len(windows) for user, s in whole.items()}
     out = []
-    for scoping, by_scope, seen_by_scope in zip(scopings, sums, seen):
+    for keys, by_scope, seen_by_scope in zip(scopings, sums, seen):
         if present:
             means = {
                 scope: {user: s / seen_by_scope[scope][user] for user, s in acc.items()}
                 for scope, acc in by_scope.items()
             }
         else:
-            sizes = Counter(scoping)
+            sizes = Counter(keys)
             means = {
                 scope: {user: acc.get(user, 0.0) / sizes[scope] for user in whole}
                 for scope, acc in by_scope.items()
